@@ -130,11 +130,12 @@ def cmd_simulate(args) -> int:
     else:
         n = market.n
         profile = simulation.StrategyProfile.structured_n1(n, args.structured_n1)
-    report = simulation.simulate(MechanismKind(args.kind), market, profile,
-                                 args.reps, args.seed, threads=args.threads)
     if args.csv:
-        simulation.write_replication_csv(MechanismKind(args.kind), market, profile,
-                                         args.reps, args.seed, args.csv)
+        report = simulation.write_replication_csv(MechanismKind(args.kind), market,
+                                                  profile, args.reps, args.seed, args.csv)
+    else:
+        report = simulation.simulate(MechanismKind(args.kind), market, profile,
+                                     args.reps, args.seed, threads=args.threads)
     _emit(report.to_json_dict(), args.out)
     return 0
 

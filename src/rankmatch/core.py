@@ -230,11 +230,6 @@ def build_outcome(matching: Matching, reports: Sequence[RankList],
     return Outcome(matching, ranks, utils, sum(utils), rho_total)
 
 
-def outcome_welfare(outcome: Outcome) -> tuple[int, int]:
-    """(total welfare, rho-only component), both in cents."""
-    return outcome.welfare_total, outcome.rho_total
-
-
 def reports_from_json_dict(doc: dict) -> list[RankList]:
     """Parse the ``{"reports": [[good ids]]}`` wire format."""
     try:

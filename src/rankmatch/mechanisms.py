@@ -1,5 +1,6 @@
-"""Deterministic RSD and Boston engines, randomized wrappers, and exact
-expectation / efficiency oracles by enumeration.
+"""Deterministic RSD and Boston engines, their batch forms over many
+tie-break orders at once, randomized wrappers, and exact expectation /
+efficiency oracles by enumeration.
 
 A single ``TieBreakOrder`` drives both mechanisms: position 0 is the agent
 who picks first in RSD and holds tie-break number 1 in Boston.
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from . import prng
 from .core import (
@@ -102,6 +105,57 @@ def run_mechanism(kind: MechanismKind, reports: Sequence[RankList],
                   order: TieBreakOrder) -> Matching:
     engine = run_rsd if kind == MechanismKind.RSD else run_boston
     return engine(reports, order)
+
+
+def batch_rsd(pref: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``run_rsd`` for every row of ``orders`` at once.
+
+    ``pref[i]`` is agent i's rank list (good ids, best first) and each row of
+    the (reps x n) ``orders`` is a tie-break order.  Returns (reps x n) arrays
+    of the good assigned to each agent and its 1-based rank in their list.
+    """
+    reps, n = orders.shape
+    cell = np.arange(0, reps * n, n)  # row starts in the flat "taken" table
+    taken = np.zeros(reps * n, dtype=bool)
+    rank_at = np.empty((n, reps), dtype=np.int64)  # by priority position
+    for t in range(n):
+        lists = pref[orders[:, t]]
+        # first position in the picker's list whose good is still free
+        pos = np.argmin(taken[cell[:, None] + lists], axis=1)
+        taken[cell + lists[np.arange(reps), pos]] = True
+        rank_at[t] = pos + 1
+    return _by_agent(pref, orders, rank_at)
+
+
+def batch_boston(pref: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``run_boston`` for every row of ``orders`` at once; arguments and
+    results as in ``batch_rsd``.
+
+    Within round k the bidders are visited in priority order, so the first
+    one to bid for a free good is the one ``run_boston`` picks as winner.
+    """
+    reps, n = orders.shape
+    cell = np.arange(0, reps * n, n)
+    taken = np.zeros(reps * n, dtype=bool)
+    by_position = np.ascontiguousarray(orders.T)
+    rank_at = np.zeros((n, reps), dtype=np.int64)  # 0 while unassigned
+    for k in range(n):
+        # cell in the taken table of each bidder's k-th choice, by position
+        bids = pref[:, k][by_position] + cell
+        for p in range(n):
+            slot = bids[p]
+            win = (rank_at[p] == 0) & ~taken[slot]
+            taken[slot] |= win
+            rank_at[p][win] = k + 1
+    return _by_agent(pref, orders, rank_at)
+
+
+def _by_agent(pref: np.ndarray, orders: np.ndarray,
+              rank_at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(goods, ranks) by agent from ranks held by priority position."""
+    ranks = np.empty(orders.shape, dtype=np.int64)
+    np.put_along_axis(ranks, orders, rank_at.T, axis=1)
+    return pref[np.arange(len(pref)), ranks - 1], ranks
 
 
 def run_random(kind: MechanismKind, reports: Sequence[RankList],

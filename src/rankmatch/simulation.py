@@ -3,8 +3,12 @@
 Two profile kinds:
 
 * ``FixedReport`` — every agent submits a fixed rank list; each replication
-  draws only the tie-break order and runs the real engine.  Replications are
-  grouped by drawn order, so the engine runs once per distinct order.
+  draws only the tie-break order and runs the real engine.  A block's orders
+  form one (reps x n) array that ``batch_rsd`` / ``batch_boston`` run in n
+  or n * n vectorized steps; the per-replication CSV writes the same arrays.
+  The first ``REFERENCE_CHECK_REPS`` orders of every block are also run
+  through the scalar ``run_rsd`` / ``run_boston``, and any disagreement
+  raises, so a fault in either engine stops the run.
 * ``Structured`` — the symmetric-environment strategies: each agent picks
   which top good to rank first, lower goods are ranked uniformly at random,
   and losers of the top-goods phase receive a uniform leftover good / list
@@ -17,7 +21,9 @@ the report is byte-identical for any worker count.
 """
 from __future__ import annotations
 
+import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -25,11 +31,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import prng
-from .core import MarketInstance, RankList, build_outcome
+from .core import MarketInstance, RankList
 from .equilibrium import SymmetricInstance
-from .mechanisms import MechanismKind, TieBreakOrder, run_mechanism
+from .mechanisms import (
+    MechanismKind,
+    TieBreakOrder,
+    batch_boston,
+    batch_rsd,
+    run_mechanism,
+)
 
 BLOCK_SIZE = 1 << 16
+# replications per CSV ``writerows`` call, which bounds the rows held as lists
+CSV_CHUNK_REPS = 1 << 10
+# orders per block checked against the scalar reference engine
+REFERENCE_CHECK_REPS = 16
 
 
 @dataclass(frozen=True)
@@ -113,18 +129,19 @@ def _as_symmetric(market) -> SymmetricInstance:
 
 @dataclass
 class _Acc:
-    """Running sums merged across blocks in index order."""
+    """Running sums merged across blocks in index order.  Money sums are
+    exact Python ints, so the report does not depend on the block count."""
 
     n: int
     reps: int = 0
-    w_sum: float = 0.0
-    w_sumsq: float = 0.0
-    r_sum: float = 0.0
-    r_sumsq: float = 0.0
+    w_sum: int = 0
+    w_sumsq: int = 0
+    r_sum: int = 0
+    r_sumsq: int = 0
 
     def __post_init__(self):
         self.hist = np.zeros(self.n, dtype=np.int64)
-        self.agent_u = np.zeros(self.n, dtype=float)
+        self.agent_u = [0] * self.n
 
     def add(self, reps, w_sum, w_sumsq, r_sum, r_sumsq, hist, agent_u):
         self.reps += reps
@@ -133,59 +150,86 @@ class _Acc:
         self.r_sum += r_sum
         self.r_sumsq += r_sumsq
         self.hist += hist
-        self.agent_u += agent_u
+        self.agent_u = [a + u for a, u in zip(self.agent_u, agent_u)]
 
 
-def _mean_se(total: float, total_sq: float, count: int) -> tuple[float, float]:
+def _mean_se(total: int, total_sq: int, count: int) -> tuple[float, float]:
+    """Mean and its standard error from exact integer sums; the variance is
+    formed in integers and rounded to float once."""
     mean = total / count
     if count < 2:
         return mean, 0.0
-    var = max(0.0, (total_sq - count * mean * mean) / (count - 1))
-    return mean, math.sqrt(var / count)
+    var_of_mean = (count * total_sq - total * total) / (count * count * (count - 1))
+    return mean, math.sqrt(var_of_mean)
 
 
-def _fixed_block(kind: MechanismKind, market: MarketInstance,
-                 reports: tuple[RankList, ...], reps: int, seed: int, block: int,
-                 cache: dict):
+def _sum_dtype(bound: int, reps: int):
+    """int64 when no block sum can overflow it: per-replication totals are at
+    most ``bound`` in size, so their squares summed over ``reps`` replications
+    are the largest sum.  Otherwise Python ints (``object`` arrays)."""
+    return np.int64 if reps * bound * bound < 1 << 63 else object
+
+
+def _block_sums(ranks: np.ndarray, utils: np.ndarray, rho_got: np.ndarray):
+    """One block's sums from (reps x n) received ranks, utilities and the rho
+    part of each utility."""
+    reps, n = ranks.shape
+    welfare = utils.sum(axis=1)
+    rho_tot = rho_got.sum(axis=1)
+    hist = np.bincount((ranks - 1).ravel(), minlength=n)
+    return (reps, int(welfare.sum()), int((welfare * welfare).sum()),
+            int(rho_tot.sum()), int((rho_tot * rho_tot).sum()),
+            hist, [int(u) for u in utils.sum(axis=0)])
+
+
+def _fixed_outcomes(kind: MechanismKind, market: MarketInstance,
+                    reports: Sequence[RankList], pref: np.ndarray,
+                    reps: int, seed: int, block: int):
+    """Run one block of tie-break orders, stream (seed, block), through the
+    batch engine.  Returns (reps x n) goods, ranks, utilities and rho parts."""
     n = market.n
     gen = prng.generator(seed, block)
     orders = np.tile(np.arange(n), (reps, 1))
     gen.permuted(orders, axis=1, out=orders)
-    uniq, counts = np.unique(orders, axis=0, return_counts=True)
-    hist = np.zeros(n, dtype=np.int64)
-    agent_u = np.zeros(n, dtype=float)
-    w_sum = w_sumsq = r_sum = r_sumsq = 0.0
-    for row, cnt in zip(uniq.tolist(), counts.tolist()):
-        order = tuple(row)
-        entry = cache.get(order)
-        if entry is None:
-            matching = run_mechanism(kind, reports, TieBreakOrder(order))
-            out = build_outcome(matching, reports, market)
-            entry = (out.welfare_total, out.rho_total, out.received_rank, out.utility)
-            cache[order] = entry
-        w, r, ranks, utils = entry
-        w_sum += cnt * w
-        w_sumsq += cnt * w * w
-        r_sum += cnt * r
-        r_sumsq += cnt * r * r
-        for i in range(n):
-            hist[ranks[i] - 1] += cnt
-            agent_u[i] += cnt * utils[i]
-    return reps, w_sum, w_sumsq, r_sum, r_sumsq, hist, agent_u
+    engine = batch_rsd if kind == MechanismKind.RSD else batch_boston
+    goods, ranks = engine(pref, orders)
+    checked = zip(orders[:REFERENCE_CHECK_REPS].tolist(),
+                  goods[:REFERENCE_CHECK_REPS].tolist())
+    for rep, (order, got) in enumerate(checked):
+        expected = run_mechanism(kind, reports, TieBreakOrder(order)).assignment
+        if tuple(got) != expected:
+            raise RuntimeError(f"{kind.value} batch engine gave {got} for order {order} "
+                               f"(block {block}, rep {rep}); the reference engine "
+                               f"gives {list(expected)}")
+    rows, rho = market.values.rows, market.rho.values
+    bound = n * (max(max(r) for r in rows) + max(abs(v) for v in rho))
+    dtype = _sum_dtype(bound, reps)
+    rho_got = np.asarray(rho, dtype=dtype)[ranks - 1]
+    utils = np.asarray(rows, dtype=dtype)[np.arange(n), goods] + rho_got
+    return goods, ranks, utils, rho_got
+
+
+def _fixed_block(kind: MechanismKind, market: MarketInstance,
+                 reports: Sequence[RankList], pref: np.ndarray,
+                 reps: int, seed: int, block: int):
+    _, ranks, utils, rho_got = _fixed_outcomes(kind, market, reports, pref,
+                                               reps, seed, block)
+    return _block_sums(ranks, utils, rho_got)
 
 
 def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
                       tops: tuple[int, ...], reps: int, seed: int, block: int):
     n = inst.n
     gen = prng.generator(seed, block)
-    rho = np.asarray(inst.rho.values, dtype=np.int64)
+    dtype = _sum_dtype(n * (inst.v1 + max(abs(v) for v in inst.rho.values)), reps)
+    rho = np.asarray(inst.rho.values, dtype=dtype)
     x1_group = np.array([i for i in range(n) if tops[i] == 1])
     x2_group = np.array([i for i in range(n) if tops[i] == 2])
     n1 = len(x1_group)
     rows = np.arange(reps)
 
     ranks = np.empty((reps, n), dtype=np.int64)
-    values = np.empty((reps, n), dtype=np.int64)
+    values = np.empty((reps, n), dtype=dtype)
 
     if kind == MechanismKind.RSD:
         # first pick: uniform agent gets own top at rank 1; second pick:
@@ -238,60 +282,36 @@ def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
         ranks[rows, w1] = n
         values[rows, w1] = inst.v1
 
-    utils = values + rho[ranks - 1]
-    welfare = utils.sum(axis=1, dtype=np.int64)
-    rho_tot = rho[ranks - 1].sum(axis=1, dtype=np.int64)
-    hist = np.bincount((ranks - 1).ravel(), minlength=n)
-    agent_u = utils.sum(axis=0, dtype=np.int64).astype(float)
-    return (reps, float(welfare.sum()), float((welfare.astype(float) ** 2).sum()),
-            float(rho_tot.sum()), float((rho_tot.astype(float) ** 2).sum()),
-            hist.astype(np.int64), agent_u)
+    rho_got = rho[ranks - 1]
+    return _block_sums(ranks, values + rho_got, rho_got)
 
 
-def simulate(kind: MechanismKind, market, profile: StrategyProfile,
-             replications: int, seed: int, threads: int = 1) -> SimReport:
-    """Monte Carlo estimate of rank distribution, welfare, and per-agent EU.
-
-    Deterministic for fixed (inputs, seed) regardless of ``threads``.
-    ``market`` may be a MarketInstance or, for structured profiles, a
-    SymmetricInstance.
-    """
+def _block_sizes(replications: int) -> list[int]:
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    if profile.tops is not None:
-        inst = _as_symmetric(market)
-        n = inst.n
-        if len(profile.tops) != n:
-            raise ValueError("profile size must match market size")
-        block_fn: Callable = lambda reps, b: _structured_block(
-            kind, inst, profile.tops, reps, seed, b)
-    else:
-        mkt = market.market() if isinstance(market, SymmetricInstance) else market
-        n = mkt.n
-        if len(profile.fixed) != n:
-            raise ValueError("profile size must match market size")
-        cache: dict = {}
-        block_fn = lambda reps, b: _fixed_block(
-            kind, mkt, profile.fixed, reps, seed, b, cache)
-
     sizes = [BLOCK_SIZE] * (replications // BLOCK_SIZE)
     if replications % BLOCK_SIZE:
         sizes.append(replications % BLOCK_SIZE)
+    return sizes
 
+
+def _fixed_setup(market, profile: StrategyProfile) -> tuple[MarketInstance, np.ndarray]:
+    """The market and the (n x n) report array of a fixed-report profile."""
+    mkt = market.market() if isinstance(market, SymmetricInstance) else market
+    if len(profile.fixed) != mkt.n or any(len(r) != mkt.n for r in profile.fixed):
+        raise ValueError("profile size must match market size")
+    return mkt, np.array([r.order for r in profile.fixed], dtype=np.int64)
+
+
+def _report(kind: MechanismKind, replications: int, seed: int, n: int,
+            profile: StrategyProfile, results) -> SimReport:
+    """Merge block sums, in block-index order, into a report."""
     acc = _Acc(n)
-    if threads > 1 and profile.tops is not None:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda ib: block_fn(ib[1], ib[0]),
-                                    enumerate(sizes)))
-        for res in results:  # already in block-index order
-            acc.add(*res)
-    else:
-        for b, sz in enumerate(sizes):
-            acc.add(*block_fn(sz, b))
-
+    for res in results:
+        acc.add(*res)
     w_mean, w_se = _mean_se(acc.w_sum, acc.w_sumsq, acc.reps)
     r_mean, r_se = _mean_se(acc.r_sum, acc.r_sumsq, acc.reps)
-    agent_eu = tuple(float(u / acc.reps) for u in acc.agent_u)
+    agent_eu = tuple(u / acc.reps for u in acc.agent_u)
 
     group_eu = None
     if profile.tops is not None:
@@ -304,6 +324,37 @@ def simulate(kind: MechanismKind, market, profile: StrategyProfile,
                      w_mean, w_se, r_mean, r_se, agent_eu, group_eu)
 
 
+def simulate(kind: MechanismKind, market, profile: StrategyProfile,
+             replications: int, seed: int, threads: int = 1) -> SimReport:
+    """Monte Carlo estimate of rank distribution, welfare, and per-agent EU.
+
+    Deterministic for fixed (inputs, seed) regardless of ``threads``, which
+    is capped at the core count and the block count.  ``market`` may be a
+    MarketInstance or, for structured profiles, a SymmetricInstance.
+    """
+    sizes = _block_sizes(replications)
+    if profile.tops is not None:
+        inst = _as_symmetric(market)
+        n = inst.n
+        if len(profile.tops) != n:
+            raise ValueError("profile size must match market size")
+        block_fn: Callable = lambda reps, b: _structured_block(
+            kind, inst, profile.tops, reps, seed, b)
+    else:
+        mkt, pref = _fixed_setup(market, profile)
+        n = mkt.n
+        block_fn = lambda reps, b: _fixed_block(kind, mkt, profile.fixed, pref,
+                                                reps, seed, b)
+
+    workers = min(threads, os.cpu_count() or 1, len(sizes))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(block_fn, sizes, range(len(sizes))))
+    else:
+        results = map(block_fn, sizes, range(len(sizes)))
+    return _report(kind, replications, seed, n, profile, results)
+
+
 def rank_distribution(kind: MechanismKind, market, profile: StrategyProfile,
                       replications: int, seed: int,
                       threads: int = 1) -> tuple[float, ...]:
@@ -312,30 +363,30 @@ def rank_distribution(kind: MechanismKind, market, profile: StrategyProfile,
 
 
 def write_replication_csv(kind: MechanismKind, market, profile: StrategyProfile,
-                          replications: int, seed: int, path) -> None:
-    """Per-replication records (fixed profiles only, real engine runs)."""
+                          replications: int, seed: int, path) -> SimReport:
+    """Per-replication records (fixed profiles only), from the same engine
+    runs and tie-break streams as ``simulate``.  Returns the report
+    ``simulate`` gives for these arguments, from the same single pass; the
+    blocks run one after another, in the order they are written."""
     if profile.fixed is None:
         raise ValueError("per-replication CSV supports fixed-report profiles only")
-    mkt = market.market() if isinstance(market, SymmetricInstance) else market
-    import csv
-
+    sizes = _block_sizes(replications)
+    mkt, pref = _fixed_setup(market, profile)
+    n = mkt.n
+    results = []
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rep", "agent", "good", "rank", "utility_cents"])
-        n = mkt.n
         done = 0
-        block = 0
-        while done < replications:
-            sz = min(BLOCK_SIZE, replications - done)
-            gen = prng.generator(seed, block)
-            orders = np.tile(np.arange(n), (sz, 1))
-            gen.permuted(orders, axis=1, out=orders)
-            for r in range(sz):
-                matching = run_mechanism(kind, profile.fixed,
-                                         TieBreakOrder(tuple(int(x) for x in orders[r])))
-                out = build_outcome(matching, profile.fixed, mkt)
-                for i in range(n):
-                    writer.writerow([done + r, i, out.matching.good_of(i),
-                                     out.received_rank[i], out.utility[i]])
-            done += sz
-            block += 1
+        for block, size in enumerate(sizes):
+            goods, ranks, utils, rho_got = _fixed_outcomes(kind, mkt, profile.fixed, pref,
+                                                           size, seed, block)
+            results.append(_block_sums(ranks, utils, rho_got))
+            for lo in range(0, size, CSV_CHUNK_REPS):
+                hi = min(lo + CSV_CHUNK_REPS, size)
+                columns = (np.repeat(np.arange(done + lo, done + hi), n),
+                           np.tile(np.arange(n), hi - lo),
+                           goods[lo:hi].ravel(), ranks[lo:hi].ravel(), utils[lo:hi].ravel())
+                writer.writerows(zip(*(c.tolist() for c in columns)))
+            done += size
+    return _report(kind, replications, seed, n, profile, results)

@@ -75,6 +75,29 @@ def test_simulate_structured(tmp_path, capsys):
     assert sum(doc["rank_histogram"]) == 20000 * 5
 
 
+def test_simulate_fixed_profile_threads(appd_files, capsys):
+    rp, mp = appd_files
+    args = ["simulate", "--kind", "boston", "--market", str(mp), "--profile-reports",
+            str(rp), "--reps", "140000", "--seed", "7"]  # three blocks
+    code, out1, _ = run_cli(args + ["--threads", "1"], capsys)
+    assert code == 0
+    code, out2, _ = run_cli(args + ["--threads", "2"], capsys)
+    assert code == 0 and out1 == out2
+    assert sum(json.loads(out1)["rank_histogram"]) == 140000 * 4
+
+
+def test_simulate_csv_report_matches_simulate(appd_files, tmp_path, capsys):
+    rp, mp = appd_files
+    args = ["simulate", "--kind", "rsd", "--market", str(mp), "--profile-reports",
+            str(rp), "--reps", "3000", "--seed", "7"]
+    code, plain, _ = run_cli(args, capsys)
+    assert code == 0
+    path = tmp_path / "reps.csv"
+    code, with_csv, _ = run_cli(args + ["--csv", str(path)], capsys)
+    assert code == 0 and with_csv == plain
+    assert len(path.read_text().splitlines()) == 1 + 3000 * 4
+
+
 def test_simulate_requires_one_profile(tmp_path, capsys, appd_files):
     rp, mp = appd_files
     code, _, err = run_cli(["simulate", "--kind", "rsd", "--market", str(mp),

@@ -2,12 +2,15 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rankmatch.core import MarketInstance, RankList, SizeLimitError
 from rankmatch.mechanisms import (
     MechanismKind,
     TieBreakOrder,
+    batch_boston,
+    batch_rsd,
     exact_expected_utilities,
     is_pareto_efficient,
     run_boston,
@@ -115,3 +118,41 @@ def test_exact_matches_brute_average():
             for i in range(3):
                 totals[i] += Fraction(out.utility[i], 6)
         assert tuple(totals) == eus
+
+
+def _assert_batch_matches_scalar(lists, orders):
+    n = len(lists)
+    reports = [RankList(tuple(lst)) for lst in lists]
+    pref = np.array(lists, dtype=np.int64).reshape(n, n)
+    order_array = np.array(orders, dtype=np.int64).reshape(len(orders), n)
+    for scalar, batch in ((run_rsd, batch_rsd), (run_boston, batch_boston)):
+        goods, ranks = batch(pref, order_array)
+        assert goods.shape == ranks.shape == (len(orders), n)
+        for row, order in enumerate(orders):
+            m = scalar(reports, TieBreakOrder(tuple(order)))
+            assert tuple(goods[row].tolist()) == m.assignment, (scalar.__name__, lists, order)
+            assert tuple(ranks[row].tolist()) == tuple(
+                reports[i].rank_of(g) for i, g in enumerate(m.assignment))
+
+
+def test_batch_engines_match_scalar_engines():
+    rng = random.Random(2023)
+    for n in range(1, 11):
+        for case in range(40):
+            if case % 4 == 0:  # everyone reports the same list
+                lists = [rng.sample(range(n), n)] * n
+            else:
+                lists = [rng.sample(range(n), n) for _ in range(n)]
+            orders = [rng.sample(range(n), n) for _ in range(12)]
+            _assert_batch_matches_scalar(lists, orders)
+
+
+def test_batch_engines_contested_rounds():
+    # Boston: good 1 goes to agent 2 in round 1, so agent 1 passes round 2
+    # and agent 0 wins good 0 ahead of agent 1 mid-round
+    lists = [[0, 1, 2], [0, 1, 2], [1, 0, 2]]
+    _assert_batch_matches_scalar(lists, [list(p) for p in itertools.permutations(range(3))])
+    # goods 0 and 1 both run out in round 1, and their losers then contest
+    # good 2 in round 2
+    lists = [[0, 2, 3, 1], [1, 2, 3, 0], [0, 2, 1, 3], [1, 2, 0, 3]]
+    _assert_batch_matches_scalar(lists, [list(p) for p in itertools.permutations(range(4))])

@@ -1,15 +1,26 @@
+import csv
+import io
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rankmatch.core import MarketInstance, RankList, RhoSchedule
+from rankmatch import prng, simulation
+from rankmatch.core import MarketInstance, RankList, RhoSchedule, build_outcome
 from rankmatch.equilibrium import (
     SymmetricInstance,
     boston_group_eu,
     equilibrium_welfare,
     sd_group_eu,
 )
-from rankmatch.mechanisms import MechanismKind, exact_expected_utilities
+from rankmatch.mechanisms import (
+    MechanismKind,
+    TieBreakOrder,
+    exact_expected_utilities,
+    run_mechanism,
+)
 from rankmatch.simulation import (
     StrategyProfile,
     rank_distribution,
@@ -79,6 +90,29 @@ def test_structured_matches_closed_form_eu():
     assert abs(rep.rho_mean - float(wrho)) <= 4 * rep.rho_se + 1e-9
 
 
+@pytest.mark.parametrize("block_size", [7, simulation.BLOCK_SIZE])
+@pytest.mark.parametrize("kind,n1", [(MechanismKind.BOSTON, 3), (MechanismKind.BOSTON, 5),
+                                     (MechanismKind.BOSTON, 0), (MechanismKind.RSD, 4)])
+def test_structured_sums_exact_past_int64(monkeypatch, block_size, kind, n1):
+    # adding D to every value adds D to each utility and n * D to each welfare
+    # and leaves every draw alone; at D = 10**15 the sums of squares pass
+    # 2**63, so the block sums are Python ints
+    monkeypatch.setattr(simulation, "BLOCK_SIZE", block_size)
+    D, reps, n = 10**15, 23, E1.n
+    big = SymmetricInstance(n, E1.v1 + D, E1.v2 + D, E1.vbar + D, E1.rho)
+    assert simulation._sum_dtype(n * (big.v1 + 800), reps) is object
+    profile = StrategyProfile.structured_n1(n, n1)
+    small = simulate(kind, E1, profile, reps, seed=11)
+    shifted = simulate(kind, big, profile, reps, seed=11)
+    assert shifted.rank_histogram == small.rank_histogram
+    assert (shifted.rho_mean, shifted.rho_se) == (small.rho_mean, small.rho_se)
+    assert shifted.welfare_se == small.welfare_se  # exact integer variance
+    w_sum = round(Fraction(small.welfare_mean) * reps)
+    assert shifted.welfare_mean == (w_sum + reps * n * D) / reps
+    for got, ref in zip(shifted.agent_eu_mean, small.agent_eu_mean):
+        assert got == (round(Fraction(ref) * reps) + reps * D) / reps
+
+
 def test_structured_corner_and_all_x2():
     rep = simulate(MechanismKind.BOSTON, E1, StrategyProfile.structured_n1(5, 5),
                    50_000, seed=3)
@@ -135,3 +169,121 @@ def test_replication_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "rep,agent,good,rank,utility_cents"
     assert len(lines) == 1 + 10 * 3
+
+
+def _scalar_reference(kind, market, reports, reps, seed):
+    """The scalar engine once per replication, over the orders ``simulate``
+    draws: one Philox stream (seed, block) per block of BLOCK_SIZE reps."""
+    n = market.n
+    outcomes = []
+    block = 0
+    while len(outcomes) < reps:
+        size = min(simulation.BLOCK_SIZE, reps - len(outcomes))
+        orders = np.tile(np.arange(n), (size, 1))
+        prng.generator(seed, block).permuted(orders, axis=1, out=orders)
+        for order in orders.tolist():
+            matching = run_mechanism(kind, reports, TieBreakOrder(order))
+            outcomes.append(build_outcome(matching, reports, market))
+        block += 1
+    return outcomes
+
+
+def _exact_se(values):
+    count = len(values)
+    mean = Fraction(sum(values), count)
+    var = sum((v - mean) ** 2 for v in values) / (count - 1)
+    return math.sqrt(var / count)
+
+
+def _fixed_cases():
+    rng = random.Random(17)
+    n = 5
+    values = [[rng.randint(0, 3000) for _ in range(n)] for _ in range(n)]
+    reports = [RankList(tuple(rng.sample(range(n), n))) for _ in range(n)]
+    reports[3] = reports[1]
+    yield MarketInstance.from_cents(values, [500, 300, 0, -50, -90]), reports
+    # cents this large overflow int64 sums of squares: exact Python ints
+    big = [[10**15 + rng.randint(0, 10**12) for _ in range(n)] for _ in range(n)]
+    yield MarketInstance.from_cents(big, [10**13, 10**12, 0, 0, 0]), reports
+
+
+@pytest.mark.parametrize("kind", list(MechanismKind))
+def test_fixed_profile_matches_scalar_reference(tmp_path, monkeypatch, kind):
+    monkeypatch.setattr(simulation, "BLOCK_SIZE", 7)
+    monkeypatch.setattr(simulation, "CSV_CHUNK_REPS", 3)
+    reps, seed = 23, 5  # blocks of 7, 7, 7 and 2; CSV chunks of 3, 3, 1, 2
+    for market, reports in _fixed_cases():
+        n = market.n
+        outs = _scalar_reference(kind, market, reports, reps, seed)
+        profile = StrategyProfile.fixed_reports(reports)
+        rep = simulate(kind, market, profile, reps, seed)
+
+        hist = [0] * n
+        for out in outs:
+            for r in out.received_rank:
+                hist[r - 1] += 1
+        welfare = [out.welfare_total for out in outs]
+        rho = [out.rho_total for out in outs]
+        assert rep.rank_histogram == tuple(hist)
+        assert rep.welfare_mean == sum(welfare) / reps
+        assert rep.rho_mean == sum(rho) / reps
+        assert rep.agent_eu_mean == tuple(sum(o.utility[i] for o in outs) / reps
+                                          for i in range(n))
+        assert math.isclose(rep.welfare_se, _exact_se(welfare), rel_tol=1e-12)
+        assert math.isclose(rep.rho_se, _exact_se(rho), rel_tol=1e-12)
+
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["rep", "agent", "good", "rank", "utility_cents"])
+        for r, out in enumerate(outs):
+            for i in range(n):
+                writer.writerow([r, i, out.matching.good_of(i), out.received_rank[i],
+                                 out.utility[i]])
+        path = tmp_path / "reps.csv"
+        assert write_replication_csv(kind, market, profile, reps, seed, path) == rep
+        assert path.read_bytes().decode() == expected.getvalue()
+
+
+@pytest.mark.parametrize("kind", list(MechanismKind))
+def test_batch_engine_is_checked_against_reference(tmp_path, monkeypatch, kind):
+    market, reports = next(_fixed_cases())
+    profile = StrategyProfile.fixed_reports(reports)
+    other = MechanismKind.BOSTON if kind == MechanismKind.RSD else MechanismKind.RSD
+    batch = {MechanismKind.RSD: "batch_rsd", MechanismKind.BOSTON: "batch_boston"}
+    monkeypatch.setattr(simulation, batch[kind], getattr(simulation, batch[other]))
+    with pytest.raises(RuntimeError, match="reference engine"):
+        simulate(kind, market, profile, 50, seed=5)
+    with pytest.raises(RuntimeError, match="reference engine"):
+        write_replication_csv(kind, market, profile, 50, 5, tmp_path / "reps.csv")
+
+
+def test_mean_se_exact_near_2_60():
+    # three replications of 2**30, 2**30 + 1 and 2**30 + 2: the sum of squares
+    # is about 3 * 2**60, where a float sum drops the low bits of the variance
+    values = [2**30, 2**30 + 1, 2**30 + 2]
+    total, total_sq = sum(values), sum(v * v for v in values)
+    assert float(total_sq) != total_sq
+    assert simulation._mean_se(total, total_sq, 3) == (2**30 + 1, math.sqrt(1 / 3))
+    assert simulation._mean_se(7 * 2**29, 49 * 2**58, 1) == (7 * 2**29, 0.0)
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    requested = []
+    pool_class = simulation.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        requested.append(max_workers)
+        return pool_class(max_workers=max_workers)
+
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(simulation, "BLOCK_SIZE", 7)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 64)
+    fixed = StrategyProfile.fixed_reports([RankList((0, 1, 2)), RankList((1, 0, 2)),
+                                           RankList((0, 2, 1))])
+    for market, profile in ((SMALL, fixed), (E1, StrategyProfile.structured_n1(5, 3))):
+        requested.clear()
+        one = simulate(MechanismKind.BOSTON, market, profile, 20, seed=4, threads=1)
+        assert requested == []
+        many = simulate(MechanismKind.BOSTON, market, profile, 20, seed=4, threads=10**6)
+        assert requested == [3]  # 20 replications in blocks of 7: three blocks
+        assert many == one
