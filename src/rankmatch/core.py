@@ -32,6 +32,8 @@ def cents(amount) -> int:
         d = Decimal(str(amount)).scaleb(2)
     except InvalidOperation as exc:
         raise ValueError(f"not a money amount: {amount!r}") from exc
+    if not d.is_finite():
+        raise ValueError(f"not a money amount: {amount!r}")
     if d != d.to_integral_value():
         raise ValueError(f"sub-cent money amount: {amount!r}")
     return int(d)

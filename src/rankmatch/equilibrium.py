@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DataFormatError, MarketInstance, RankList, RhoSchedule, SizeLimitError
-from .mechanisms import MechanismKind
+from .mechanisms import MechanismKind, TieBreakOrder, run_mechanism
 
 BRUTE_FORCE_MAX_N = 6
 TRUTHTELLING_MAX_N = 6
@@ -97,10 +97,6 @@ class EquilibriumSolution:
     # None where the strategy has no followers at that n1
     eu_rank_x1_first: dict[int, Fraction | None]
     eu_rank_x2_first: dict[int, Fraction | None]
-
-    @property
-    def canonical_n1(self) -> int:
-        return self.n1_candidates[0]
 
 
 def symmetric_params(inst: SymmetricInstance) -> SymmetricParams:
@@ -314,72 +310,26 @@ def brute_force_equilibria(kind: MechanismKind, inst: SymmetricInstance) -> set[
     return eq
 
 
-def sd_delta_x2_to_x1(inst: SymmetricInstance, n1: int) -> Fraction:
-    """Utility change for an x2-first agent deviating to x1-first in RSD."""
-    return _u_sd(inst, 2, n1) - _u_sd(inst, 1, n1 + 1)
-
-
 # ---------------------------------------------------------------------------
 # truth-telling equilibrium check (exact, real engines)
 # ---------------------------------------------------------------------------
 
-def _deviation_eu_vs_common(kind: MechanismKind, common: RankList, dev: RankList,
-                            inst: SymmetricInstance) -> Fraction:
-    """Exact EU of one deviator when all n-1 opponents submit ``common``.
+def _deviation_eu(kind: MechanismKind, dev: RankList, inst: SymmetricInstance) -> Fraction:
+    """Exact EU of agent 0 reporting ``dev`` while the n-1 others report
+    truthfully.
 
-    Identical opponents make every tie-break order with the deviator at a
-    given priority position equivalent, so only n cases need simulating."""
+    The opponents are interchangeable, so every tie-break order with the
+    deviator at a given priority position gives the deviator the same good;
+    the engine runs one order per position."""
     n = inst.n
-    rho = inst.rho
-    total = Fraction(0)
-    if kind == MechanismKind.RSD:
-        for pos in range(n):
-            # opponents picking before the deviator take the first `pos`
-            # goods of the common list
-            taken = set(common.order[:pos])
-            for g in dev.order:
-                if g not in taken:
-                    total += inst.good_value(g) + rho.at(dev.rank_of(g))
-                    break
-        return total / n
-
+    reports = [dev] + [RankList(tuple(range(n)))] * (n - 1)
+    total = 0
     for pos in range(n):
-        taken = [False] * n
-        opp_left = n - 1
-        dev_good = None
-        # priorities: deviator at `pos`; opponents fill the other slots in
-        # some order -- they are interchangeable, so only their count and
-        # the best remaining opponent priority matter
-        opp_priorities = [p for p in range(n) if p != pos]
-        for k in range(n):
-            dev_bid = dev.order[k] if dev_good is None else None
-            if dev_bid is not None and taken[dev_bid]:
-                dev_bid = None
-            opp_bid = None
-            if opp_left > 0:
-                g = common.order[k]
-                if not taken[g]:
-                    opp_bid = g
-            if dev_bid is not None and dev_bid == opp_bid:
-                if pos < opp_priorities[0]:
-                    dev_good = dev_bid
-                    taken[dev_bid] = True
-                else:
-                    taken[opp_bid] = True
-                    opp_priorities.pop(0)
-                    opp_left -= 1
-            else:
-                if dev_bid is not None:
-                    dev_good = dev_bid
-                    taken[dev_bid] = True
-                if opp_bid is not None:
-                    taken[opp_bid] = True
-                    opp_priorities.pop(0)
-                    opp_left -= 1
-            if dev_good is not None and opp_left == 0:
-                break
-        total += inst.good_value(dev_good) + rho.at(dev.rank_of(dev_good))
-    return total / n
+        order = list(range(1, n))
+        order.insert(pos, 0)
+        good = run_mechanism(kind, reports, TieBreakOrder(order)).good_of(0)
+        total += inst.good_value(good) + inst.rho.at(dev.rank_of(good))
+    return Fraction(total, n)
 
 
 def check_truthtelling_equilibrium(kind: MechanismKind, inst: SymmetricInstance) -> bool:
@@ -389,11 +339,11 @@ def check_truthtelling_equilibrium(kind: MechanismKind, inst: SymmetricInstance)
     if n > TRUTHTELLING_MAX_N:
         raise SizeLimitError(f"truth-telling check limited to n <= {TRUTHTELLING_MAX_N}")
     truthful = RankList(tuple(range(n)))
-    baseline = _deviation_eu_vs_common(kind, truthful, truthful, inst)
+    baseline = _deviation_eu(kind, truthful, inst)
     for perm in itertools.permutations(range(n)):
         if perm == truthful.order:
             continue
-        if _deviation_eu_vs_common(kind, truthful, RankList(perm), inst) > baseline:
+        if _deviation_eu(kind, RankList(perm), inst) > baseline:
             return False
     return True
 

@@ -1,18 +1,21 @@
 """Nonparametric tests and OLS used by the session analysis.
 
 Jonckheere-Terpstra and Wilcoxon rank-sum each come in two flavors: an
-exact permutation enumeration for small samples and a tie-corrected,
+exact permutation p-value for small samples and a tie-corrected,
 continuity-corrected normal approximation otherwise.  Both are exposed;
 the convenience wrappers pick the exact branch when the pooled sample has
 at most EXACT_MAX_N observations.
+
+Both exact branches share one routine: the permutation null of the JT
+statistic, counted over tie blocks instead of enumerated.  Rank-sum is JT
+on two groups, so its exact p-value reads the same counts.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats as sps
@@ -39,31 +42,49 @@ def _jt_statistic(groups: Sequence[Sequence[float]]) -> float:
     return jt
 
 
-def _jt_exact_p(groups: Sequence[Sequence[float]], observed: float,
-                alternative: str) -> float:
-    pooled = [v for g in groups for v in g]
-    sizes = [len(g) for g in groups]
-    le = ge = total = 0
+def _exact_p(groups: Sequence[Sequence[float]], hit: Callable[[int], bool]) -> float:
+    """Share of the permutation null whose doubled JT statistic ``s``
+    satisfies ``hit(s)``.
 
-    def rec(remaining: tuple, gi: int, built: list):
-        nonlocal le, ge, total
-        if gi == len(sizes) - 1:
-            stat = _jt_statistic(built + [list(remaining)])
-            total += 1
-            if stat <= observed + 1e-12:
-                le += 1
-            if stat >= observed - 1e-12:
-                ge += 1
-            return
-        idx = range(len(remaining))
-        for comb in itertools.combinations(idx, sizes[gi]):
-            chosen = [remaining[k] for k in comb]
-            rest = tuple(remaining[k] for k in idx if k not in comb)
-            rec(rest, gi + 1, built + [chosen])
+    The null spreads the pooled values over the groups in every one of the
+    n!/prod(size_i!) ways.  Rather than walk them, count them one tie block
+    at a time, smallest value first (Harding 1984; Streitberg & Roehmel
+    1986): the state is how many values each group holds so far, and
+    splitting a block of t tied values as (d_1..d_k) adds
+    sum_{i<j} d_j * (2*h_i + d_i) to the doubled statistic and stands for
+    t!/prod(d_i!) of those ways.  Counts are exact integers, so the p-value
+    is the same ratio an enumeration would give."""
+    sizes = tuple(len(g) for g in groups)
+    blocks = sorted(Counter(v for g in groups for v in g).items())
+    # held per group -> {doubled statistic so far: number of ways}
+    dist: dict[tuple[int, ...], dict[int, int]] = {tuple(0 for _ in sizes): {0: 1}}
+    for _, t in blocks:
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for held, counts in dist.items():
+            room = tuple(size - h for size, h in zip(sizes, held))
+            for split in _splits(t, room):
+                add, below, ways = 0, 0, math.factorial(t)
+                for h, d in zip(held, split):
+                    add += d * below
+                    below += 2 * h + d
+                    ways //= math.factorial(d)
+                out = nxt.setdefault(tuple(h + d for h, d in zip(held, split)), {})
+                for s, c in counts.items():
+                    out[s + add] = out.get(s + add, 0) + c * ways
+        dist = nxt
+    (counts,) = dist.values()
+    return sum(c for s, c in counts.items() if hit(s)) / sum(counts.values())
 
-    rec(tuple(pooled), 0, [])
-    count = le if alternative == "decreasing" else ge
-    return count / total
+
+def _splits(t: int, room: tuple[int, ...]):
+    """Every way to put t tied values into groups with the given free room."""
+    if len(room) == 1:
+        if t <= room[0]:
+            yield (t,)
+        return
+    for d in range(min(t, room[0]) + 1):
+        for rest in _splits(t - d, room[1:]):
+            yield (d,) + rest
 
 
 def _jt_moments(sizes: Sequence[int], pooled: Sequence[float]) -> tuple[float, float]:
@@ -102,7 +123,9 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]],
     n = len(pooled)
     stat = _jt_statistic(groups)
     if method == "exact" or (method == "auto" and n <= EXACT_MAX_N):
-        return stat, _jt_exact_p(groups, stat, alternative)
+        if alternative == "decreasing":
+            return stat, _exact_p(groups, lambda s: s <= 2 * stat)
+        return stat, _exact_p(groups, lambda s: s >= 2 * stat)
     if method not in ("auto", "approx"):
         raise ValueError(f"unknown method {method!r}")
     mean, var = _jt_moments([len(g) for g in groups], pooled)
@@ -147,20 +170,16 @@ def wilcoxon_ranksum(a: Sequence[float], b: Sequence[float],
     n = na + nb
     ranks = _midranks(a + b)
     stat = sum(ranks[:na])
-    mean = na * (n + 1) / 2.0
 
     if method == "exact" or (method == "auto" and n <= EXACT_MAX_N):
-        dev = abs(stat - mean)
-        hits = total = 0
-        for comb in itertools.combinations(range(n), na):
-            w = sum(ranks[k] for k in comb)
-            total += 1
-            if abs(w - mean) >= dev - 1e-12:
-                hits += 1
-        return stat, hits / total
+        # the rank sum of a is na*nb + na*(na+1)/2 - JT([a, b]), so its
+        # distance from the mean is |na*nb - 2*JT| / 2
+        dev = abs(2 * _jt_statistic([a, b]) - na * nb)
+        return stat, _exact_p([a, b], lambda s: abs(s - na * nb) >= dev)
     if method not in ("auto", "approx"):
         raise ValueError(f"unknown method {method!r}")
 
+    mean = na * (n + 1) / 2.0
     ties = _tie_counts(a + b)
     var = na * nb / 12.0 * ((n + 1) - sum(t ** 3 - t for t in ties) / (n * (n - 1.0)))
     if var <= 0:

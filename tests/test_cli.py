@@ -117,6 +117,25 @@ def test_analyze(tmp_path, capsys):
     assert doc["net_value_by_rank"]["1"]["mean_cents"] == 287.0
 
 
+def test_analyze_non_finite_money(tmp_path, capsys):
+    recs = analysis.generate_session(2, (287, 100, 50, 0, -69), 0.0, seed=3)
+    path = tmp_path / "s.csv"
+    analysis.save_session(recs, path)
+    lines = path.read_text().splitlines()
+    header, row = lines[0].split(","), lines[2].split(",")
+    row[header.index("v_mug")] = "inf"
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["analyze", "--session", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert f"{path}:3:" in err
+    analysis.save_session(recs, path)
+    code, out, err = run_cli(["analyze", "--session", str(path), "--tolerance", "inf"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert "not a money amount" in err
+
+
 def test_analyze_tables(tmp_path, capsys):
     recs = analysis.generate_session(8, (287, 100, 50, 0, -69), 100.0, seed=5,
                                      misreport_rate=0.3)

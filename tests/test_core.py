@@ -28,6 +28,9 @@ def test_cents_parsing():
         cents("1.005")
     with pytest.raises(ValueError):
         cents("abc")
+    for bad in ("inf", "-Infinity", "nan", float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="not a money amount"):
+            cents(bad)
 
 
 def test_rank_list():

@@ -1,11 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from rankmatch.core import RhoSchedule, SizeLimitError
+from rankmatch.core import RankList, RhoSchedule, SizeLimitError
 from rankmatch.equilibrium import (
     SymmetricInstance,
+    _deviation_eu,
     boston_group_eu,
     brute_force_equilibria,
     check_truthtelling_equilibrium,
@@ -15,7 +17,7 @@ from rankmatch.equilibrium import (
     solve_equilibrium,
     symmetric_params,
 )
-from rankmatch.mechanisms import MechanismKind
+from rankmatch.mechanisms import MechanismKind, exact_expected_utilities
 
 E1 = SymmetricInstance(5, 2824, 2256, 700, RhoSchedule((800, 200, 0, 0, 0)))
 
@@ -130,6 +132,20 @@ def test_truthtelling_section_2_2():
     inst = SymmetricInstance(3, 100, 80, 0, RhoSchedule((10, 0, 0)))
     assert check_truthtelling_equilibrium(MechanismKind.RSD, inst)
     assert not check_truthtelling_equilibrium(MechanismKind.BOSTON, inst)
+
+
+def test_deviation_eu_matches_full_enumeration():
+    # one tie-break order per deviator position stands for all n! orders
+    rng = random.Random(31)
+    for n in (3, 4, 5):
+        inst = rand_instance(rng, n=n)
+        market = inst.market()
+        truthful = RankList(tuple(range(n)))
+        for kind in MechanismKind:
+            for perm in itertools.permutations(range(n)):
+                dev = RankList(perm)
+                full = exact_expected_utilities(kind, [dev] + [truthful] * (n - 1), market)
+                assert _deviation_eu(kind, dev, inst) == full[0], (kind, inst, perm)
 
 
 def test_truthtelling_boston_implies_rsd():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -81,6 +82,65 @@ def test_jt_two_groups_matches_one_sided_wilcoxon():
     _, p_jt = jonckheere_terpstra([a, b], "decreasing", method="exact")
     _, p_w = wilcoxon_ranksum(a, b, method="exact")
     assert p_w == pytest.approx(2 * p_jt)
+
+
+def _deals(pooled, sizes):
+    """Every way to deal the pooled values, by index, into groups of the
+    given sizes: the permutation null, walked one assignment at a time."""
+    def rec(left, sizes):
+        if not sizes:
+            yield []
+            return
+        for pick in itertools.combinations(left, sizes[0]):
+            rest = [i for i in left if i not in pick]
+            for tail in rec(rest, sizes[1:]):
+                yield [[pooled[i] for i in pick]] + tail
+    return rec(list(range(len(pooled))), list(sizes))
+
+
+def _jt(groups):
+    return sum(1.0 if a < b else 0.5 if a == b else 0.0
+               for i, gi in enumerate(groups) for gj in groups[i + 1:]
+               for a in gi for b in gj)
+
+
+def _rank_sum(xs, pooled):
+    return sum(sum(p < x for p in pooled) + (sum(p == x for p in pooled) + 1) / 2
+               for x in xs)
+
+
+def _oracle_designs():
+    rng = random.Random(23)
+    for i in range(48):
+        k = 2 + i % 3
+        sizes = [1] * k
+        for _ in range(rng.randint(k, 9) - k):
+            sizes[rng.randrange(k)] += 1
+        n = sum(sizes)
+        pooled = rng.sample(range(100), n) if i % 2 else [rng.randint(0, 3) for _ in range(n)]
+        yield [pooled[sum(sizes[:g]):sum(sizes[:g + 1])] for g in range(k)]
+
+
+def test_exact_p_values_equal_enumeration():
+    # the exact branches count the null instead of walking it; the counts
+    # must match the walk, so the p-values are the same floats
+    for groups in _oracle_designs():
+        pooled = [v for g in groups for v in g]
+        sizes = [len(g) for g in groups]
+        deals = list(_deals(pooled, sizes))
+        jt = _jt(groups)
+        null = [_jt(d) for d in deals]
+        assert jonckheere_terpstra(groups, "decreasing", method="exact") == (
+            jt, sum(s <= jt for s in null) / len(null)), groups
+        assert jonckheere_terpstra(groups, "increasing", method="exact") == (
+            jt, sum(s >= jt for s in null) / len(null)), groups
+
+        a, b = groups[0], pooled[len(groups[0]):]
+        w = _rank_sum(a, pooled)
+        mean = len(a) * (len(pooled) + 1) / 2
+        null = [_rank_sum(d[0], pooled) for d in _deals(pooled, [len(a), len(b)])]
+        p = sum(abs(x - mean) >= abs(w - mean) for x in null) / len(null)
+        assert wilcoxon_ranksum(a, b, method="exact") == (w, p), (a, b)
 
 
 def test_ols_exact_line():
