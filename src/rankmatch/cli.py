@@ -303,10 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DataFormatError, FileNotFoundError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # DataFormatError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

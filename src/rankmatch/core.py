@@ -156,7 +156,9 @@ class MarketInstance:
                    labels: Sequence[str] | None = None) -> "MarketInstance":
         n = len(values)
         if labels is None:
-            labels = [f"good{j}" for j in range(n)]
+            labels = [f"g{j}" for j in range(n)]
+        if len(labels) != n:
+            raise ValueError(f"need {n} goods labels, got {len(labels)}")
         goods = tuple(Good(j, str(labels[j])) for j in range(n))
         return MarketInstance(n, goods, ValueMatrix(tuple(tuple(r) for r in values)),
                               RhoSchedule(tuple(rho)))
@@ -172,7 +174,7 @@ class MarketInstance:
     @staticmethod
     def from_json_dict(doc: dict) -> "MarketInstance":
         try:
-            return MarketInstance.from_cents(doc["values"], doc["rho"], doc["goods"])
+            return MarketInstance.from_cents(doc["values"], doc["rho"], doc.get("goods"))
         except KeyError as exc:
             raise DataFormatError(f"market JSON missing field {exc}") from exc
 

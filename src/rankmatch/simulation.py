@@ -332,6 +332,8 @@ def simulate(kind: MechanismKind, market, profile: StrategyProfile,
     is capped at the core count and the block count.  ``market`` may be a
     MarketInstance or, for structured profiles, a SymmetricInstance.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     sizes = _block_sizes(replications)
     if profile.tops is not None:
         inst = _as_symmetric(market)

@@ -9,6 +9,10 @@ at most EXACT_MAX_N observations.
 Both exact branches share one routine: the permutation null of the JT
 statistic, counted over tie blocks instead of enumerated.  Rank-sum is JT
 on two groups, so its exact p-value reads the same counts.
+
+``scipy.stats`` is imported inside the branches that compute a normal or
+Student-t tail: importing it takes most of a CLI call's start-up, and most
+subcommands compute no such p-value.
 """
 from __future__ import annotations
 
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 EXACT_MAX_N = 12
 
@@ -132,6 +135,7 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]],
     if var <= 0:  # all pooled values identical: no evidence either way
         return stat, 1.0
     sd = math.sqrt(var)
+    from scipy import stats as sps
     if alternative == "decreasing":
         z = (stat - mean + 0.5) / sd
         return stat, float(sps.norm.cdf(z))
@@ -185,6 +189,7 @@ def wilcoxon_ranksum(a: Sequence[float], b: Sequence[float],
     if var <= 0:
         return stat, 1.0
     z = (abs(stat - mean) - 0.5) / math.sqrt(var)
+    from scipy import stats as sps
     return stat, min(1.0, float(2.0 * sps.norm.sf(z)))
 
 
@@ -260,6 +265,7 @@ def ols_fit(y: Sequence[float], X: Sequence[Sequence[float]],
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = coef / se
+    from scipy import stats as sps
     p = np.array([2.0 * float(sps.t.sf(abs(tj), df)) if df > 0 and np.isfinite(tj)
                   else float("nan") for tj in t])
     stars = tuple(_stars(pj) if np.isfinite(pj) else "" for pj in p)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
+import rankmatch
 from rankmatch import analysis
 from rankmatch.cli import main
 
@@ -190,3 +193,91 @@ def test_out_flag_writes_file(tmp_path, capsys):
                             "--out", str(tmp_path / "o.json")], capsys)
     assert code == 0 and out == ""
     assert json.loads((tmp_path / "o.json").read_text())["value_cents"] == 200
+
+
+def test_directory_paths_are_data_errors(tmp_path, capsys):
+    code, out, err = run_cli(["analyze", "--session", str(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+    code, out, err = run_cli(["elicit-decode", "--screen1", "1", "--screen2", "50",
+                              "--out", str(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_tables_on_existing_file_is_data_error(tmp_path, capsys):
+    session = tmp_path / "s.csv"
+    analysis.save_session(analysis.generate_session(2, (287, 100, 50, 0, -69), 0.0,
+                                                    seed=3), session)
+    code, out, err = run_cli(["analyze", "--session", str(session),
+                              "--tables", str(session)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(session) in err
+
+
+def test_market_goods_default_labels(appd_files, tmp_path, capsys):
+    rp, _ = appd_files
+    mp = tmp_path / "bare.json"
+    mp.write_text(json.dumps({"values": [[120, 80, 40, 20]] * 4, "rho": [10, 5, 0, 0]}))
+    code, out, _ = run_cli(["mechanism", "--kind", "boston", "--reports", str(rp),
+                            "--order", "1,0,2,3", "--market", str(mp)], capsys)
+    assert code == 0
+    assert json.loads(out)["goods"] == ["g2", "g0", "g1", "g3"]
+    code, out, _ = run_cli(["simulate", "--kind", "rsd", "--market", str(mp),
+                            "--profile-reports", str(rp), "--reps", "100"], capsys)
+    assert code == 0
+    assert sum(json.loads(out)["rank_histogram"]) == 100 * 4
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_simulate_threads_below_one_is_data_error(appd_files, capsys, threads):
+    rp, mp = appd_files
+    code, out, err = run_cli(["simulate", "--kind", "rsd", "--market", str(mp),
+                              "--profile-reports", str(rp), "--reps", "100",
+                              "--threads", threads], capsys)
+    assert code == 1 and out == ""
+    assert f"threads must be >= 1, got {threads}" in err
+
+
+def test_scipy_stats_loaded_only_for_p_values(appd_files, tmp_path):
+    """A fresh interpreter: every subcommand that computes no p-value leaves
+    scipy.stats unimported; ``analyze --ols`` imports it.  Run out of
+    process, because this test module's own imports may load scipy."""
+    rp, mp = appd_files
+    e1 = tmp_path / "e1.json"
+    e1.write_text(json.dumps({"n": 5, "v1": 2824, "v2": 2256, "vbar": 700,
+                              "rho": [800, 200, 0, 0, 0]}))
+    session = tmp_path / "s.csv"
+    analysis.save_session(analysis.generate_session(6, (287, 100, 50, 0, -69), 120.0,
+                                                    seed=4, misreport_rate=0.2), session)
+    out = str(tmp_path / "out.json")
+    script = textwrap.dedent(f"""
+        import sys
+        import rankmatch
+        from rankmatch import cli
+        runs = [
+            ["selftest"],
+            ["elicit-decode", "--screen1", "16", "--screen2", "28", "--out", {out!r}],
+            ["mechanism", "--kind", "boston", "--reports", {str(rp)!r},
+             "--order", "1,0,2,3", "--market", {str(mp)!r}, "--out", {out!r}],
+            ["expect", "--kind", "rsd", "--reports", {str(rp)!r},
+             "--market", {str(mp)!r}, "--out", {out!r}],
+            ["equilibrium", "--instance", {str(e1)!r}, "--brute-force", "--out", {out!r}],
+            ["simulate", "--kind", "boston", "--market", {str(mp)!r},
+             "--profile-reports", {str(rp)!r}, "--reps", "1000", "--out", {out!r}],
+            ["simulate", "--kind", "rsd", "--market", {str(e1)!r},
+             "--structured-n1", "3", "--reps", "1000", "--out", {out!r}],
+        ]
+        for argv in runs:
+            assert cli.main(argv) == 0, argv
+        assert "scipy.stats" not in sys.modules
+        assert cli.main(["analyze", "--session", {str(session)!r}, "--ols",
+                         "--out", {out!r}]) == 0
+        assert "scipy.stats" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(rankmatch.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -60,6 +60,9 @@ def test_market_round_trip(tmp_path):
     assert m2 == m
     with pytest.raises(DataFormatError):
         MarketInstance.from_json_dict({"values": [[1]]})
+    with pytest.raises(ValueError, match="need 3 goods labels, got 2"):
+        MarketInstance.from_json_dict({"values": [[100, 70, 0]] * 3, "rho": [10, 0, 0],
+                                       "goods": ["x", "y"]})
 
 
 def test_single_good_market():

@@ -43,6 +43,13 @@ def test_profile_validation():
         simulate(MechanismKind.RSD, SMALL, StrategyProfile.structured_n1(3, 1), 0, 1)
 
 
+@pytest.mark.parametrize("threads", [0, -7])
+def test_threads_below_one_rejected(threads):
+    profile = StrategyProfile.fixed_reports([RankList((0, 1, 2))] * 3)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        simulate(MechanismKind.RSD, SMALL, profile, 10, seed=1, threads=threads)
+
+
 def test_structured_requires_symmetric_market():
     market = MarketInstance.from_cents([[100, 70, 0], [70, 100, 0], [0, 70, 100]],
                                        [10, 0, 0])

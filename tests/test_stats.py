@@ -4,8 +4,9 @@ import random
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
-from rankmatch.stats import jonckheere_terpstra, ols_fit, wilcoxon_ranksum
+from rankmatch.stats import _jt_moments, jonckheere_terpstra, ols_fit, wilcoxon_ranksum
 
 
 def test_jt_exact_fixture():
@@ -141,6 +142,37 @@ def test_exact_p_values_equal_enumeration():
         null = [_rank_sum(d[0], pooled) for d in _deals(pooled, [len(a), len(b)])]
         p = sum(abs(x - mean) >= abs(w - mean) for x in null) / len(null)
         assert wilcoxon_ranksum(a, b, method="exact") == (w, p), (a, b)
+
+
+def test_approx_p_values_are_the_scipy_calls():
+    """The normal approximations and the OLS p-values are exactly scipy's
+    norm/t functions at the same z and t (scipy is imported lazily)."""
+    rng = random.Random(11)
+    for _ in range(20):
+        groups = [[rng.randint(0, 6) for _ in range(rng.randint(4, 9))]
+                  for _ in range(rng.randint(2, 4))]
+        pooled = [v for g in groups for v in g]
+        mean, var = _jt_moments([len(g) for g in groups], pooled)
+        stat, p = jonckheere_terpstra(groups, "decreasing", method="approx")
+        assert p == float(sps.norm.cdf((stat - mean + 0.5) / math.sqrt(var)))
+        stat, p = jonckheere_terpstra(groups, "increasing", method="approx")
+        assert p == float(sps.norm.sf((stat - mean - 0.5) / math.sqrt(var)))
+
+        a, b = groups[0], groups[1]
+        na, nb = len(a), len(b)
+        n = na + nb
+        ties = [(a + b).count(v) for v in set(a + b)]
+        w_var = na * nb / 12.0 * ((n + 1) - sum(t ** 3 - t for t in ties) / (n * (n - 1.0)))
+        w, p = wilcoxon_ranksum(a, b, method="approx")
+        z = (abs(w - na * (n + 1) / 2.0) - 0.5) / math.sqrt(w_var)
+        assert p == min(1.0, float(2.0 * sps.norm.sf(z)))
+
+    np_rng = np.random.default_rng(3)
+    X = np.column_stack([np.ones(40), np_rng.normal(size=40), np_rng.normal(size=40)])
+    y = X @ np.array([0.2, 1.0, 0.0]) + np_rng.normal(size=40)
+    for robust in (False, True):
+        res = ols_fit(y, X, ["const", "a", "b"], robust=robust)
+        assert res.pvalue == tuple(2.0 * float(sps.t.sf(abs(t), 37)) for t in res.tstat)
 
 
 def test_ols_exact_line():
