@@ -74,13 +74,6 @@ class SubjectRecord:
         return self.phase2_value - self.phase1_values[self.good_received]
 
 
-@dataclass(frozen=True)
-class NetValueRecord:
-    subject_id: str
-    rank_received: int
-    net_value: int  # cents
-
-
 def load_session(path) -> list[SubjectRecord]:
     """Read a session CSV; raises DataFormatError naming the offending row."""
     records = []
@@ -128,10 +121,6 @@ def save_session(records: Sequence[SubjectRecord], path) -> None:
                 r.good_received, f"{r.phase2_value / 100:.2f}", r.phase1_order,
                 r.risk_row, r.loss_row, r.crt, r.female, r.practice,
             ])
-
-
-def net_values(records: Sequence[SubjectRecord]) -> list[NetValueRecord]:
-    return [NetValueRecord(r.subject_id, r.rank_received, r.net_value) for r in records]
 
 
 def nv_rank_summary(records: Sequence[SubjectRecord]) -> dict[int, tuple[int, Fraction, float]]:

@@ -124,6 +124,8 @@ def cmd_simulate(args) -> int:
     if (args.profile_reports is None) == (args.structured_n1 is None):
         raise DataFormatError(
             "give exactly one of --profile-reports / --structured-n1")
+    if args.threads < 1:
+        raise DataFormatError(f"threads must be >= 1, got {args.threads}")
     if args.profile_reports:
         reports = reports_from_json_dict(_load_json(args.profile_reports))
         profile = simulation.StrategyProfile.fixed_reports(reports)

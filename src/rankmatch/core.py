@@ -173,8 +173,12 @@ class MarketInstance:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "MarketInstance":
+        goods = doc.get("goods")
+        if goods is not None and not (isinstance(goods, list)
+                                      and all(isinstance(g, str) for g in goods)):
+            raise DataFormatError(f"market JSON 'goods' must be a list of strings, got {goods!r}")
         try:
-            return MarketInstance.from_cents(doc["values"], doc["rho"], doc.get("goods"))
+            return MarketInstance.from_cents(doc["values"], doc["rho"], goods)
         except KeyError as exc:
             raise DataFormatError(f"market JSON missing field {exc}") from exc
 

@@ -13,19 +13,23 @@ expected continuation utilities of that lottery in Boston / RSD.
 
 The closed-form solver reduces the two no-deviation conditions to an
 interval of length exactly 1; ``brute_force_equilibria`` re-derives the
-same conditions from first principles (full tie-break-order enumeration)
-so the interval algebra is independently checked.
+same conditions from first principles so the interval algebra is
+independently checked: it runs the real batch engine on the structured
+lists over all n! tie-break orders for the top-goods phase, and scores
+the leftover goods with the same slot lottery.
 """
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .core import DataFormatError, MarketInstance, RankList, RhoSchedule, SizeLimitError
-from .mechanisms import MechanismKind, TieBreakOrder, run_mechanism
+from .mechanisms import (MechanismKind, TieBreakOrder, all_orders, batch_mechanism,
+                         run_mechanism, utility_total)
 
 BRUTE_FORCE_MAX_N = 6
 TRUTHTELLING_MAX_N = 6
@@ -234,57 +238,36 @@ def _lottery_value(inst: SymmetricInstance, first_slot: int, last_slot: int) -> 
     return inst.vbar + inst.rho.mean(first_slot, last_slot)
 
 
-def _enum_u(kind: MechanismKind, inst: SymmetricInstance, top: int, n1: int) -> Fraction:
-    """EU of a representative x{top}-first agent, averaging the top-goods
-    phase over all n! tie-break orders; leftover goods via the slot lottery."""
+def _enum_group_eus(kind: MechanismKind,
+                    inst: SymmetricInstance) -> list[tuple[Fraction | None, Fraction | None]]:
+    """Per n1 in 0..n, the EUs of a representative x1-first agent (agent 0)
+    and x2-first agent (agent n-1), None where nobody plays that strategy.
+
+    Agents 0..n1-1 rank x1 first.  The real engine runs the structured lists
+    over all n! tie-break orders at once; an agent who receives a top good
+    at rank <= 2 scores value + rho(rank), and everyone else the slot
+    lottery over the leftover goods."""
     n = inst.n
-    rep = 0 if top == 1 else n - 1  # agents 0..n1-1 rank x1 first
-    in_x1 = lambda a: a < n1
-    total = Fraction(0)
-
-    if kind == MechanismKind.BOSTON:
+    tail = tuple(range(2, n))
+    if kind == MechanismKind.RSD:
+        lists = ((0, 1) + tail, (1, 0) + tail)
+        cont = _lottery_value(inst, 3, n)
+    else:
+        lists = ((0,) + tail + (1,), (1,) + tail + (0,))
         cont = _lottery_value(inst, 2, n - 1)
-        win = Fraction(0)
-        count = 0
-        for order in itertools.permutations(range(n)):
-            pos = {a: p for p, a in enumerate(order)}
-            group = [a for a in range(n) if in_x1(a) == in_x1(rep)]
-            if min(group, key=pos.__getitem__) == rep:
-                count += 1
-        v_top = inst.v1 if top == 1 else inst.v2
-        fact = math.factorial(n)
-        p_win = Fraction(count, fact)
-        return p_win * (v_top + inst.rho.at(1)) + (1 - p_win) * cont
-
-    # RSD: walk each order; both top goods are taken within the first two
-    # picks, later agents enter the slot lottery over positions 3..n.
-    cont = _lottery_value(inst, 3, n)
-    for order in itertools.permutations(range(n)):
-        x1_free, x2_free = True, True
-        u = None
-        for agent in order:
-            wants = (1, 2) if in_x1(agent) else (2, 1)
-            got = None
-            for choice in wants:
-                if choice == 1 and x1_free:
-                    x1_free, got = False, 1
-                    break
-                if choice == 2 and x2_free:
-                    x2_free, got = False, 2
-                    break
-            if agent == rep:
-                if got is None:
-                    u = cont
-                else:
-                    rank = 1 if got == wants[0] else 2
-                    v = inst.v1 if got == 1 else inst.v2
-                    u = v + inst.rho.at(rank)
-                break
-            if not x1_free and not x2_free:
-                u = cont
-                break
-        total += u
-    return total / math.factorial(n)
+    values = [inst.good_value(g) for g in range(n)]
+    orders = all_orders(n)
+    fact = len(orders)
+    eus = []
+    for n1 in range(n + 1):
+        pref = np.array([lists[0]] * n1 + [lists[1]] * (n - n1), dtype=np.int64)
+        goods, ranks = batch_mechanism(kind, pref, orders)
+        won = (goods < 2) & (ranks <= 2)
+        u = [Fraction(utility_total(goods[won[:, a], a], ranks[won[:, a], a], values,
+                                    inst.rho.values), fact)
+             + Fraction(fact - int(won[:, a].sum()), fact) * cont for a in (0, n - 1)]
+        eus.append((u[0] if n1 >= 1 else None, u[1] if n1 <= n - 1 else None))
+    return eus
 
 
 def brute_force_equilibria(kind: MechanismKind, inst: SymmetricInstance) -> set[int]:
@@ -293,15 +276,16 @@ def brute_force_equilibria(kind: MechanismKind, inst: SymmetricInstance) -> set[
     n = inst.n
     if n > BRUTE_FORCE_MAX_N:
         raise SizeLimitError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}")
+    eus = _enum_group_eus(kind, inst)
+    u = lambda top, k: eus[k][top - 1]
     if kind == MechanismKind.BOSTON:
         # a corner deviator is the lone round-1 bidder on x2 and wins it
         corner = corner_eu(inst) >= inst.v2 + inst.rho.at(1)
     else:
-        corner = _enum_u(kind, inst, 1, n) >= _enum_u(kind, inst, 2, n - 1)
+        corner = u(1, n) >= u(2, n - 1)
     if corner:
         return {n}
     eq: set[int] = set()
-    u = lambda top, k: _enum_u(kind, inst, top, k)
     for n1 in range(1, n):
         d_x1_to_x2 = u(1, n1) - u(2, n1 - 1)
         d_x2_to_x1 = u(2, n1) - u(1, n1 + 1)

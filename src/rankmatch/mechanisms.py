@@ -3,12 +3,15 @@ tie-break orders at once, randomized wrappers, and exact expectation /
 efficiency oracles by enumeration.
 
 A single ``TieBreakOrder`` drives both mechanisms: position 0 is the agent
-who picks first in RSD and holds tie-break number 1 in Boston.
+who picks first in RSD and holds tie-break number 1 in Boston.  The scalar
+``run_rsd`` / ``run_boston`` are the readable reference and serve single
+orders; every computation over all n! orders (``exact_expected_utilities``
+here, the top-goods phase of ``equilibrium.brute_force_equilibria``) runs
+``batch_mechanism`` over the ``all_orders`` array, one call per profile.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -50,8 +53,7 @@ class TieBreakOrder:
         return len(self.order)
 
 
-def _check_inputs(reports: Sequence[RankList], order: TieBreakOrder) -> int:
-    n = len(order)
+def _check_inputs(reports: Sequence[RankList], n: int) -> int:
     if len(reports) != n:
         raise ValueError(f"expected {n} reports, got {len(reports)}")
     for r in reports:
@@ -62,7 +64,7 @@ def _check_inputs(reports: Sequence[RankList], order: TieBreakOrder) -> int:
 
 def run_rsd(reports: Sequence[RankList], order: TieBreakOrder) -> Matching:
     """Serial dictatorship: agents pick their best remaining good in order."""
-    n = _check_inputs(reports, order)
+    n = _check_inputs(reports, len(order))
     taken = [False] * n
     assignment = [-1] * n
     for agent in order.order:
@@ -80,7 +82,7 @@ def run_boston(reports: Sequence[RankList], order: TieBreakOrder) -> Matching:
     Rounds run k = 1..n even when every remaining k-th choice is already
     taken; such agents simply pass to the next round.
     """
-    n = _check_inputs(reports, order)
+    n = _check_inputs(reports, len(order))
     priority = {agent: pos for pos, agent in enumerate(order.order)}
     taken = [False] * n
     assignment = [-1] * n
@@ -105,6 +107,27 @@ def run_mechanism(kind: MechanismKind, reports: Sequence[RankList],
                   order: TieBreakOrder) -> Matching:
     engine = run_rsd if kind == MechanismKind.RSD else run_boston
     return engine(reports, order)
+
+
+def batch_mechanism(kind: MechanismKind, pref: np.ndarray,
+                    orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    engine = batch_rsd if kind == MechanismKind.RSD else batch_boston
+    return engine(pref, orders)
+
+
+def all_orders(n: int) -> np.ndarray:
+    """Every tie-break order of n agents, as an (n! x n) int array."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+
+
+def utility_total(goods: np.ndarray, ranks: np.ndarray, values: Sequence[int],
+                  rho: Sequence[int]) -> int:
+    """Sum of values[good] + rho[rank - 1] over 1-D arrays of received goods
+    and ranks, as an exact Python int."""
+    good_counts = np.bincount(goods, minlength=len(values)).tolist()
+    rank_counts = np.bincount(ranks - 1, minlength=len(rho)).tolist()
+    return (sum(c * v for c, v in zip(good_counts, values))
+            + sum(c * r for c, r in zip(rank_counts, rho)))
 
 
 def batch_rsd(pref: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,14 +200,13 @@ def exact_expected_utilities(kind: MechanismKind, reports: Sequence[RankList],
         raise SizeLimitError(
             f"exact enumeration limited to n <= {EXACT_ENUM_MAX_N} (got {n}); "
             "use the simulation module for larger markets")
-    totals = [0] * n
-    for perm in itertools.permutations(range(n)):
-        matching = run_mechanism(kind, reports, TieBreakOrder(perm))
-        outcome = build_outcome(matching, reports, market)
-        for i in range(n):
-            totals[i] += outcome.utility[i]
-    denom = math.factorial(n)
-    return tuple(Fraction(t, denom) for t in totals)
+    _check_inputs(reports, n)
+    orders = all_orders(n)
+    pref = np.array([r.order for r in reports], dtype=np.int64)
+    goods, ranks = batch_mechanism(kind, pref, orders)
+    return tuple(Fraction(utility_total(goods[:, i], ranks[:, i], market.values.rows[i],
+                                        market.rho.values), len(orders))
+                 for i in range(n))
 
 
 def is_pareto_efficient(matching: Matching, reports: Sequence[RankList]) -> bool:

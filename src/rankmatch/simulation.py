@@ -33,13 +33,7 @@ import numpy as np
 from . import prng
 from .core import MarketInstance, RankList
 from .equilibrium import SymmetricInstance
-from .mechanisms import (
-    MechanismKind,
-    TieBreakOrder,
-    batch_boston,
-    batch_rsd,
-    run_mechanism,
-)
+from .mechanisms import MechanismKind, TieBreakOrder, batch_mechanism, run_mechanism
 
 BLOCK_SIZE = 1 << 16
 # replications per CSV ``writerows`` call, which bounds the rows held as lists
@@ -191,8 +185,7 @@ def _fixed_outcomes(kind: MechanismKind, market: MarketInstance,
     gen = prng.generator(seed, block)
     orders = np.tile(np.arange(n), (reps, 1))
     gen.permuted(orders, axis=1, out=orders)
-    engine = batch_rsd if kind == MechanismKind.RSD else batch_boston
-    goods, ranks = engine(pref, orders)
+    goods, ranks = batch_mechanism(kind, pref, orders)
     checked = zip(orders[:REFERENCE_CHECK_REPS].tolist(),
                   goods[:REFERENCE_CHECK_REPS].tolist())
     for rep, (order, got) in enumerate(checked):

@@ -11,7 +11,6 @@ from rankmatch.analysis import (
     generate_session,
     load_session,
     net_value_design,
-    net_values,
     nv_rank_summary,
     save_session,
     truth_rate_table,
@@ -37,8 +36,6 @@ def test_net_value_identity():
     rec = make_record(good=0, phase2=3111)
     assert rec.net_value == 3111 - 2824
     assert rec.rank_received == 1
-    nv = net_values([rec])[0]
-    assert nv.net_value == rec.net_value and nv.rank_received == 1
 
 
 def test_record_validation():

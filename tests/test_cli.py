@@ -227,16 +227,26 @@ def test_market_goods_default_labels(appd_files, tmp_path, capsys):
                             "--profile-reports", str(rp), "--reps", "100"], capsys)
     assert code == 0
     assert sum(json.loads(out)["rank_histogram"]) == 100 * 4
+    for goods in (5, "abcd"):
+        mp.write_text(json.dumps({"values": [[120, 80, 40, 20]] * 4, "rho": [10, 5, 0, 0],
+                                  "goods": goods}))
+        code, out, err = run_cli(["mechanism", "--kind", "boston", "--reports", str(rp),
+                                  "--order", "1,0,2,3", "--market", str(mp)], capsys)
+        assert code == 1 and out == ""
+        assert "'goods' must be a list of strings" in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
-def test_simulate_threads_below_one_is_data_error(appd_files, capsys, threads):
+def test_simulate_threads_below_one_is_data_error(appd_files, tmp_path, capsys, threads):
     rp, mp = appd_files
-    code, out, err = run_cli(["simulate", "--kind", "rsd", "--market", str(mp),
-                              "--profile-reports", str(rp), "--reps", "100",
-                              "--threads", threads], capsys)
-    assert code == 1 and out == ""
-    assert f"threads must be >= 1, got {threads}" in err
+    argv = ["simulate", "--kind", "rsd", "--market", str(mp), "--profile-reports", str(rp),
+            "--reps", "100", "--threads", threads]
+    csv_path = tmp_path / "reps.csv"
+    for extra in ([], ["--csv", str(csv_path)]):
+        code, out, err = run_cli(argv + extra, capsys)
+        assert code == 1 and out == ""
+        assert f"threads must be >= 1, got {threads}" in err
+    assert not csv_path.exists()
 
 
 def test_scipy_stats_loaded_only_for_p_values(appd_files, tmp_path):

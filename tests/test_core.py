@@ -63,6 +63,10 @@ def test_market_round_trip(tmp_path):
     with pytest.raises(ValueError, match="need 3 goods labels, got 2"):
         MarketInstance.from_json_dict({"values": [[100, 70, 0]] * 3, "rho": [10, 0, 0],
                                        "goods": ["x", "y"]})
+    for goods in (5, "ab", ["x", 2]):
+        with pytest.raises(DataFormatError, match="'goods' must be a list of strings"):
+            MarketInstance.from_json_dict({"values": [[100, 70]] * 2, "rho": [10, 0],
+                                           "goods": goods})
 
 
 def test_single_good_market():

@@ -8,6 +8,9 @@ from rankmatch.core import RankList, RhoSchedule, SizeLimitError
 from rankmatch.equilibrium import (
     SymmetricInstance,
     _deviation_eu,
+    _enum_group_eus,
+    _u_boston,
+    _u_sd,
     boston_group_eu,
     brute_force_equilibria,
     check_truthtelling_equilibrium,
@@ -120,6 +123,26 @@ def test_closed_form_matches_brute_force():
         for kind in MechanismKind:
             assert set(solve_equilibrium(kind, inst).n1_candidates) == \
                 brute_force_equilibria(kind, inst), (kind, inst)
+
+
+def test_brute_force_group_eus_equal_closed_forms():
+    """Every per-n1 EU the brute force enumerates, for both strategies and
+    n1 = 0..n (the deviation comparisons use the ends), equals the closed
+    form exactly."""
+    rng = random.Random(5)
+    closed = {MechanismKind.RSD: _u_sd, MechanismKind.BOSTON: _u_boston}
+    for n in (3, 4, 5, 6):
+        for _ in range(30):
+            inst = rand_instance(rng, n)
+            for kind in MechanismKind:
+                eus = _enum_group_eus(kind, inst)
+                assert len(eus) == n + 1
+                for n1, (u1, u2) in enumerate(eus):
+                    assert (u1 is None) == (n1 == 0) and (u2 is None) == (n1 == n)
+                    if u1 is not None:
+                        assert u1 == closed[kind](inst, 1, n1), (kind, inst, n1)
+                    if u2 is not None:
+                        assert u2 == closed[kind](inst, 2, n1), (kind, inst, n1)
 
 
 def test_brute_force_size_limit():

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rankmatch.core import MarketInstance, RankList, SizeLimitError
+from rankmatch.core import MarketInstance, RankList, SizeLimitError, build_outcome
 from rankmatch.mechanisms import (
     MechanismKind,
     TieBreakOrder,
@@ -55,6 +56,12 @@ def test_input_validation():
         run_rsd(RSD_REPORTS[:3], TieBreakOrder((0, 1, 2, 3)))
     with pytest.raises(ValueError):
         TieBreakOrder((0, 0, 1))
+    market = MarketInstance.from_cents([[90, 40, 10]] * 3, [7, 2, 0])
+    for reports, message in (([RankList((0, 1, 2))] * 2, "expected 3 reports, got 2"),
+                             ([RankList((0, 1, 2, 3))] * 3, "must rank all n goods")):
+        for kind in MechanismKind:
+            with pytest.raises(ValueError, match=message):
+                exact_expected_utilities(kind, reports, market)
 
 
 def test_run_random_deterministic():
@@ -105,19 +112,36 @@ def test_pareto_detects_improvement():
     assert is_pareto_efficient(Matching((0, 1)), reports)
 
 
+def _exact_cases():
+    """The 3-agent example, then seeded markets for n = 1..7: random values,
+    schedules that go negative, and every third market with identical reports."""
+    yield (MarketInstance.from_cents([[90, 40, 10]] * 3, [7, 2, 0]),
+           [RankList((0, 1, 2)), RankList((1, 0, 2)), RankList((0, 2, 1))])
+    rng = random.Random(11)
+    for n in range(1, 8):
+        for case in range(6 if n < 7 else 3):
+            values = [[rng.randint(0, 3000) for _ in range(n)] for _ in range(n)]
+            rho = sorted((rng.randint(-400, 800) for _ in range(n)), reverse=True)
+            if case % 3 == 0:
+                reports = [RankList(tuple(rng.sample(range(n), n)))] * n
+            else:
+                reports = [RankList(tuple(rng.sample(range(n), n))) for _ in range(n)]
+            yield MarketInstance.from_cents(values, rho), reports
+
+
 def test_exact_matches_brute_average():
-    market = MarketInstance.from_cents([[90, 40, 10]] * 3, [7, 2, 0])
-    reports = [RankList((0, 1, 2)), RankList((1, 0, 2)), RankList((0, 2, 1))]
-    for kind in MechanismKind:
-        eus = exact_expected_utilities(kind, reports, market)
-        totals = [0] * 3
-        for perm in itertools.permutations(range(3)):
-            from rankmatch.core import build_outcome
-            out = build_outcome(run_mechanism(kind, reports, TieBreakOrder(perm)),
-                                reports, market)
-            for i in range(3):
-                totals[i] += Fraction(out.utility[i], 6)
-        assert tuple(totals) == eus
+    for market, reports in _exact_cases():
+        n = market.n
+        for kind in MechanismKind:
+            eus = exact_expected_utilities(kind, reports, market)
+            totals = [0] * n
+            for perm in itertools.permutations(range(n)):
+                out = build_outcome(run_mechanism(kind, reports, TieBreakOrder(perm)),
+                                    reports, market)
+                for i in range(n):
+                    totals[i] += out.utility[i]
+            assert tuple(Fraction(t, math.factorial(n)) for t in totals) == eus, \
+                (kind, market, reports)
 
 
 def _assert_batch_matches_scalar(lists, orders):

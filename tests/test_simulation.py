@@ -256,8 +256,9 @@ def test_batch_engine_is_checked_against_reference(tmp_path, monkeypatch, kind):
     market, reports = next(_fixed_cases())
     profile = StrategyProfile.fixed_reports(reports)
     other = MechanismKind.BOSTON if kind == MechanismKind.RSD else MechanismKind.RSD
-    batch = {MechanismKind.RSD: "batch_rsd", MechanismKind.BOSTON: "batch_boston"}
-    monkeypatch.setattr(simulation, batch[kind], getattr(simulation, batch[other]))
+    real = simulation.batch_mechanism
+    monkeypatch.setattr(simulation, "batch_mechanism",
+                        lambda _, pref, orders: real(other, pref, orders))
     with pytest.raises(RuntimeError, match="reference engine"):
         simulate(kind, market, profile, 50, seed=5)
     with pytest.raises(RuntimeError, match="reference engine"):
