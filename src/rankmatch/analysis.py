@@ -12,8 +12,9 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import prng
 from .core import DataFormatError, RankList, cents
@@ -31,7 +32,16 @@ CSV_COLUMNS = (
     "risk_row", "loss_row", "crt", "female", "practice",
 )
 
-TRUTH_SCOPES = ("all", "top2", "top1")
+
+class TruthGaps(NamedTuple):
+    """Largest inversion gap of a report per truth-telling scope, in cents."""
+
+    all: int
+    top2: int
+    top1: int
+
+
+TRUTH_SCOPES = TruthGaps._fields
 
 
 @dataclass(frozen=True)
@@ -73,10 +83,22 @@ class SubjectRecord:
         """Phase II value minus Phase I value of the received good, cents."""
         return self.phase2_value - self.phase1_values[self.good_received]
 
+    @cached_property
+    def truth_gaps(self) -> TruthGaps:
+        """Per scope, the most by which a good listed lower is worth more
+        than a good at one of the scope's checked positions (top1: the
+        first, top2: the first two, all: every one).  The report is
+        truthful at tolerance ``tol`` exactly when the gap is <= ``tol``."""
+        v = [self.phase1_values[g] for g in self.report.order]
+        top1 = max(v[1:]) - v[0]
+        top2 = max(top1, max(v[2:]) - v[1])
+        return TruthGaps(max(top2, max(v[3:]) - v[2], v[4] - v[3]), top2, top1)
+
 
 def load_session(path) -> list[SubjectRecord]:
     """Read a session CSV; raises DataFormatError naming the offending row."""
     records = []
+    reports: dict[tuple[str, ...], RankList] = {}  # immutable, so records share one
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -92,18 +114,18 @@ def load_session(path) -> list[SubjectRecord]:
             if len(row) != len(CSV_COLUMNS):
                 raise DataFormatError(
                     f"{path}:{lineno}: expected {len(CSV_COLUMNS)} cells, got {len(row)}")
-            cell = dict(zip(CSV_COLUMNS, row))
+            # cells by position: the header matched CSV_COLUMNS exactly
             try:
-                treatment = MechanismKind(cell["treatment"].strip().lower())
-                values = tuple(cents(cell[f"v_{g}"]) for g in GOOD_NAMES)
-                report = RankList(tuple(int(cell[f"rank{k}"]) for k in range(1, 6)))
+                treatment = MechanismKind(row[1].strip().lower())
+                values = tuple(map(cents, row[3:8]))
+                key = tuple(row[8:13])
+                report = reports.get(key)
+                if report is None:
+                    report = reports[key] = RankList(tuple(map(int, key)))
                 rec = SubjectRecord(
-                    cell["subject_id"], treatment, cell["group_id"], values, report,
-                    int(cell["good_received"]), cents(cell["phase2_value"]),
-                    int(cell["phase1_order"]), int(cell["risk_row"]),
-                    int(cell["loss_row"]), int(cell["crt"]), int(cell["female"]),
-                    int(cell["practice"]))
-            except (ValueError, KeyError) as exc:
+                    row[0], treatment, row[2], values, report,
+                    int(row[13]), cents(row[14]), *map(int, row[15:]))
+            except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
             records.append(rec)
     return records
@@ -116,11 +138,16 @@ def save_session(records: Sequence[SubjectRecord], path) -> None:
         for r in records:
             writer.writerow([
                 r.subject_id, r.treatment.value, r.group_id,
-                *(f"{v / 100:.2f}" for v in r.phase1_values),
+                *(_money(v) for v in r.phase1_values),
                 *r.report.order,
-                r.good_received, f"{r.phase2_value / 100:.2f}", r.phase1_order,
+                r.good_received, _money(r.phase2_value), r.phase1_order,
                 r.risk_row, r.loss_row, r.crt, r.female, r.practice,
             ])
+
+
+def _money(amount_cents: int) -> str:
+    """Non-negative cents as exact dollars with two decimals."""
+    return f"{amount_cents // 100}.{amount_cents % 100:02d}"
 
 
 def nv_rank_summary(records: Sequence[SubjectRecord]) -> dict[int, tuple[int, Fraction, float]]:
@@ -141,38 +168,36 @@ def nv_rank_summary(records: Sequence[SubjectRecord]) -> dict[int, tuple[int, Fr
     return out
 
 
+def _check_tolerance(tolerance: int) -> None:
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+
+
 def classify_truthful(record: SubjectRecord, tolerance: int, scope: str = "all") -> bool:
     """True iff no good is ranked above another whose Phase I value exceeds
     it by more than ``tolerance`` cents.  ``scope`` restricts which listed
     positions are checked against the rest: 'all', 'top2', or 'top1'."""
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    _check_tolerance(tolerance)
     if scope not in TRUTH_SCOPES:
         raise ValueError(f"scope must be one of {TRUTH_SCOPES}, got {scope!r}")
-    limit = {"all": N_GOODS, "top2": 2, "top1": 1}[scope]
-    v = record.phase1_values
-    order = record.report.order
-    for hi in range(min(limit, N_GOODS)):
-        for lo in range(hi + 1, N_GOODS):
-            if v[order[lo]] > v[order[hi]] + tolerance:
-                return False
-    return True
+    return getattr(record.truth_gaps, scope) <= tolerance
 
 
 def truth_rate_table(records: Sequence[SubjectRecord],
                      tolerances: Sequence[int]) -> dict:
     """Per-treatment truth-telling rates for each (tolerance, scope) cell."""
+    for tol in tolerances:
+        _check_tolerance(tol)
     out: dict = {}
     for kind in MechanismKind:
-        subset = [r for r in records if r.treatment == kind]
-        if not subset:
+        gaps = [r.truth_gaps for r in records if r.treatment == kind]
+        if not gaps:
             continue
         cells = {}
         for tol in tolerances:
-            for scope in TRUTH_SCOPES:
-                rate = sum(classify_truthful(r, tol, scope) for r in subset) / len(subset)
-                cells[f"tol_{tol}_{scope}"] = rate
-        out[kind.value] = {"n": len(subset), "rates": cells}
+            for j, scope in enumerate(TRUTH_SCOPES):
+                cells[f"tol_{tol}_{scope}"] = sum(g[j] <= tol for g in gaps) / len(gaps)
+        out[kind.value] = {"n": len(gaps), "rates": cells}
     return out
 
 
@@ -212,6 +237,7 @@ def net_value_design(records: Sequence[SubjectRecord],
     """(y, X, column names) for the Net Value regression: rank dummies
     (rank 1 omitted), a truthful-report dummy, and the stored covariates.
     Net Value in dollars."""
+    _check_tolerance(tolerance)
     columns = ["const", "rank2", "rank3", "rank4", "rank5", "truthful",
                "risk_row", "loss_row", "crt", "female", "practice"]
     y, X = [], []
@@ -219,7 +245,7 @@ def net_value_design(records: Sequence[SubjectRecord],
         rank = r.rank_received
         X.append([1.0,
                   float(rank == 2), float(rank == 3), float(rank == 4), float(rank == 5),
-                  float(classify_truthful(r, tolerance, "all")),
+                  float(r.truth_gaps.all <= tolerance),
                   float(r.risk_row), float(r.loss_row), float(r.crt),
                   float(r.female), float(r.practice)])
         y.append(r.net_value / 100.0)

@@ -143,11 +143,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    tolerance = cents(args.tolerance)
+    if tolerance < 0:
+        raise DataFormatError(f"tolerance must be >= 0, got {tolerance}")
     records = analysis.load_session(args.session)
-    tolerances = sorted({0, cents(args.tolerance)})
-    doc = analysis.analyze_session(records, tolerances)
+    doc = analysis.analyze_session(records, sorted({0, tolerance}))
     if args.ols and records:
-        y, X, cols = analysis.net_value_design(records, cents(args.tolerance))
+        y, X, cols = analysis.net_value_design(records, tolerance)
         try:
             doc["net_value_ols"] = stats.ols_fit(y, X, cols,
                                                  robust=args.robust).to_json_dict()

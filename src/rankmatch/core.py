@@ -12,6 +12,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -26,8 +27,15 @@ class DataFormatError(ValueError):
     """An input file violates its documented schema."""
 
 
+# Plain ``-?digits.dd`` strings, short enough that Decimal's default 28-digit
+# context holds them exactly, so both paths of ``cents`` agree.
+_PLAIN_MONEY = re.compile(r"-?[0-9]{1,26}\.[0-9][0-9]")
+
+
 def cents(amount) -> int:
     """Parse a dollar amount (``"16.56"``, ``16.56``, ``Decimal``) into cents."""
+    if type(amount) is str and _PLAIN_MONEY.fullmatch(amount):
+        return int(amount.replace(".", ""))
     try:
         d = Decimal(str(amount)).scaleb(2)
     except InvalidOperation as exc:

@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 
 from rankmatch.analysis import (
     GOOD_NAMES,
     PLANTED_PHASE1,
+    TRUTH_SCOPES,
     SubjectRecord,
     analyze_session,
     classify_truthful,
@@ -63,6 +65,73 @@ def test_classify_truthful_scopes():
     assert classify_truthful(tail_swap, 0, "top2")
 
 
+def pairwise_gap(rec, scope):
+    """Oracle: the largest v[lo] - v[hi] over listed pairs hi above lo, with
+    hi among the scope's first positions."""
+    limit = {"all": 5, "top2": 2, "top1": 1}[scope]
+    v = [rec.phase1_values[g] for g in rec.report.order]
+    return max(v[lo] - v[hi] for hi in range(limit) for lo in range(hi + 1, 5))
+
+
+def pairwise_truthful(rec, tol, scope):
+    limit = {"all": 5, "top2": 2, "top1": 1}[scope]
+    v = [rec.phase1_values[g] for g in rec.report.order]
+    return all(v[lo] <= v[hi] + tol for hi in range(limit) for lo in range(hi + 1, 5))
+
+
+def random_records(seed, n):
+    """Per-subject Phase I values with frequent ties and random reports."""
+    rng = random.Random(seed)
+    recs = []
+    for i in range(n):
+        values = tuple(rng.choice((0, 100, 250, 537, 537, rng.randint(0, 3000)))
+                       for _ in range(5))
+        order = list(range(5))
+        rng.shuffle(order)
+        recs.append(make_record(
+            report=order, good=rng.randrange(5), subject_id=f"s{i}",
+            treatment=rng.choice(list(MechanismKind)), phase1_values=values))
+    return recs
+
+
+def test_truth_gaps_match_pairwise_oracle():
+    recs = random_records(31, 400)
+    for rec in recs:
+        for scope in TRUTH_SCOPES:
+            gap = pairwise_gap(rec, scope)
+            assert getattr(rec.truth_gaps, scope) == gap
+            for tol in {0, gap, gap - 1, gap + 1}:
+                if tol >= 0:
+                    assert (classify_truthful(rec, tol, scope)
+                            == pairwise_truthful(rec, tol, scope)), (rec, tol, scope)
+    tolerances = [0, 100, 537]
+    table = truth_rate_table(recs, tolerances)
+    for kind in MechanismKind:
+        subset = [r for r in recs if r.treatment == kind]
+        assert table[kind.value]["n"] == len(subset)
+        for tol in tolerances:
+            for scope in TRUTH_SCOPES:
+                expected = sum(pairwise_truthful(r, tol, scope) for r in subset) / len(subset)
+                assert table[kind.value]["rates"][f"tol_{tol}_{scope}"] == expected
+    for tol in (0, 250):
+        _, X, cols = net_value_design(recs, tol)
+        j = cols.index("truthful")
+        assert [row[j] for row in X] == [float(pairwise_truthful(r, tol, "all")) for r in recs]
+
+
+def test_truth_checks_reject_bad_tolerance_and_scope():
+    rec = make_record()
+    with pytest.raises(ValueError, match=r"^tolerance must be >= 0, got -1$"):
+        classify_truthful(rec, -1)
+    with pytest.raises(ValueError, match=r"^scope must be one of \('all', 'top2', 'top1'\), "
+                                         r"got 'top3'$"):
+        classify_truthful(rec, 0, "top3")
+    with pytest.raises(ValueError, match=r"^tolerance must be >= 0, got -5$"):
+        truth_rate_table([rec], [0, -5])
+    with pytest.raises(ValueError, match=r"^tolerance must be >= 0, got -5$"):
+        net_value_design([rec], -5)
+
+
 def test_truth_rates_monotone_in_tolerance_and_scope():
     recs = generate_session(30, RHO, 150.0, seed=4, misreport_rate=0.4)
     table = truth_rate_table(recs, [0, 100, 200, 600])["rsd"]["rates"]
@@ -106,6 +175,17 @@ def test_session_round_trip(tmp_path):
     assert load_session(path) == recs
 
 
+def test_session_round_trip_keeps_cents_beyond_float(tmp_path):
+    big = (2**53 + 1, 10**17 + 1, 0, 5, 99)
+    rec = make_record(phase1_values=big, phase2=2**53 + 1)
+    path = tmp_path / "session.csv"
+    save_session([rec], path)
+    row = path.read_text().splitlines()[1].split(",")
+    assert row[3:8] == ["90071992547409.93", "1000000000000000.01", "0.00", "0.05", "0.99"]
+    assert row[14] == "90071992547409.93"
+    assert load_session(path) == [rec]
+
+
 def test_load_session_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("not,the,header\n")
@@ -120,6 +200,24 @@ def test_load_session_errors(tmp_path):
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match=":2:"):
         load_session(bad)
+    # money cells outside the plain d.dd form still go through Decimal
+    recs = generate_session(1, RHO, 0.0, seed=1)
+    for amount, err in (("1.005", "sub-cent money amount: '1.005'"),
+                        ("12.3.4", "not a money amount: '12.3.4'"),
+                        ("1.5", None)):
+        recs_path = tmp_path / "money.csv"
+        save_session(recs, recs_path)
+        lines = recs_path.read_text().splitlines()
+        row = lines[3].split(",")
+        row[4] = amount  # v_bottle
+        lines[3] = ",".join(row)
+        recs_path.write_text("\n".join(lines) + "\n")
+        if err is None:
+            assert load_session(recs_path)[2].phase1_values[1] == 150
+        else:
+            with pytest.raises(DataFormatError) as info:
+                load_session(recs_path)
+            assert str(info.value) == f"{recs_path}:4: {err}"
 
 
 def test_analyze_session_shape():

@@ -163,6 +163,22 @@ def test_analyze_empty_session(tmp_path, capsys):
     assert json.loads(out)["n_subjects"] == 0
 
 
+def test_analyze_negative_tolerance_is_data_error(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    analysis.save_session([], empty)
+    full = tmp_path / "full.csv"
+    analysis.save_session(analysis.generate_session(2, (287, 100, 50, 0, -69), 0.0, seed=3),
+                          full)
+    out_path = tmp_path / "out.json"
+    # rejected before the session is read, so even a missing file gives this error
+    for path in (empty, full, tmp_path / "missing.csv"):
+        code, out, err = run_cli(["analyze", "--session", str(path), "--tolerance", "-1.00",
+                                  "--out", str(out_path)], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: tolerance must be >= 0, got -100\n"
+    assert not out_path.exists()
+
+
 def test_elicit_decode(capsys):
     code, out, _ = run_cli(["elicit-decode", "--screen1", "16", "--screen2", "28"],
                            capsys)

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,35 @@ def test_cents_parsing():
     for bad in ("inf", "-Infinity", "nan", float("inf"), float("nan")):
         with pytest.raises(ValueError, match="not a money amount"):
             cents(bad)
+
+
+def decimal_cents(amount):
+    """Reference parse through Decimal alone: the value, or the error text."""
+    try:
+        d = Decimal(str(amount)).scaleb(2)
+    except InvalidOperation:
+        return f"not a money amount: {amount!r}"
+    if not d.is_finite():
+        return f"not a money amount: {amount!r}"
+    if d != d.to_integral_value():
+        return f"sub-cent money amount: {amount!r}"
+    return int(d)
+
+
+def test_cents_fast_path_equals_decimal_path():
+    cases = ["0.00", "-0.00", "-0.50", "007.50", "16.56", "1.5", "1.005", " 1.00",
+             "+1.00", "1e2", "1_000.00", "\u0661.\u0660\u0660", "1.", ".50", "inf",
+             "nan", "", "1.00\n", "90071992547409.93", "1000000000000000.01",
+             "12345678901234567890123456.78", "123456789012345678901234567.89",
+             2, 16.56, Decimal("1.10")]
+    for amount in cases:
+        try:
+            got = cents(amount)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == decimal_cents(amount), amount
+        assert type(got) in (int, str)
+    assert cents("-0.50") == -50 and cents("007.50") == 750
 
 
 def test_rank_list():
