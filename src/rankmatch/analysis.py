@@ -5,19 +5,27 @@ five goods, the submitted rank list, the good received, the Phase II
 elicited value of that good, and covariates.  Net Value is the Phase II
 value minus the Phase I value of the same good; its per-rank means are the
 main treatment outcome.
+
+Every measure works on a ``SessionTable``, the session as columns; it also
+takes a sequence of ``SubjectRecord`` and builds the table first.
 """
 from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from itertools import islice
+from typing import NamedTuple, Sequence, Union
+
+import numpy as np
 
 from . import prng
 from .core import DataFormatError, RankList, cents
+from .elicitation import LOTTERY_ROWS
 from .mechanisms import MechanismKind
 
 GOOD_NAMES = ("backpack", "bottle", "notebook", "mug", "pens")
@@ -31,10 +39,13 @@ CSV_COLUMNS = (
     "good_received", "phase2_value", "phase1_order",
     "risk_row", "loss_row", "crt", "female", "practice",
 )
+_MONEY_COLUMNS = (3, 4, 5, 6, 7, 14)
+_INT_COLUMNS = (8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20)
 
 
 class TruthGaps(NamedTuple):
-    """Largest inversion gap of a report per truth-telling scope, in cents."""
+    """Largest inversion gap of a report per truth-telling scope, in cents.
+    A ``SessionTable``'s gaps hold one array entry per report."""
 
     all: int
     top2: int
@@ -42,6 +53,18 @@ class TruthGaps(NamedTuple):
 
 
 TRUTH_SCOPES = TruthGaps._fields
+
+
+def _truth_gaps(v: np.ndarray) -> TruthGaps:
+    """Per scope, the most by which a good listed lower is worth more than a
+    good at one of the scope's checked positions (top1: the first, top2: the
+    first two, all: every one), from the (N, 5) Phase I values in listed
+    order.  A report is truthful at tolerance ``tol`` exactly when its gap
+    is <= ``tol``."""
+    top1 = v[:, 1:].max(1) - v[:, 0]
+    top2 = np.maximum(top1, v[:, 2:].max(1) - v[:, 1])
+    rest = np.maximum(v[:, 3:].max(1) - v[:, 2], v[:, 4] - v[:, 3])
+    return TruthGaps(np.maximum(top2, rest), top2, top1)
 
 
 @dataclass(frozen=True)
@@ -73,6 +96,16 @@ class SubjectRecord:
             raise ValueError(f"crt must be in 0..3, got {self.crt}")
         if self.female not in (0, 1):
             raise ValueError(f"female must be 0/1, got {self.female}")
+        if not 1 <= self.risk_row <= LOTTERY_ROWS:
+            raise ValueError(f"risk_row must be in 1..{LOTTERY_ROWS}, got {self.risk_row}")
+        if not 1 <= self.loss_row <= LOTTERY_ROWS:
+            raise ValueError(f"loss_row must be in 1..{LOTTERY_ROWS}, got {self.loss_row}")
+        if self.practice < 0:
+            raise ValueError(f"practice must be >= 0, got {self.practice}")
+        if not self.subject_id:
+            raise ValueError("subject_id must be non-empty")
+        if not self.group_id:
+            raise ValueError("group_id must be non-empty")
 
     @property
     def rank_received(self) -> int:
@@ -85,14 +118,95 @@ class SubjectRecord:
 
     @cached_property
     def truth_gaps(self) -> TruthGaps:
-        """Per scope, the most by which a good listed lower is worth more
-        than a good at one of the scope's checked positions (top1: the
-        first, top2: the first two, all: every one).  The report is
-        truthful at tolerance ``tol`` exactly when the gap is <= ``tol``."""
-        v = [self.phase1_values[g] for g in self.report.order]
-        top1 = max(v[1:]) - v[0]
-        top2 = max(top1, max(v[2:]) - v[1])
-        return TruthGaps(max(top2, max(v[3:]) - v[2], v[4] - v[3]), top2, top1)
+        """This report's ``TruthGaps`` in cents (see ``_truth_gaps``)."""
+        listed = np.array([[self.phase1_values[g] for g in self.report.order]], dtype=object)
+        return TruthGaps(*(gap.item() for gap in _truth_gaps(listed)))
+
+
+def _int_column(ints) -> np.ndarray:
+    """int64 when every entry fits, else Python ints in an object array."""
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class SessionTable:
+    """A session as columns, one entry per subject in file order.
+
+    Integer columns are int64 when every entry fits and ``object`` arrays of
+    Python ints otherwise, so money stays exact at any size."""
+
+    subject_id: tuple[str, ...]
+    group_id: tuple[str, ...]
+    boston: np.ndarray  # bool: True under Boston, False under RSD
+    values: np.ndarray  # (N, 5) Phase I cents, indexed by good id
+    order: np.ndarray  # (N, 5) reported good ids, most-preferred first
+    good: np.ndarray  # good received
+    phase2: np.ndarray  # Phase II cents of the good received
+    phase1_order: np.ndarray
+    risk_row: np.ndarray
+    loss_row: np.ndarray
+    crt: np.ndarray
+    female: np.ndarray
+    practice: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.subject_id)
+
+    @staticmethod
+    def of(session: Session) -> SessionTable:
+        """``session`` itself if it is a table, else its records as columns."""
+        if isinstance(session, SessionTable):
+            return session
+        cells = [(r.subject_id, r.treatment == MechanismKind.BOSTON, r.group_id,
+                  *r.phase1_values, *r.report.order, r.good_received, r.phase2_value,
+                  r.phase1_order, r.risk_row, r.loss_row, r.crt, r.female, r.practice)
+                 for r in session]
+        return SessionTable._from_columns(list(zip(*cells)) or [()] * len(CSV_COLUMNS))
+
+    @staticmethod
+    def _from_columns(cols) -> SessionTable:
+        """Build from parsed columns in ``CSV_COLUMNS`` order (treatment as
+        is-Boston flags)."""
+        ints = [_int_column(c) for c in cols[3:]]
+        return SessionTable(tuple(cols[0]), tuple(cols[2]), np.array(cols[1], dtype=bool),
+                            np.column_stack(ints[0:5]), np.column_stack(ints[5:10]),
+                            *ints[10:])
+
+    @cached_property
+    def rank_received(self) -> np.ndarray:
+        return np.argmax(self.order == self.good[:, None], axis=1) + 1
+
+    @cached_property
+    def net_value(self) -> np.ndarray:
+        """Phase II value minus Phase I value of the received good, cents."""
+        return self.phase2 - self.values[np.arange(len(self)), self.good]
+
+    @cached_property
+    def truth_gaps(self) -> TruthGaps:
+        """``TruthGaps`` of every report, as columns."""
+        return _truth_gaps(np.take_along_axis(self.values, self.order, axis=1))
+
+    def _rows_valid(self) -> bool:
+        """Whether every row passes the checks ``SubjectRecord`` and
+        ``RankList`` make."""
+        return bool(
+            (np.sort(self.order, axis=1) == np.arange(N_GOODS)).all()
+            # with the report a permutation of 0..4, it lists any good in 0..4
+            and ((0 <= self.good) & (self.good < N_GOODS)).all()
+            and (self.values >= 0).all() and (self.phase2 >= 0).all()
+            and ((1 <= self.phase1_order) & (self.phase1_order <= 20)).all()
+            and ((0 <= self.crt) & (self.crt <= 3)).all()
+            and ((self.female == 0) | (self.female == 1)).all()
+            and ((1 <= self.risk_row) & (self.risk_row <= LOTTERY_ROWS)).all()
+            and ((1 <= self.loss_row) & (self.loss_row <= LOTTERY_ROWS)).all()
+            and (self.practice >= 0).all()
+            and all(self.subject_id) and all(self.group_id))
+
+
+Session = Union[SessionTable, Sequence[SubjectRecord]]
 
 
 def load_session(path) -> list[SubjectRecord]:
@@ -131,6 +245,64 @@ def load_session(path) -> list[SubjectRecord]:
     return records
 
 
+def load_session_table(path) -> SessionTable:
+    """Read a session CSV as columns: the same table, and the same errors,
+    as ``SessionTable.of(load_session(path))``.  Files whose money cells are
+    all plain ``d.dd`` amounts and whose rows all pass every check are parsed
+    column by column; any other file goes through ``load_session``, which
+    names the offending row."""
+    table = _parse_columns(path)
+    return SessionTable.of(load_session(path)) if table is None else table
+
+
+# A column of plain non-negative amounts, joined by commas.  Below 10**15
+# dollars the cents fit int64.
+_PLAIN_MONEY_COLUMN = re.compile(r"[0-9]{1,15}\.[0-9][0-9](?:,[0-9]{1,15}\.[0-9][0-9])*")
+_CHUNK_ROWS = 4096
+
+
+def _parse_columns(path) -> SessionTable | None:
+    """The columnar parse behind ``load_session_table``; None when a cell or
+    row is outside its fast form, including every malformed one."""
+    cols: list[list] = [[] for _ in CSV_COLUMNS]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != list(CSV_COLUMNS):
+                return None
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                rows = [row for row in chunk if row]
+                if any(len(row) != len(CSV_COLUMNS) for row in rows):
+                    return None
+                for col, cells in zip(cols, zip(*rows)):
+                    col.extend(cells)
+        except (ValueError, csv.Error):  # undecodable text, or a line csv rejects
+            return None
+    for j in _MONEY_COLUMNS:
+        joined = ",".join(cols[j])
+        if not _PLAIN_MONEY_COLUMN.fullmatch(joined):
+            return None
+        digits = joined.replace(".", "").split(",")
+        if len(digits) != len(cols[j]):  # a cell held a comma
+            return None
+        cols[j] = list(map(int, digits))
+    try:
+        cols[1] = _parse_distinct(
+            lambda cell: MechanismKind(cell.strip().lower()) == MechanismKind.BOSTON, cols[1])
+        for j in _INT_COLUMNS:
+            cols[j] = _parse_distinct(int, cols[j])
+    except ValueError:
+        return None
+    table = SessionTable._from_columns(cols)
+    return table if table._rows_valid() else None
+
+
+def _parse_distinct(parse, cells) -> list:
+    """``parse`` of every cell, called once per distinct cell."""
+    parsed = {cell: parse(cell) for cell in set(cells)}
+    return list(map(parsed.__getitem__, cells))
+
+
 def save_session(records: Sequence[SubjectRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -150,14 +322,15 @@ def _money(amount_cents: int) -> str:
     return f"{amount_cents // 100}.{amount_cents % 100:02d}"
 
 
-def nv_rank_summary(records: Sequence[SubjectRecord]) -> dict[int, tuple[int, Fraction, float]]:
+def nv_rank_summary(records: Session) -> dict[int, tuple[int, Fraction, float]]:
     """Per received rank: (count, exact mean NV in cents, sample sd)."""
-    by_rank: dict[int, list[int]] = {}
-    for r in records:
-        by_rank.setdefault(r.rank_received, []).append(r.net_value)
+    t = SessionTable.of(records)
     out = {}
-    for rank, vals in sorted(by_rank.items()):
+    for rank in range(1, N_GOODS + 1):
+        vals = t.net_value[t.rank_received == rank].tolist()
         n = len(vals)
+        if not n:
+            continue
         mean = Fraction(sum(vals), n)
         if n > 1:
             m = float(mean)
@@ -183,72 +356,82 @@ def classify_truthful(record: SubjectRecord, tolerance: int, scope: str = "all")
     return getattr(record.truth_gaps, scope) <= tolerance
 
 
-def truth_rate_table(records: Sequence[SubjectRecord],
-                     tolerances: Sequence[int]) -> dict:
+def truth_rate_table(records: Session, tolerances: Sequence[int]) -> dict:
     """Per-treatment truth-telling rates for each (tolerance, scope) cell."""
     for tol in tolerances:
         _check_tolerance(tol)
+    t = SessionTable.of(records)
     out: dict = {}
     for kind in MechanismKind:
-        gaps = [r.truth_gaps for r in records if r.treatment == kind]
-        if not gaps:
+        rows = t.boston == (kind == MechanismKind.BOSTON)
+        n = int(np.count_nonzero(rows))
+        if not n:
             continue
+        gaps = [gap[rows] for gap in t.truth_gaps]
         cells = {}
         for tol in tolerances:
-            for j, scope in enumerate(TRUTH_SCOPES):
-                cells[f"tol_{tol}_{scope}"] = sum(g[j] <= tol for g in gaps) / len(gaps)
-        out[kind.value] = {"n": len(gaps), "rates": cells}
+            for scope, gap in zip(TRUTH_SCOPES, gaps):
+                cells[f"tol_{tol}_{scope}"] = int(np.count_nonzero(gap <= tol)) / n
+        out[kind.value] = {"n": n, "rates": cells}
     return out
 
 
-def welfare_total(records: Sequence[SubjectRecord]) -> dict[str, float]:
+def welfare_total(records: Session) -> dict[str, float]:
     """Per-treatment mean over groups of the group's summed Phase II values
     (cents).  Groups without exactly five subjects are warned and skipped."""
-    sums: dict[tuple[MechanismKind, str], list[int]] = {}
-    for r in records:
-        sums.setdefault((r.treatment, r.group_id), []).append(r.phase2_value)
-    totals: dict[MechanismKind, list[int]] = {}
-    for (kind, gid), vals in sorted(sums.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
-        if len(vals) != GROUP_SIZE:
-            warnings.warn(f"group {gid!r} has {len(vals)} subjects, expected "
-                          f"{GROUP_SIZE}; excluded from welfare")
-            continue
-        totals.setdefault(kind, []).append(sum(vals))
-    return {kind.value: sum(v) / len(v) for kind, v in totals.items()}
+    t = SessionTable.of(records)
+    names = list(dict.fromkeys(t.group_id))
+    code = {gid: i for i, gid in enumerate(names)}
+    # one group per (group_id, treatment) pair
+    group = 2 * np.fromiter(map(code.__getitem__, t.group_id), np.int64, len(t)) + t.boston
+    size = np.bincount(group, minlength=2 * len(names))
+    kind_of = (MechanismKind.RSD, MechanismKind.BOSTON)
+    for kind, gid, n in sorted((kind_of[g % 2].value, names[g // 2], int(size[g]))
+                               for g in np.flatnonzero((size != 0) & (size != GROUP_SIZE))):
+        warnings.warn(f"group {gid!r} has {n} subjects, expected "
+                      f"{GROUP_SIZE}; excluded from welfare")
+    complete = size[group] == GROUP_SIZE
+    out = {}
+    for kind in MechanismKind:
+        rows = complete & (t.boston == (kind == MechanismKind.BOSTON))
+        n_groups = int(np.count_nonzero(rows)) // GROUP_SIZE
+        if n_groups:
+            # the sum of the groups' totals is the sum over their members
+            out[kind.value] = sum(t.phase2[rows].tolist()) / n_groups
+    return out
 
 
-def analyze_session(records: Sequence[SubjectRecord],
-                    tolerances: Sequence[int] = (0, 200)) -> dict:
+def analyze_session(records: Session, tolerances: Sequence[int] = (0, 200)) -> dict:
     """Full JSON-ready report: NV means by rank, truth rates, welfare."""
-    summary = nv_rank_summary(records)
+    t = SessionTable.of(records)
+    summary = nv_rank_summary(t)
     return {
-        "n_subjects": len(records),
+        "n_subjects": len(t),
         "net_value_by_rank": {
             str(rank): {"n": n, "mean_cents": float(mean), "sd_cents": sd}
             for rank, (n, mean, sd) in summary.items()
         },
-        "truth_rates": truth_rate_table(records, tolerances),
-        "welfare_mean_cents": welfare_total(records),
+        "truth_rates": truth_rate_table(t, tolerances),
+        "welfare_mean_cents": welfare_total(t),
     }
 
 
-def net_value_design(records: Sequence[SubjectRecord],
-                     tolerance: int = 200) -> tuple[list, list, list[str]]:
+def net_value_design(records: Session,
+                     tolerance: int = 200) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """(y, X, column names) for the Net Value regression: rank dummies
     (rank 1 omitted), a truthful-report dummy, and the stored covariates.
-    Net Value in dollars."""
+    Net Value in dollars; ``y`` and ``X`` are C-contiguous float64."""
     _check_tolerance(tolerance)
     columns = ["const", "rank2", "rank3", "rank4", "rank5", "truthful",
                "risk_row", "loss_row", "crt", "female", "practice"]
-    y, X = [], []
-    for r in records:
-        rank = r.rank_received
-        X.append([1.0,
-                  float(rank == 2), float(rank == 3), float(rank == 4), float(rank == 5),
-                  float(r.truth_gaps.all <= tolerance),
-                  float(r.risk_row), float(r.loss_row), float(r.crt),
-                  float(r.female), float(r.practice)])
-        y.append(r.net_value / 100.0)
+    t = SessionTable.of(records)
+    X = np.empty((len(t), len(columns)))
+    X[:, 0] = 1.0
+    X[:, 1:5] = t.rank_received[:, None] == np.arange(2, N_GOODS + 1)
+    X[:, 5] = t.truth_gaps.all <= tolerance
+    for j, covariate in enumerate((t.risk_row, t.loss_row, t.crt, t.female, t.practice), 6):
+        X[:, j] = covariate
+    y = np.asarray(t.net_value / 100.0, dtype=np.float64)
     return y, X, columns
 
 

@@ -146,10 +146,10 @@ def cmd_analyze(args) -> int:
     tolerance = cents(args.tolerance)
     if tolerance < 0:
         raise DataFormatError(f"tolerance must be >= 0, got {tolerance}")
-    records = analysis.load_session(args.session)
-    doc = analysis.analyze_session(records, sorted({0, tolerance}))
-    if args.ols and records:
-        y, X, cols = analysis.net_value_design(records, tolerance)
+    table = analysis.load_session_table(args.session)
+    doc = analysis.analyze_session(table, sorted({0, tolerance}))
+    if args.ols and len(table):
+        y, X, cols = analysis.net_value_design(table, tolerance)
         try:
             doc["net_value_ols"] = stats.ols_fit(y, X, cols,
                                                  robust=args.robust).to_json_dict()

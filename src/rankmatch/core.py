@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -37,11 +37,13 @@ def cents(amount) -> int:
     if type(amount) is str and _PLAIN_MONEY.fullmatch(amount):
         return int(amount.replace(".", ""))
     try:
-        d = Decimal(str(amount)).scaleb(2)
+        d = Decimal(str(amount))
     except InvalidOperation as exc:
         raise ValueError(f"not a money amount: {amount!r}") from exc
     if not d.is_finite():
         raise ValueError(f"not a money amount: {amount!r}")
+    # scaling rounds to the context's precision, so give it every digit
+    d = d.scaleb(2, Context(prec=len(d.as_tuple().digits)))
     if d != d.to_integral_value():
         raise ValueError(f"sub-cent money amount: {amount!r}")
     return int(d)

@@ -47,6 +47,17 @@ def test_record_validation():
         make_record(phase1_order=0)
     with pytest.raises(ValueError):
         make_record(crt=4)
+    for kw, message in ((dict(risk_row=0), "risk_row must be in 1..50, got 0"),
+                        (dict(risk_row=51), "risk_row must be in 1..50, got 51"),
+                        (dict(loss_row=-3), "loss_row must be in 1..50, got -3"),
+                        (dict(loss_row=99), "loss_row must be in 1..50, got 99"),
+                        (dict(practice=-1), "practice must be >= 0, got -1"),
+                        (dict(subject_id=""), "subject_id must be non-empty"),
+                        (dict(group_id=""), "group_id must be non-empty")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_record(**kw)
+    for kw in (dict(risk_row=1), dict(loss_row=50), dict(practice=0), dict(practice=10**30)):
+        make_record(**kw)
 
 
 def test_classify_truthful_scopes():

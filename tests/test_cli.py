@@ -139,6 +139,25 @@ def test_analyze_non_finite_money(tmp_path, capsys):
     assert "not a money amount" in err
 
 
+def test_analyze_out_of_range_covariates(tmp_path, capsys):
+    recs = analysis.generate_session(2, (287, 100, 50, 0, -69), 0.0, seed=3)
+    path = tmp_path / "s.csv"
+    for column, cell, message in (
+            ("risk_row", "99", "risk_row must be in 1..50, got 99"),
+            ("loss_row", "0", "loss_row must be in 1..50, got 0"),
+            ("practice", "-3", "practice must be >= 0, got -3"),
+            ("subject_id", "", "subject_id must be non-empty"),
+            ("group_id", "", "group_id must be non-empty")):
+        analysis.save_session(recs, path)
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")
+        row[analysis.CSV_COLUMNS.index(column)] = cell
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["analyze", "--session", str(path)], capsys)
+        assert (code, out, err) == (1, "", f"error: {path}:4: {message}\n")
+
+
 def test_analyze_tables(tmp_path, capsys):
     recs = analysis.generate_session(8, (287, 100, 50, 0, -69), 100.0, seed=5,
                                      misreport_rate=0.3)

@@ -1,5 +1,5 @@
 import json
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, InvalidOperation
 from fractions import Fraction
 
 import pytest
@@ -32,12 +32,18 @@ def test_cents_parsing():
     for bad in ("inf", "-Infinity", "nan", float("inf"), float("nan")):
         with pytest.raises(ValueError, match="not a money amount"):
             cents(bad)
+    # exact past the 28 digits of Decimal's default context
+    assert cents("12345678901234567890123456789.01") == 1234567890123456789012345678901
+    assert cents("9" * 58 + ".99") == 10 ** 60 - 1
+    with pytest.raises(ValueError, match="sub-cent money amount"):
+        cents("1" * 60 + ".001")
 
 
 def decimal_cents(amount):
-    """Reference parse through Decimal alone: the value, or the error text."""
+    """Reference parse through Decimal alone, scaled without rounding: the
+    value, or the error text."""
     try:
-        d = Decimal(str(amount)).scaleb(2)
+        d = Decimal(str(amount)).scaleb(2, Context(prec=100))
     except InvalidOperation:
         return f"not a money amount: {amount!r}"
     if not d.is_finite():

@@ -1,0 +1,289 @@
+"""The columnar session path against per-record oracles.
+
+``SessionTable`` measures must equal today's record loops exactly, and
+``load_session_table`` must accept, reject and build exactly what
+``load_session`` does.
+"""
+import json
+import math
+import random
+import warnings
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from rankmatch import analysis, cli
+from rankmatch.analysis import (
+    CSV_COLUMNS,
+    GROUP_SIZE,
+    PLANTED_PHASE1,
+    TRUTH_SCOPES,
+    SessionTable,
+    SubjectRecord,
+    analyze_session,
+    load_session,
+    load_session_table,
+    net_value_design,
+    nv_rank_summary,
+    save_session,
+    truth_rate_table,
+    welfare_total,
+)
+from rankmatch.core import DataFormatError, RankList
+from rankmatch.mechanisms import MechanismKind
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+# ---------------------------------------------------------------------------
+# per-record oracles: the loops the measures ran before they took columns
+# ---------------------------------------------------------------------------
+
+def oracle_nv_rank_summary(records):
+    by_rank = {}
+    for r in records:
+        by_rank.setdefault(r.rank_received, []).append(r.net_value)
+    out = {}
+    for rank, vals in sorted(by_rank.items()):
+        n = len(vals)
+        mean = Fraction(sum(vals), n)
+        if n > 1:
+            m = float(mean)
+            sd = math.sqrt(sum((v - m) ** 2 for v in vals) / (n - 1))
+        else:
+            sd = 0.0
+        out[rank] = (n, mean, sd)
+    return out
+
+
+def oracle_gaps(r):
+    """Largest v[lo] - v[hi] over listed pairs, hi among the scope's first
+    positions, in ``TRUTH_SCOPES`` order."""
+    v = [r.phase1_values[g] for g in r.report.order]
+    return tuple(max(v[lo] - v[hi] for hi in range(limit) for lo in range(hi + 1, 5))
+                 for limit in (5, 2, 1))
+
+
+def oracle_truth_rate_table(records, tolerances):
+    out = {}
+    for kind in MechanismKind:
+        gaps = [oracle_gaps(r) for r in records if r.treatment == kind]
+        if not gaps:
+            continue
+        cells = {}
+        for tol in tolerances:
+            for j, scope in enumerate(TRUTH_SCOPES):
+                cells[f"tol_{tol}_{scope}"] = sum(g[j] <= tol for g in gaps) / len(gaps)
+        out[kind.value] = {"n": len(gaps), "rates": cells}
+    return out
+
+
+def oracle_welfare_total(records):
+    sums = {}
+    for r in records:
+        sums.setdefault((r.treatment, r.group_id), []).append(r.phase2_value)
+    totals = {}
+    for (kind, gid), vals in sorted(sums.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
+        if len(vals) != GROUP_SIZE:
+            warnings.warn(f"group {gid!r} has {len(vals)} subjects, expected "
+                          f"{GROUP_SIZE}; excluded from welfare")
+            continue
+        totals.setdefault(kind, []).append(sum(vals))
+    return {kind.value: sum(v) / len(v) for kind, v in totals.items()}
+
+
+def oracle_analyze_session(records, tolerances):
+    return {
+        "n_subjects": len(records),
+        "net_value_by_rank": {
+            str(rank): {"n": n, "mean_cents": float(mean), "sd_cents": sd}
+            for rank, (n, mean, sd) in oracle_nv_rank_summary(records).items()
+        },
+        "truth_rates": oracle_truth_rate_table(records, tolerances),
+        "welfare_mean_cents": oracle_welfare_total(records),
+    }
+
+
+def oracle_net_value_design(records, tolerance):
+    y, X = [], []
+    for r in records:
+        rank = r.rank_received
+        X.append([1.0,
+                  float(rank == 2), float(rank == 3), float(rank == 4), float(rank == 5),
+                  float(oracle_gaps(r)[0] <= tolerance),
+                  float(r.risk_row), float(r.loss_row), float(r.crt),
+                  float(r.female), float(r.practice)])
+        y.append(r.net_value / 100.0)
+    return y, X
+
+
+def with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+# ---------------------------------------------------------------------------
+# columns equal records
+# ---------------------------------------------------------------------------
+
+def random_session(seed):
+    """Tied values, random reports, both treatments and group sizes other
+    than five; one session in four has money past int64."""
+    rng = random.Random(seed)
+    big = seed % 4 == 0
+    records = []
+    for g in range(rng.randint(0, 8)):
+        kind = rng.choice(list(MechanismKind))
+        for m in range(rng.choice((5, 5, 5, 4, 6, 1))):
+            pool = [0, 100, 537, 537, 2824, rng.randint(0, 5000)]
+            if big:
+                pool += [2**63 + rng.randint(0, 10**6), 10**25 + 1]
+            values = tuple(rng.choice(pool) for _ in range(5))
+            report = RankList(tuple(rng.sample(range(5), 5)))
+            good = rng.randrange(5)
+            records.append(SubjectRecord(
+                f"s{g}_{m}", kind if rng.random() < 0.95 else rng.choice(list(MechanismKind)),
+                f"g{g % 5}", values, report, good, rng.choice(pool),
+                rng.randint(1, 20), rng.randint(1, 50), rng.randint(1, 50), rng.randint(0, 3),
+                rng.randint(0, 1), 10**30 if big and rng.random() < 0.1 else rng.randint(0, 5)))
+    if rng.random() < 0.5:
+        rng.shuffle(records)
+    return records
+
+
+def assert_measures_equal(session, records, tolerances):
+    for tol in tolerances:
+        assert truth_rate_table(session, [0, tol]) == oracle_truth_rate_table(records, [0, tol])
+        y, X, cols = net_value_design(session, tol)
+        y_ref, X_ref = oracle_net_value_design(records, tol)
+        assert y.dtype == X.dtype == np.float64
+        assert y.flags.c_contiguous and X.flags.c_contiguous
+        assert X.shape == (len(records), len(cols))
+        assert y.tolist() == y_ref and X.tolist() == X_ref
+    assert nv_rank_summary(session) == oracle_nv_rank_summary(records)
+    assert with_warnings(welfare_total, session) == with_warnings(oracle_welfare_total, records)
+    assert (with_warnings(analyze_session, session, tolerances)
+            == with_warnings(oracle_analyze_session, records, tolerances))
+
+
+def test_columns_equal_records(tmp_path):
+    path = tmp_path / "session.csv"
+    dtypes = set()
+    for seed in range(200):
+        records = random_session(seed)
+        tolerances = [0, 100, 537, random.Random(seed).choice((1, 4000, 10**30))]
+        table = SessionTable.of(records)
+        assert SessionTable.of(table) is table
+        dtypes.add(table.values.dtype)
+        assert_measures_equal(records, records, tolerances)
+        assert_measures_equal(table, records, tolerances)
+        save_session(records, path)
+        assert_measures_equal(load_session_table(path), records, tolerances)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+# ---------------------------------------------------------------------------
+# the columnar parse and the record loader agree on every input
+# ---------------------------------------------------------------------------
+
+def assert_tables_equal(a, b):
+    for name in SessionTable.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, tuple):
+            assert x == y, name
+        else:
+            assert (x.dtype, x.shape, x.tolist()) == (y.dtype, y.shape, y.tolist()), name
+
+
+def base_lines(tmp_path):
+    recs = []
+    for i, kind in enumerate(MechanismKind):
+        for m in range(GROUP_SIZE):
+            recs.append(SubjectRecord(
+                f"s{i}{m}", kind, f"g{i}", PLANTED_PHASE1, RankList((1, 0, 2, 4, 3)),
+                m, 1000 + m, 1 + m, 2 + m, 3 + m, m % 4, m % 2, m))
+    path = tmp_path / "base.csv"
+    save_session(recs, path)
+    return path.read_text().splitlines()
+
+
+def load_both(path):
+    """Each loader's table, or its error text."""
+    try:
+        expected = SessionTable.of(load_session(path))
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as info:
+            load_session_table(path)
+        assert str(info.value) == str(exc)
+        return None
+    table = load_session_table(path)
+    assert_tables_equal(table, expected)
+    return table
+
+
+def test_fast_path_and_fallback_agree(tmp_path):
+    lines = base_lines(tmp_path)
+    path = tmp_path / "edited.csv"
+    load_both_lines(path, lines)
+    assert analysis._parse_columns(path) is not None  # the base file takes the fast path
+
+    bad_cells = ("", "x", "-1.00", "1.005", "99", "-3", "٣", "BOSTON", "1.5", " 1.00",
+                 "10000000000000000.00", "2", "0.00")
+    loaded = 0
+    for j in range(len(CSV_COLUMNS)):
+        for cell in bad_cells:
+            for lineno in (2, len(lines)):
+                edited = list(lines)
+                row = edited[lineno - 1].split(",")
+                row[j] = cell
+                edited[lineno - 1] = ",".join(row)
+                loaded += load_both_lines(path, edited) is not None
+    assert loaded > 0
+
+    short, long_ = lines[3].rsplit(",", 1)[0], lines[3] + ",1"
+    duplicate = lines[3].replace(",1,0,2,4,3,", ",1,1,2,4,3,")
+    row = lines[3].split(",")
+    row[4] = '"1.00,2.00"'  # a comma inside a money cell
+    comma = ",".join(row)
+    for edited in (lines[:3] + [short] + lines[4:], lines[:3] + [long_] + lines[4:],
+                   lines[:3] + [duplicate] + lines[4:], lines[:3] + [comma] + lines[4:],
+                   lines[:1], lines[:2] + [""] + lines[2:],
+                   ["x"] + lines[1:], []):
+        load_both_lines(path, edited)
+
+
+def load_both_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return load_both(path)
+
+
+# ---------------------------------------------------------------------------
+# golden analyze output
+# ---------------------------------------------------------------------------
+
+BLAS_FREE_TABLES = ("net_value_by_rank.csv", "truth_rates.csv", "welfare.csv")
+
+
+def test_golden_analyze(tmp_path):
+    out, tables = tmp_path / "analyze.json", tmp_path / "tables"
+    with pytest.warns(UserWarning, match="^group 'g003' has 4 subjects"):
+        code = cli.main(["analyze", "--session", str(GOLDEN / "session.csv"), "--ols",
+                         "--tables", str(tables), "--out", str(out)])
+    assert code == 0
+    got = json.loads(out.read_text())
+    want = json.loads((GOLDEN / "analyze.json").read_text())
+    ols, ols_want = got.pop("net_value_ols"), want.pop("net_value_ols")
+    assert (json.dumps(got, indent=2, sort_keys=True)
+            == json.dumps(want, indent=2, sort_keys=True))
+    for name in BLAS_FREE_TABLES:
+        assert (tables / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    # least squares runs on BLAS, whose last bits vary between builds
+    assert ols["stars"] == ols_want["stars"]
+    assert ols["columns"] == ols_want["columns"] and ols["nobs"] == ols_want["nobs"]
+    for key in ("coef", "se", "t", "p"):
+        assert ols[key] == pytest.approx(ols_want[key], rel=1e-12), key
+    assert ols["r_squared"] == pytest.approx(ols_want["r_squared"], rel=1e-12)
