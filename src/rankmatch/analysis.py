@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from . import prng
-from .core import DataFormatError, RankList, cents
+from .core import CENTS_DIGITS, DataFormatError, RankList, cents
 from .elicitation import LOTTERY_ROWS
 from .mechanisms import MechanismKind
 
@@ -41,6 +41,9 @@ CSV_COLUMNS = (
 )
 _MONEY_COLUMNS = (3, 4, 5, 6, 7, 14)
 _INT_COLUMNS = (8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20)
+# the bound ``cents`` puts on money, here on the ``practice`` count, so the
+# regression's float design holds it
+PRACTICE_LIMIT = 10**CENTS_DIGITS
 
 
 class TruthGaps(NamedTuple):
@@ -102,6 +105,8 @@ class SubjectRecord:
             raise ValueError(f"loss_row must be in 1..{LOTTERY_ROWS}, got {self.loss_row}")
         if self.practice < 0:
             raise ValueError(f"practice must be >= 0, got {self.practice}")
+        if self.practice >= PRACTICE_LIMIT:
+            raise ValueError(f"practice must be below 10**{CENTS_DIGITS}")
         if not self.subject_id:
             raise ValueError("subject_id must be non-empty")
         if not self.group_id:
@@ -202,7 +207,7 @@ class SessionTable:
             and ((self.female == 0) | (self.female == 1)).all()
             and ((1 <= self.risk_row) & (self.risk_row <= LOTTERY_ROWS)).all()
             and ((1 <= self.loss_row) & (self.loss_row <= LOTTERY_ROWS)).all()
-            and (self.practice >= 0).all()
+            and ((0 <= self.practice) & (self.practice < PRACTICE_LIMIT)).all()
             and all(self.subject_id) and all(self.group_id))
 
 

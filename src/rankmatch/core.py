@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from decimal import Context, Decimal, InvalidOperation
+from decimal import Context, Decimal, InvalidOperation, Overflow
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -30,6 +30,10 @@ class DataFormatError(ValueError):
 # Plain ``-?digits.dd`` strings, short enough that Decimal's default 28-digit
 # context holds them exactly, so both paths of ``cents`` agree.
 _PLAIN_MONEY = re.compile(r"-?[0-9]{1,26}\.[0-9][0-9]")
+# Amounts of 10**CENTS_DIGITS cents or more are refused: below that every
+# float derived from money (means, standard deviations, regression inputs)
+# stays finite, and no exponent such as "1e999999" becomes a huge integer.
+CENTS_DIGITS = 100
 
 
 def cents(amount) -> int:
@@ -43,7 +47,11 @@ def cents(amount) -> int:
     if not d.is_finite():
         raise ValueError(f"not a money amount: {amount!r}")
     # scaling rounds to the context's precision, so give it every digit
-    d = d.scaleb(2, Context(prec=len(d.as_tuple().digits)))
+    try:
+        d = d.scaleb(2, Context(prec=len(d.as_tuple().digits), Emax=CENTS_DIGITS - 1))
+    except Overflow:
+        raise ValueError(f"not a money amount: {amount!r} "
+                         f"(10**{CENTS_DIGITS} cents or more)") from None
     if d != d.to_integral_value():
         raise ValueError(f"sub-cent money amount: {amount!r}")
     return int(d)

@@ -13,7 +13,12 @@ Two profile kinds:
   which top good to rank first, lower goods are ranked uniformly at random,
   and losers of the top-goods phase receive a uniform leftover good / list
   slot (Boston: slots 2..n-1 with the other top good last; the all-x1 corner
-  ranks x2 second, as does RSD everywhere).
+  ranks x2 second, as does RSD everywhere).  A block draws a (reps x n)
+  array of received ranks and the winners of x1 and x2, and keeps only
+  tallies: every replication's value total is the same constant, so
+  welfare moments follow from rho totals, the histogram and per-agent rho
+  sums from one count of (agent, rank) pairs, and per-agent value sums
+  from counts of each top good's winners.
 
 Randomness is consumed in fixed-size blocks, one Philox substream
 ``(seed, block_index)`` per block, and blocks are merged in index order, so
@@ -212,71 +217,78 @@ def _fixed_block(kind: MechanismKind, market: MarketInstance,
 
 def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
                       tops: tuple[int, ...], reps: int, seed: int, block: int):
+    """One block's sums from the received ranks and the winners of x1 and x2.
+
+    Every replication gives x1 to one agent, x2 to another and a tail good
+    to the rest, so its value total is the constant ``C`` and its welfare is
+    ``C`` plus its rho total; per-agent value sums come from winner tallies.
+    """
     n = inst.n
     gen = prng.generator(seed, block)
-    dtype = _sum_dtype(n * (inst.v1 + max(abs(v) for v in inst.rho.values)), reps)
-    rho = np.asarray(inst.rho.values, dtype=dtype)
     x1_group = np.array([i for i in range(n) if tops[i] == 1])
     x2_group = np.array([i for i in range(n) if tops[i] == 2])
     n1 = len(x1_group)
     rows = np.arange(reps)
 
-    ranks = np.empty((reps, n), dtype=np.int64)
-    values = np.empty((reps, n), dtype=dtype)
-
     if kind == MechanismKind.RSD:
         # first pick: uniform agent gets own top at rank 1; second pick:
         # uniform among the rest gets the other top good (rank 1 if it is
         # their own top, else rank 2); everyone else draws slots 3..n
-        ranks[:] = gen.integers(3, n + 1, size=(reps, n))
-        values[:] = inst.vbar
+        ranks = gen.integers(3, n + 1, size=(reps, n))
         i0 = gen.integers(0, n, size=reps)
         i1 = gen.integers(0, n - 1, size=reps)
         i1 = np.where(i1 >= i0, i1 + 1, i1)
         tops_arr = np.asarray(tops)
         top0 = tops_arr[i0]
         ranks[rows, i0] = 1
-        values[rows, i0] = np.where(top0 == 1, inst.v1, inst.v2)
-        other_val = np.where(top0 == 1, inst.v2, inst.v1)
-        other_is_own_top = (tops_arr[i1] != top0)
-        ranks[rows, i1] = np.where(other_is_own_top, 1, 2)
-        values[rows, i1] = other_val
+        ranks[rows, i1] = np.where(tops_arr[i1] != top0, 1, 2)
+        w1 = np.where(top0 == 1, i0, i1)
+        w2 = np.where(top0 == 1, i1, i0)
     elif 1 <= n1 <= n - 1:
         # round 1 resolves both top goods; losers draw slots 2..n-1
-        ranks[:] = gen.integers(2, n, size=(reps, n))
-        values[:] = inst.vbar
+        ranks = gen.integers(2, n, size=(reps, n))
         w1 = x1_group[gen.integers(0, n1, size=reps)]
         w2 = x2_group[gen.integers(0, n - n1, size=reps)]
         ranks[rows, w1] = 1
-        values[rows, w1] = inst.v1
         ranks[rows, w2] = 1
-        values[rows, w2] = inst.v2
     elif n1 == n:
         # corner lists (x1, x2, lowers): x1 in round 1, x2 in round 2
-        ranks[:] = gen.integers(3, n + 1, size=(reps, n))
-        values[:] = inst.vbar
+        ranks = gen.integers(3, n + 1, size=(reps, n))
         w1 = gen.integers(0, n, size=reps)
         w2 = gen.integers(0, n - 1, size=reps)
         w2 = np.where(w2 >= w1, w2 + 1, w2)
         ranks[rows, w1] = 1
-        values[rows, w1] = inst.v1
         ranks[rows, w2] = 2
-        values[rows, w2] = inst.v2
     else:
         # n1 == 0: lists (x2, lowers, x1); one loser is left holding x1
         # at the bottom of their list after the lower goods run out
-        ranks[:] = gen.integers(2, n, size=(reps, n))
-        values[:] = inst.vbar
+        ranks = gen.integers(2, n, size=(reps, n))
         w2 = gen.integers(0, n, size=reps)
         w1 = gen.integers(0, n - 1, size=reps)
         w1 = np.where(w1 >= w2, w1 + 1, w1)
         ranks[rows, w2] = 1
-        values[rows, w2] = inst.v2
         ranks[rows, w1] = n
-        values[rows, w1] = inst.v1
 
-    rho_got = rho[ranks - 1]
-    return _block_sums(ranks, values + rho_got, rho_got)
+    rho = inst.rho.values
+    # rho_of[rank] for 1-based ranks; each replication's rho total by column adds
+    rho_of = np.asarray((0,) + rho, dtype=_sum_dtype(n * max(abs(v) for v in rho), reps))
+    got = rho_of[ranks]
+    r = got[:, 0] + got[:, 1]
+    for j in range(2, n):
+        r += got[:, j]
+    r_sum, r_sumsq = int(r.sum()), int((r * r).sum())
+    # (agent, rank) tallies, from codes agent * n + rank - 1 written over
+    # ranks: the histogram and each agent's rho sum
+    ranks += np.arange(-1, n * n - 1, n)
+    tally = np.bincount(ranks.ravel(), minlength=n * n).reshape(n, n)
+    wins1 = np.bincount(w1, minlength=n).tolist()
+    wins2 = np.bincount(w2, minlength=n).tolist()
+    agent_u = [a * inst.v1 + b * inst.v2 + (reps - a - b) * inst.vbar
+               + sum(c * v for c, v in zip(by_rank, rho))
+               for a, b, by_rank in zip(wins1, wins2, tally.tolist())]
+    C = inst.v1 + inst.v2 + (n - 2) * inst.vbar
+    return (reps, reps * C + r_sum, reps * C * C + 2 * C * r_sum + r_sumsq,
+            r_sum, r_sumsq, tally.sum(axis=0), agent_u)
 
 
 def _block_sizes(replications: int) -> list[int]:

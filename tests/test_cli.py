@@ -158,6 +158,24 @@ def test_analyze_out_of_range_covariates(tmp_path, capsys):
         assert (code, out, err) == (1, "", f"error: {path}:4: {message}\n")
 
 
+def test_analyze_cells_too_large_for_a_float(tmp_path, capsys):
+    recs = analysis.generate_session(2, (287, 100, 50, 0, -69), 0.0, seed=3)
+    path = tmp_path / "s.csv"
+    phase2 = "1" + "0" * 307 + ".00"  # 10**307 dollars
+    for column, cell, message in (
+            ("practice", "1" + "0" * 400, "practice must be below 10**100"),
+            ("phase2_value", phase2,
+             f"not a money amount: {phase2!r} (10**100 cents or more)")):
+        analysis.save_session(recs, path)
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")
+        row[analysis.CSV_COLUMNS.index(column)] = cell
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["analyze", "--session", str(path), "--ols"], capsys)
+        assert (code, out, err) == (1, "", f"error: {path}:4: {message}\n")
+
+
 def test_analyze_tables(tmp_path, capsys):
     recs = analysis.generate_session(8, (287, 100, 50, 0, -69), 100.0, seed=5,
                                      misreport_rate=0.3)

@@ -37,6 +37,12 @@ def test_cents_parsing():
     assert cents("9" * 58 + ".99") == 10 ** 60 - 1
     with pytest.raises(ValueError, match="sub-cent money amount"):
         cents("1" * 60 + ".001")
+    # below 10**100 cents, and no exponent scales past it
+    assert cents("9" * 98 + ".99") == 10 ** 100 - 1
+    assert cents("0e999999999") == 0
+    for bad in ("1e999999", "-1e999999", "1e98", "1" + "0" * 98 + ".00", 1e300):
+        with pytest.raises(ValueError, match="not a money amount"):
+            cents(bad)
 
 
 def decimal_cents(amount):

@@ -232,7 +232,7 @@ def test_fast_path_and_fallback_agree(tmp_path):
     assert analysis._parse_columns(path) is not None  # the base file takes the fast path
 
     bad_cells = ("", "x", "-1.00", "1.005", "99", "-3", "٣", "BOSTON", "1.5", " 1.00",
-                 "10000000000000000.00", "2", "0.00")
+                 "10000000000000000.00", "2", "0.00", "1e999999", "1" + "0" * 400)
     loaded = 0
     for j in range(len(CSV_COLUMNS)):
         for cell in bad_cells:

@@ -1,13 +1,15 @@
 import csv
 import io
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankmatch import prng, simulation
+from rankmatch import cli, prng, simulation
 from rankmatch.core import MarketInstance, RankList, RhoSchedule, build_outcome
 from rankmatch.equilibrium import (
     SymmetricInstance,
@@ -28,6 +30,7 @@ from rankmatch.simulation import (
     write_replication_csv,
 )
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
 E1 = SymmetricInstance(5, 2824, 2256, 700, RhoSchedule((800, 200, 0, 0, 0)))
 SMALL = MarketInstance.from_cents([[100, 80, 0]] * 3, [10, 0, 0])
 
@@ -295,3 +298,130 @@ def test_worker_count_is_clamped(monkeypatch):
         many = simulate(MechanismKind.BOSTON, market, profile, 20, seed=4, threads=10**6)
         assert requested == [3]  # 20 replications in blocks of 7: three blocks
         assert many == one
+
+
+# ---------------------------------------------------------------------------
+# structured blocks against the (reps x n) value/utility block they replaced
+# ---------------------------------------------------------------------------
+
+def reference_structured_block(kind, inst, tops, reps, seed, block):
+    """Every agent's value, rho and utility in (reps x n) arrays, summed by
+    rows and columns: the same draws as ``_structured_block``."""
+    n = inst.n
+    gen = prng.generator(seed, block)
+    bound = n * (inst.v1 + max(abs(v) for v in inst.rho.values))
+    dtype = np.int64 if reps * bound * bound < 1 << 63 else object
+    rho = np.asarray(inst.rho.values, dtype=dtype)
+    x1_group = np.array([i for i in range(n) if tops[i] == 1])
+    x2_group = np.array([i for i in range(n) if tops[i] == 2])
+    n1 = len(x1_group)
+    rows = np.arange(reps)
+
+    ranks = np.empty((reps, n), dtype=np.int64)
+    values = np.empty((reps, n), dtype=dtype)
+
+    if kind == MechanismKind.RSD:
+        ranks[:] = gen.integers(3, n + 1, size=(reps, n))
+        values[:] = inst.vbar
+        i0 = gen.integers(0, n, size=reps)
+        i1 = gen.integers(0, n - 1, size=reps)
+        i1 = np.where(i1 >= i0, i1 + 1, i1)
+        tops_arr = np.asarray(tops)
+        top0 = tops_arr[i0]
+        ranks[rows, i0] = 1
+        values[rows, i0] = np.where(top0 == 1, inst.v1, inst.v2)
+        other_val = np.where(top0 == 1, inst.v2, inst.v1)
+        other_is_own_top = (tops_arr[i1] != top0)
+        ranks[rows, i1] = np.where(other_is_own_top, 1, 2)
+        values[rows, i1] = other_val
+    elif 1 <= n1 <= n - 1:
+        ranks[:] = gen.integers(2, n, size=(reps, n))
+        values[:] = inst.vbar
+        w1 = x1_group[gen.integers(0, n1, size=reps)]
+        w2 = x2_group[gen.integers(0, n - n1, size=reps)]
+        ranks[rows, w1] = 1
+        values[rows, w1] = inst.v1
+        ranks[rows, w2] = 1
+        values[rows, w2] = inst.v2
+    elif n1 == n:
+        ranks[:] = gen.integers(3, n + 1, size=(reps, n))
+        values[:] = inst.vbar
+        w1 = gen.integers(0, n, size=reps)
+        w2 = gen.integers(0, n - 1, size=reps)
+        w2 = np.where(w2 >= w1, w2 + 1, w2)
+        ranks[rows, w1] = 1
+        values[rows, w1] = inst.v1
+        ranks[rows, w2] = 2
+        values[rows, w2] = inst.v2
+    else:
+        ranks[:] = gen.integers(2, n, size=(reps, n))
+        values[:] = inst.vbar
+        w2 = gen.integers(0, n, size=reps)
+        w1 = gen.integers(0, n - 1, size=reps)
+        w1 = np.where(w1 >= w2, w1 + 1, w1)
+        ranks[rows, w2] = 1
+        values[rows, w2] = inst.v2
+        ranks[rows, w1] = n
+        values[rows, w1] = inst.v1
+
+    rho_got = rho[ranks - 1]
+    utils = values + rho_got
+    welfare = utils.sum(axis=1)
+    rho_tot = rho_got.sum(axis=1)
+    hist = np.bincount((ranks - 1).ravel(), minlength=n)
+    return (reps, int(welfare.sum()), int((welfare * welfare).sum()),
+            int(rho_tot.sum()), int((rho_tot * rho_tot).sum()),
+            hist.tolist(), [int(u) for u in utils.sum(axis=0)])
+
+
+def _structured_instances(n):
+    """A seeded instance of size n, the same with values shifted by 10**15
+    cents, and one with a rho schedule near 10**15 cents, where the rho sums
+    of squares pass 2**63."""
+    rng = random.Random(1000 + n)
+    vbar = rng.randint(0, 3000)
+    v2 = vbar + rng.randint(1, 3000)
+    v1 = v2 + rng.randint(1, 3000)
+    rho = tuple(sorted([rng.randint(-900, 900) for _ in range(n - 1)]
+                       + [-rng.randint(1, 900)], reverse=True))
+    D = 10**15
+    big_rho = tuple(sorted((D - rng.randint(0, 10**12) for _ in range(n)), reverse=True))
+    return (SymmetricInstance(n, v1, v2, vbar, RhoSchedule(rho)),
+            SymmetricInstance(n, v1 + D, v2 + D, vbar + D, RhoSchedule(rho)),
+            SymmetricInstance(n, v1, v2, vbar, RhoSchedule(big_rho)))
+
+
+def _block_result(res):
+    reps, w_sum, w_sumsq, r_sum, r_sumsq, hist, agent_u = res
+    return (reps, w_sum, w_sumsq, r_sum, r_sumsq, [int(c) for c in hist], list(agent_u))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_structured_block_matches_reference(n):
+    insts = _structured_instances(n)
+    assert simulation._sum_dtype(n * max(insts[2].rho.values), 1000) is object
+    rng = random.Random(n)
+    for inst in insts:
+        for n1 in range(n + 1):
+            tops = StrategyProfile.structured_n1(n, n1).tops
+            shuffled = tuple(rng.sample(tops, n))
+            for kind in MechanismKind:
+                for reps in (1, 7, 1000):
+                    for t in (tops, shuffled):
+                        seed = rng.randrange(2**32)
+                        got = simulation._structured_block(kind, inst, t, reps, seed, 3)
+                        want = reference_structured_block(kind, inst, t, reps, seed, 3)
+                        assert _block_result(got) == want, (inst, t, kind, reps)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("n1", [0, 3, 5])
+@pytest.mark.parametrize("kind", ["rsd", "boston"])
+def test_golden_structured_simulate(tmp_path, kind, n1, threads):
+    # made by the (reps x n) value/utility block; 70 001 reps are two blocks
+    e1, out = tmp_path / "e1.json", tmp_path / "out.json"
+    e1.write_text(json.dumps(E1.to_json_dict()))
+    assert cli.main(["simulate", "--kind", kind, "--market", str(e1),
+                     "--structured-n1", str(n1), "--reps", "70001", "--seed", "8",
+                     "--threads", threads, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"simulate_{kind}_n1_{n1}.json").read_bytes()
