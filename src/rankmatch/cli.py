@@ -117,7 +117,7 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_simulate(args) -> int:
     raw = _load_json(args.market)
-    if "values" in raw:
+    if isinstance(raw, dict) and "values" in raw:
         market = MarketInstance.from_json_dict(raw)
     else:
         market = SymmetricInstance.from_json_dict(raw)

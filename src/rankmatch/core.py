@@ -12,6 +12,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from decimal import Context, Decimal, InvalidOperation, Overflow
@@ -34,6 +35,7 @@ _PLAIN_MONEY = re.compile(r"-?[0-9]{1,26}\.[0-9][0-9]")
 # float derived from money (means, standard deviations, regression inputs)
 # stays finite, and no exponent such as "1e999999" becomes a huge integer.
 CENTS_DIGITS = 100
+_CENTS_LIMIT = 10 ** CENTS_DIGITS
 
 
 def cents(amount) -> int:
@@ -55,6 +57,30 @@ def cents(amount) -> int:
     if d != d.to_integral_value():
         raise ValueError(f"sub-cent money amount: {amount!r}")
     return int(d)
+
+
+def whole_number(x, what: str) -> int:
+    """An int, or a float with no fractional part (JSON numbers such as
+    ``2824.0``), as an int.  Anything else, ``inf`` and ``nan`` included,
+    raises ``ValueError`` naming ``what`` and ``x``."""
+    if isinstance(x, float):
+        if x.is_integer():
+            return int(x)
+    elif not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be a whole number, got {x!r}")
+
+
+def whole_cents(x, what: str) -> int:
+    """``whole_number`` for an amount in cents, which must also be below
+    10**CENTS_DIGITS in size, as ``cents`` requires."""
+    c = whole_number(x, what)
+    if abs(c) >= _CENTS_LIMIT:
+        raise ValueError(f"{what} must be below 10**{CENTS_DIGITS}, got {x!r}")
+    return c
 
 
 def dollars(amount_cents) -> float:
@@ -105,7 +131,8 @@ class RhoSchedule:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values",
+                           tuple(whole_cents(v, "rho cents") for v in self.values))
         if not self.values:
             raise ValueError("rho schedule must be non-empty")
         for a, b in zip(self.values, self.values[1:]):
@@ -136,7 +163,9 @@ class ValueMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(int(v) for v in r) for r in self.rows))
+        object.__setattr__(self, "rows",
+                           tuple(tuple(whole_cents(v, "value cents") for v in r)
+                                 for r in self.rows))
         n = len(self.rows)
         for r in self.rows:
             if len(r) != n:
@@ -191,14 +220,21 @@ class MarketInstance:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "MarketInstance":
+        if not isinstance(doc, dict):
+            raise DataFormatError(f"market JSON must be an object, got {doc!r}")
         goods = doc.get("goods")
         if goods is not None and not (isinstance(goods, list)
                                       and all(isinstance(g, str) for g in goods)):
             raise DataFormatError(f"market JSON 'goods' must be a list of strings, got {goods!r}")
         try:
-            return MarketInstance.from_cents(doc["values"], doc["rho"], goods)
+            values, rho = doc["values"], doc["rho"]
         except KeyError as exc:
             raise DataFormatError(f"market JSON missing field {exc}") from exc
+        if not (isinstance(values, list) and all(isinstance(r, list) for r in values)):
+            raise DataFormatError(f"market JSON 'values' must be a list of lists, got {values!r}")
+        if not isinstance(rho, list):
+            raise DataFormatError(f"market JSON 'rho' must be a list, got {rho!r}")
+        return MarketInstance.from_cents(values, rho, goods)
 
     def dump(self, path) -> None:
         with open(path, "w") as fh:
@@ -258,11 +294,15 @@ def build_outcome(matching: Matching, reports: Sequence[RankList],
 
 def reports_from_json_dict(doc: dict) -> list[RankList]:
     """Parse the ``{"reports": [[good ids]]}`` wire format."""
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"reports JSON must be an object, got {doc!r}")
     try:
         raw = doc["reports"]
     except KeyError as exc:
         raise DataFormatError("reports JSON missing 'reports' field") from exc
-    reports = [RankList(tuple(int(g) for g in row)) for row in raw]
+    if not (isinstance(raw, list) and all(isinstance(r, list) for r in raw)):
+        raise DataFormatError(f"reports JSON 'reports' must be a list of lists, got {raw!r}")
+    reports = [RankList(tuple(whole_number(g, "good id") for g in row)) for row in raw]
     if len({len(r) for r in reports}) > 1:
         raise DataFormatError("all reports must rank the same number of goods")
     return reports

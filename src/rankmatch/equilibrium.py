@@ -15,21 +15,25 @@ The closed-form solver reduces the two no-deviation conditions to an
 interval of length exactly 1; ``brute_force_equilibria`` re-derives the
 same conditions from first principles so the interval algebra is
 independently checked: it runs the real batch engine on the structured
-lists over all n! tie-break orders for the top-goods phase, and scores
-the leftover goods with the same slot lottery.
+lists for the top-goods phase, and scores the leftover goods with the same
+slot lottery.  Agents with the same list are interchangeable in both
+engines, so the outcome of a tie-break order depends only on which list
+sits at each priority position; the engine runs those 2**n label
+sequences, which together weigh exactly as all n! orders of every n1.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import DataFormatError, MarketInstance, RankList, RhoSchedule, SizeLimitError
-from .mechanisms import (MechanismKind, TieBreakOrder, all_orders, batch_mechanism,
-                         run_mechanism, utility_total)
+from .core import (DataFormatError, MarketInstance, RankList, RhoSchedule, SizeLimitError,
+                   whole_cents, whole_number)
+from .mechanisms import MechanismKind, TieBreakOrder, batch_mechanism, run_mechanism
 
 BRUTE_FORCE_MAX_N = 6
 TRUTHTELLING_MAX_N = 6
@@ -67,12 +71,19 @@ class SymmetricInstance:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "SymmetricInstance":
+        if not isinstance(doc, dict):
+            raise DataFormatError(f"symmetric instance JSON must be an object, got {doc!r}")
         try:
-            return SymmetricInstance(int(doc["n"]), int(doc["v1"]), int(doc["v2"]),
-                                     int(doc["vbar"]),
-                                     RhoSchedule(tuple(int(r) for r in doc["rho"])))
+            n = whole_number(doc["n"], "n")
+            v1, v2, vbar = (whole_cents(doc[k], f"{k} cents") for k in ("v1", "v2", "vbar"))
+            rho = doc["rho"]
         except KeyError as exc:
             raise DataFormatError(f"symmetric instance JSON missing field {exc}") from exc
+        except ValueError as exc:
+            raise DataFormatError(f"symmetric instance JSON: {exc}") from None
+        if not isinstance(rho, list):
+            raise DataFormatError(f"symmetric instance JSON 'rho' must be a list, got {rho!r}")
+        return SymmetricInstance(n, v1, v2, vbar, RhoSchedule(tuple(rho)))
 
     @staticmethod
     def load(path) -> "SymmetricInstance":
@@ -229,7 +240,7 @@ def solve_equilibrium(kind: MechanismKind, inst: SymmetricInstance) -> Equilibri
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle: full tie-break-order enumeration
+# brute-force oracle: enumeration of priority-label sequences
 # ---------------------------------------------------------------------------
 
 def _lottery_value(inst: SymmetricInstance, first_slot: int, last_slot: int) -> Fraction:
@@ -240,12 +251,16 @@ def _lottery_value(inst: SymmetricInstance, first_slot: int, last_slot: int) -> 
 
 def _enum_group_eus(kind: MechanismKind,
                     inst: SymmetricInstance) -> list[tuple[Fraction | None, Fraction | None]]:
-    """Per n1 in 0..n, the EUs of a representative x1-first agent (agent 0)
-    and x2-first agent (agent n-1), None where nobody plays that strategy.
+    """Per n1 in 0..n, the EUs of an x1-first agent and of an x2-first
+    agent, None where nobody plays that strategy.
 
-    Agents 0..n1-1 rank x1 first.  The real engine runs the structured lists
-    over all n! tie-break orders at once; an agent who receives a top good
-    at rank <= 2 scores value + rho(rank), and everyone else the slot
+    One engine call runs all 2**n label sequences: row b holds the x2-first
+    list at priority position p when bit p of b is set, under the identity
+    order.  A sequence with n1 x1-first positions stands for n1!·(n−n1)! of
+    the n! orders of a profile with n1 x1-first agents, so the x1-first EU
+    is that group's total over the C(n, n1) such rows divided by
+    n1·C(n, n1), and likewise for x2-first.  An agent who receives a top
+    good at rank <= 2 scores value + rho(rank), and everyone else the slot
     lottery over the leftover goods."""
     n = inst.n
     tail = tuple(range(2, n))
@@ -255,35 +270,46 @@ def _enum_group_eus(kind: MechanismKind,
     else:
         lists = ((0,) + tail + (1,), (1,) + tail + (0,))
         cont = _lottery_value(inst, 2, n - 1)
-    values = [inst.good_value(g) for g in range(n)]
-    orders = all_orders(n)
-    fact = len(orders)
+    label = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1  # 1 = x2-first
+    orders = np.broadcast_to(np.arange(n), label.shape)
+    goods, ranks = batch_mechanism(kind, np.array(lists, dtype=np.int64)[label], orders)
+    # tally (n1, label, outcome): outcome 2·good + rank − 1 for a top good
+    # won at rank <= 2, and 4 for the lottery
+    won = (goods < 2) & (ranks <= 2)
+    outcome = np.where(won, 2 * goods + ranks - 1, 4)
+    row_n1 = n - label.sum(axis=1, keepdims=True)
+    tally = np.bincount(((2 * row_n1 + label) * 5 + outcome).ravel(),
+                        minlength=(n + 1) * 10).reshape(n + 1, 2, 5).tolist()
+    payoff = [inst.good_value(g) + inst.rho.at(r) for g in (0, 1) for r in (1, 2)]
     eus = []
     for n1 in range(n + 1):
-        pref = np.array([lists[0]] * n1 + [lists[1]] * (n - n1), dtype=np.int64)
-        goods, ranks = batch_mechanism(kind, pref, orders)
-        won = (goods < 2) & (ranks <= 2)
-        u = [Fraction(utility_total(goods[won[:, a], a], ranks[won[:, a], a], values,
-                                    inst.rho.values), fact)
-             + Fraction(fact - int(won[:, a].sum()), fact) * cont for a in (0, n - 1)]
-        eus.append((u[0] if n1 >= 1 else None, u[1] if n1 <= n - 1 else None))
+        group = []
+        for side, size in enumerate((n1, n - n1)):
+            if size == 0:
+                group.append(None)
+                continue
+            *won_counts, lost = tally[n1][side]
+            players = size * math.comb(n, n1)
+            group.append(Fraction(sum(c * p for c, p in zip(won_counts, payoff)), players)
+                         + Fraction(lost, players) * cont)
+        eus.append(tuple(group))
     return eus
 
 
 def brute_force_equilibria(kind: MechanismKind, inst: SymmetricInstance) -> set[int]:
     """Equilibrium n1 set derived directly from the no-deviation inequalities,
-    with the top-goods phase enumerated over all tie-break orders."""
+    with the top-goods phase enumerated over all priority-label sequences
+    (equivalently, all tie-break orders)."""
     n = inst.n
     if n > BRUTE_FORCE_MAX_N:
         raise SizeLimitError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}")
-    eus = _enum_group_eus(kind, inst)
-    u = lambda top, k: eus[k][top - 1]
     if kind == MechanismKind.BOSTON:
         # a corner deviator is the lone round-1 bidder on x2 and wins it
-        corner = corner_eu(inst) >= inst.v2 + inst.rho.at(1)
-    else:
-        corner = u(1, n) >= u(2, n - 1)
-    if corner:
+        if corner_eu(inst) >= inst.v2 + inst.rho.at(1):
+            return {n}
+    eus = _enum_group_eus(kind, inst)
+    u = lambda top, k: eus[k][top - 1]
+    if kind == MechanismKind.RSD and u(1, n) >= u(2, n - 1):
         return {n}
     eq: set[int] = set()
     for n1 in range(1, n):

@@ -63,6 +63,92 @@ def test_equilibrium_e1(tmp_path, capsys):
     assert doc["rsd"]["welfare"]["4"]["rho"]["cents"] == 1240.0
 
 
+E1_DOC = {"n": 5, "v1": 2824, "v2": 2256, "vbar": 700, "rho": [800, 200, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("v1", 2824.7, "symmetric instance JSON: v1 cents must be a whole number, got 2824.7"),
+    ("vbar", 1e999, "symmetric instance JSON: vbar cents must be a whole number, got inf"),
+    ("v2", 1e300, "symmetric instance JSON: v2 cents must be below 10**100, got 1e+300"),
+    ("n", 5.9, "symmetric instance JSON: n must be a whole number, got 5.9"),
+    ("n", None, "symmetric instance JSON: n must be a whole number, got None"),
+    ("rho", [10.7, 0, 0, 0, 0], "rho cents must be a whole number, got 10.7"),
+    ("rho", 5, "symmetric instance JSON 'rho' must be a list, got 5"),
+    ("rho", None, "symmetric instance JSON 'rho' must be a list, got None"),
+])
+def test_bad_symmetric_instance_is_data_error(tmp_path, capsys, field, value, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(E1_DOC, **{field: value})))
+    for args in (["equilibrium", "--instance", str(path), "--brute-force"],
+                 ["simulate", "--kind", "rsd", "--market", str(path),
+                  "--structured-n1", "3", "--reps", "10"]):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, ""), args
+        assert err == f"error: {message}\n", args
+
+
+@pytest.mark.parametrize("doc", [[1, 2], 5, "e1", None])
+def test_json_not_an_object_is_data_error(appd_files, tmp_path, capsys, doc):
+    rp, mp = appd_files
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    for args, what in (
+            (["equilibrium", "--instance", str(path)], "symmetric instance"),
+            (["simulate", "--kind", "boston", "--market", str(path), "--structured-n1", "3"],
+             "symmetric instance"),
+            (["expect", "--kind", "rsd", "--reports", str(rp), "--market", str(path)], "market"),
+            (["expect", "--kind", "rsd", "--reports", str(path), "--market", str(mp)], "reports")):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, ""), args
+        assert err == f"error: {what} JSON must be an object, got {doc!r}\n", args
+
+
+@pytest.mark.parametrize("which,doc,message", [
+    ("market", {"values": None, "rho": [10, 5, 0, 0]},
+     "market JSON 'values' must be a list of lists, got None"),
+    ("market", {"values": [[120, 80, 40, 20]] * 3 + [5], "rho": [10, 5, 0, 0]},
+     "market JSON 'values' must be a list of lists, got [[120, 80, 40, 20], "
+     "[120, 80, 40, 20], [120, 80, 40, 20], 5]"),
+    ("market", {"values": [[120, 80, 40, 20]] * 4, "rho": 5},
+     "market JSON 'rho' must be a list, got 5"),
+    ("reports", {"reports": 5}, "reports JSON 'reports' must be a list of lists, got 5"),
+    ("reports", {"reports": [[0, 1, 2, 3]] * 3 + [None]},
+     "reports JSON 'reports' must be a list of lists, got [[0, 1, 2, 3], [0, 1, 2, 3], "
+     "[0, 1, 2, 3], None]"),
+    ("reports", {"reports": [[0, 1, 2, 3]] * 3 + [[0, 1, 2, 2.5]]},
+     "good id must be a whole number, got 2.5"),
+])
+def test_malformed_market_and_reports_are_data_errors(appd_files, capsys, which, doc, message):
+    rp, mp = appd_files
+    (mp if which == "market" else rp).write_text(json.dumps(doc))
+    for args in (["expect", "--kind", "rsd", "--reports", str(rp), "--market", str(mp)],
+                 ["simulate", "--kind", "boston", "--market", str(mp),
+                  "--profile-reports", str(rp), "--reps", "10"]):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), args
+
+
+def test_fractional_market_cents_are_data_errors(appd_files, tmp_path, capsys):
+    rp, mp = appd_files
+    for field, doc in (("value", {"values": [[120, 80.5, 40, 20]] * 4, "rho": [10, 5, 0, 0]}),
+                       ("rho", {"values": [[120, 80, 40, 20]] * 4, "rho": [10, 5, 0.25, 0]})):
+        mp.write_text(json.dumps(doc))
+        for args in (["expect", "--kind", "rsd", "--reports", str(rp), "--market", str(mp)],
+                     ["simulate", "--kind", "rsd", "--market", str(mp),
+                      "--profile-reports", str(rp), "--reps", "10"]):
+            code, out, err = run_cli(args, capsys)
+            assert (code, out) == (1, ""), args
+            assert err.startswith(f"error: {field} cents must be a whole number"), err
+    # integral floats are whole cents: the same output as the ints
+    doc = {"values": [[120.0, 80, 40, 20]] * 4, "rho": [10.0, 5, 0, 0]}
+    mp.write_text(json.dumps(doc))
+    code, floats, _ = run_cli(["expect", "--kind", "boston", "--reports", str(rp),
+                               "--market", str(mp)], capsys)
+    mp.write_text(json.dumps({"values": [[120, 80, 40, 20]] * 4, "rho": [10, 5, 0, 0]}))
+    assert run_cli(["expect", "--kind", "boston", "--reports", str(rp),
+                    "--market", str(mp)], capsys) == (0, floats, "") and code == 0
+
+
 def test_simulate_structured(tmp_path, capsys):
     inst = {"n": 5, "v1": 2824, "v2": 2256, "vbar": 700, "rho": [800, 200, 0, 0, 0]}
     path = tmp_path / "e1.json"

@@ -1,4 +1,5 @@
 import json
+import re
 from decimal import Context, Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from rankmatch.core import (
     Matching,
     RankList,
     RhoSchedule,
+    ValueMatrix,
     build_outcome,
     cents,
     dollars,
@@ -92,6 +94,29 @@ def test_rho_schedule():
         RhoSchedule((0, 10))
     with pytest.raises(ValueError):
         rho.at(4)
+
+
+def test_amounts_in_cents_are_whole_numbers():
+    # integral floats are read as ints; the JSON reader gives 1e999 as inf
+    rho = RhoSchedule((10.0, 0, -5.0))
+    assert rho.values == (10, 0, -5) and all(type(v) is int for v in rho.values)
+    assert ValueMatrix(((2824.0, 7), (0, 1e15))).rows == ((2824, 7), (0, 10**15))
+    assert RhoSchedule((10**100 - 1, 1 - 10**100)).values == (10**100 - 1, 1 - 10**100)
+    bad = (2824.7, 120.5, -0.5, float("inf"), float("-inf"), float("nan"), None, True,
+           "2824", Fraction(1, 2), [1])
+    for amount in bad:
+        message = "rho cents must be a whole number, got " + re.escape(repr(amount))
+        with pytest.raises(ValueError, match=message):
+            RhoSchedule((amount, -10))
+        with pytest.raises(ValueError, match="value cents must be a whole number"):
+            ValueMatrix(((amount, 0), (0, 0)))
+    for amount in (10**100, -10**100, 1e100, 1e300):
+        with pytest.raises(ValueError, match=r"must be below 10\*\*100"):
+            RhoSchedule((amount,))
+        with pytest.raises(ValueError, match=r"must be below 10\*\*100"):
+            MarketInstance.from_json_dict({"values": [[amount]], "rho": [0]})
+    with pytest.raises(DataFormatError, match="market JSON must be an object"):
+        MarketInstance.from_json_dict([[1]])
 
 
 def test_market_round_trip(tmp_path):

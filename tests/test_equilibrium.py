@@ -1,14 +1,19 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rankmatch import cli
 from rankmatch.core import RankList, RhoSchedule, SizeLimitError
 from rankmatch.equilibrium import (
     SymmetricInstance,
     _deviation_eu,
     _enum_group_eus,
+    _lottery_value,
     _u_boston,
     _u_sd,
     boston_group_eu,
@@ -20,9 +25,13 @@ from rankmatch.equilibrium import (
     solve_equilibrium,
     symmetric_params,
 )
-from rankmatch.mechanisms import MechanismKind, exact_expected_utilities
+from rankmatch.mechanisms import (MechanismKind, all_orders, batch_mechanism,
+                                  exact_expected_utilities, utility_total)
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
 E1 = SymmetricInstance(5, 2824, 2256, 700, RhoSchedule((800, 200, 0, 0, 0)))
+CORNER = SymmetricInstance(4, 100000, 300, 200, RhoSchedule((50, 40, 30, 20)))
+RSD_ONLY_CORNER = SymmetricInstance(5, 1603, 794, 485, RhoSchedule((797, 448, -108, -152, -202)))
 
 
 def rand_instance(rng, n=None, nonneg=False, strict_top=False):
@@ -88,7 +97,7 @@ def test_e1_welfare():
 
 def test_corner_instance():
     # huge v1 gap: everyone chases x1 in both mechanisms
-    inst = SymmetricInstance(4, 100000, 300, 200, RhoSchedule((50, 40, 30, 20)))
+    inst = CORNER
     for kind in MechanismKind:
         assert corner_holds(kind, inst)
         sol = solve_equilibrium(kind, inst)
@@ -102,7 +111,7 @@ def test_corner_instance():
 def test_rsd_corner_without_boston_corner():
     # deviating to x2 is sure money in Boston but not in RSD, so the RSD
     # corner can survive when the Boston one fails
-    inst = SymmetricInstance(5, 1603, 794, 485, RhoSchedule((797, 448, -108, -152, -202)))
+    inst = RSD_ONLY_CORNER
     assert not corner_holds(MechanismKind.BOSTON, inst)
     assert corner_holds(MechanismKind.RSD, inst)
     assert solve_equilibrium(MechanismKind.RSD, inst).n1_candidates == (5,)
@@ -143,6 +152,73 @@ def test_brute_force_group_eus_equal_closed_forms():
                         assert u1 == closed[kind](inst, 1, n1), (kind, inst, n1)
                     if u2 is not None:
                         assert u2 == closed[kind](inst, 2, n1), (kind, inst, n1)
+
+
+def reference_enum_group_eus(kind, inst):
+    """The brute force over tie-break orders: for each n1 one engine call
+    over all n! orders, agents 0..n1-1 ranking x1 first, reading agent 0
+    (x1-first) and agent n-1 (x2-first)."""
+    n = inst.n
+    tail = tuple(range(2, n))
+    if kind == MechanismKind.RSD:
+        lists = ((0, 1) + tail, (1, 0) + tail)
+        cont = _lottery_value(inst, 3, n)
+    else:
+        lists = ((0,) + tail + (1,), (1,) + tail + (0,))
+        cont = _lottery_value(inst, 2, n - 1)
+    values = [inst.good_value(g) for g in range(n)]
+    orders = all_orders(n)
+    fact = len(orders)
+    eus = []
+    for n1 in range(n + 1):
+        pref = np.array([lists[0]] * n1 + [lists[1]] * (n - n1), dtype=np.int64)
+        goods, ranks = batch_mechanism(kind, pref, orders)
+        won = (goods < 2) & (ranks <= 2)
+        u = [Fraction(utility_total(goods[won[:, a], a], ranks[won[:, a], a], values,
+                                    inst.rho.values), fact)
+             + Fraction(fact - int(won[:, a].sum()), fact) * cont for a in (0, n - 1)]
+        eus.append((u[0] if n1 >= 1 else None, u[1] if n1 <= n - 1 else None))
+    return eus
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_label_sequences_equal_all_orders(n):
+    """The 2**n label sequences give the same exact EUs as all n! orders,
+    for every n1 and both kinds, with negative rho entries and with values
+    shifted by 10**15 cents."""
+    rng = random.Random(60 + n)
+    for _ in range(8):
+        inst = rand_instance(rng, n)
+        neg = RhoSchedule(tuple(r - 1000 for r in inst.rho.values))
+        shift = 10**15
+        for case in (inst,
+                     SymmetricInstance(n, inst.v1, inst.v2, inst.vbar, neg),
+                     SymmetricInstance(n, inst.v1 + shift, inst.v2 + shift, inst.vbar + shift,
+                                       neg)):
+            for kind in MechanismKind:
+                assert _enum_group_eus(kind, case) == reference_enum_group_eus(kind, case), \
+                    (kind, case)
+
+
+GOLDEN_INSTANCES = {
+    "e1": E1,
+    "corner": CORNER,
+    "rsd_only_corner": RSD_ONLY_CORNER,
+    "n3": SymmetricInstance(3, 1900, 1750, 150, RhoSchedule((640, 310, -220))),
+    "n4": SymmetricInstance(4, 1700, 1480, 95, RhoSchedule((905, 410, -35, -290))),
+    "n5": SymmetricInstance(5, 2400, 2301, 390, RhoSchedule((610, 60, 60, -10, -140))),
+    "n6": SymmetricInstance(6, 3300, 2875, 1260, RhoSchedule((900, 250, 120, 0, -75, -300))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INSTANCES))
+def test_golden_brute_force_equilibrium(tmp_path, name):
+    # made by the brute force over all n! tie-break orders
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    inst.write_text(json.dumps(GOLDEN_INSTANCES[name].to_json_dict()))
+    assert cli.main(["equilibrium", "--instance", str(inst), "--kind", "both",
+                     "--brute-force", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"equilibrium_{name}.json").read_bytes()
 
 
 def test_brute_force_size_limit():

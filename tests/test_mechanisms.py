@@ -180,3 +180,52 @@ def test_batch_engines_contested_rounds():
     # good 2 in round 2
     lists = [[0, 2, 3, 1], [1, 2, 3, 0], [0, 2, 1, 3], [1, 2, 0, 3]]
     _assert_batch_matches_scalar(lists, [list(p) for p in itertools.permutations(range(4))])
+
+
+def _assert_per_row_matches_scalar(tables, orders):
+    """Row r of a (reps x n x n) ``pref`` runs profile ``tables[r]``; with
+    every row the same, the result equals the shared (n x n) call."""
+    n = len(orders[0])
+    pref = np.array(tables, dtype=np.int64).reshape(len(tables), n, n)
+    order_array = np.array(orders, dtype=np.int64).reshape(len(orders), n)
+    for scalar, batch in ((run_rsd, batch_rsd), (run_boston, batch_boston)):
+        goods, ranks = batch(pref, order_array)
+        assert goods.shape == ranks.shape == (len(orders), n)
+        for row, (lists, order) in enumerate(zip(tables, orders)):
+            reports = [RankList(tuple(lst)) for lst in lists]
+            m = scalar(reports, TieBreakOrder(tuple(order)))
+            assert tuple(goods[row].tolist()) == m.assignment, (scalar.__name__, lists, order)
+            assert tuple(ranks[row].tolist()) == tuple(
+                reports[i].rank_of(g) for i, g in enumerate(m.assignment))
+        for shared in pref[:1], pref[-1:]:
+            same = np.broadcast_to(shared, pref.shape)
+            want = batch(shared[0], order_array)
+            for got in batch(same, order_array), batch(same.copy(), order_array):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_per_row_engines_match_scalar_engines():
+    rng = random.Random(2026)
+    for n in range(1, 9):
+        for case in range(12):
+            tables = []
+            for _ in range(16):
+                if rng.random() < 0.25:  # everyone in the row reports the same list
+                    tables.append([rng.sample(range(n), n)] * n)
+                else:
+                    tables.append([rng.sample(range(n), n) for _ in range(n)])
+            orders = [rng.sample(range(n), n) for _ in tables]
+            _assert_per_row_matches_scalar(tables, orders)
+
+
+def test_per_row_engines_contested_rounds():
+    # the contested profiles of test_batch_engines_contested_rounds, row by
+    # row against other profiles and under every order
+    for contested in ([[0, 1, 2], [0, 1, 2], [1, 0, 2]],
+                      [[0, 2, 3, 1], [1, 2, 3, 0], [0, 2, 1, 3], [1, 2, 0, 3]]):
+        n = len(contested)
+        others = [list(range(n))] * n
+        orders = [list(p) for p in itertools.permutations(range(n))]
+        tables = [contested if r % 2 else others for r in range(len(orders))]
+        _assert_per_row_matches_scalar(tables, orders)
+        _assert_per_row_matches_scalar([contested] * len(orders), orders)
