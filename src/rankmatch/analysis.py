@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -214,92 +213,86 @@ class SessionTable:
 Session = Union[SessionTable, Sequence[SubjectRecord]]
 
 
+def _rows(path):
+    """Open a session CSV, check its header, and yield ``(lineno, row)`` for
+    each non-blank row after it; the one reader of session CSVs.  Text that
+    does not decode or a line ``csv`` rejects raises ``DataFormatError``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        lineno = 0  # rows read so far, the header included
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: empty file")
+            if tuple(header) != CSV_COLUMNS:
+                raise DataFormatError(
+                    f"{path}: bad header; expected {','.join(CSV_COLUMNS)}")
+            lineno = 1
+            for lineno, row in enumerate(reader, start=2):
+                if row:
+                    yield lineno, row
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:{lineno + 1}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # text decodes in blocks, so no row
+            raise DataFormatError(f"{path}: {exc}") from exc
+
+
 def load_session(path) -> list[SubjectRecord]:
     """Read a session CSV; raises DataFormatError naming the offending row."""
     records = []
     reports: dict[tuple[str, ...], RankList] = {}  # immutable, so records share one
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if tuple(header) != CSV_COLUMNS:
+    for lineno, row in _rows(path):
+        if len(row) != len(CSV_COLUMNS):
             raise DataFormatError(
-                f"{path}: bad header; expected {','.join(CSV_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_COLUMNS):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {len(CSV_COLUMNS)} cells, got {len(row)}")
-            # cells by position: the header matched CSV_COLUMNS exactly
-            try:
-                treatment = MechanismKind(row[1].strip().lower())
-                values = tuple(map(cents, row[3:8]))
-                key = tuple(row[8:13])
-                report = reports.get(key)
-                if report is None:
-                    report = reports[key] = RankList(tuple(map(int, key)))
-                rec = SubjectRecord(
-                    row[0], treatment, row[2], values, report,
-                    int(row[13]), cents(row[14]), *map(int, row[15:]))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-            records.append(rec)
+                f"{path}:{lineno}: expected {len(CSV_COLUMNS)} cells, got {len(row)}")
+        # cells by position: the header matched CSV_COLUMNS exactly
+        try:
+            treatment = MechanismKind(row[1].strip().lower())
+            values = tuple(map(cents, row[3:8]))
+            key = tuple(row[8:13])
+            report = reports.get(key)
+            if report is None:
+                report = reports[key] = RankList(tuple(map(int, key)))
+            rec = SubjectRecord(
+                row[0], treatment, row[2], values, report,
+                int(row[13]), cents(row[14]), *map(int, row[15:]))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        records.append(rec)
     return records
+
+
+_CHUNK_ROWS = 4096
 
 
 def load_session_table(path) -> SessionTable:
     """Read a session CSV as columns: the same table, and the same errors,
-    as ``SessionTable.of(load_session(path))``.  Files whose money cells are
-    all plain ``d.dd`` amounts and whose rows all pass every check are parsed
-    column by column; any other file goes through ``load_session``, which
-    names the offending row."""
-    table = _parse_columns(path)
-    return SessionTable.of(load_session(path)) if table is None else table
-
-
-# A column of plain non-negative amounts, joined by commas.  Below 10**15
-# dollars the cents fit int64.
-_PLAIN_MONEY_COLUMN = re.compile(r"[0-9]{1,15}\.[0-9][0-9](?:,[0-9]{1,15}\.[0-9][0-9])*")
-_CHUNK_ROWS = 4096
-
-
-def _parse_columns(path) -> SessionTable | None:
-    """The columnar parse behind ``load_session_table``; None when a cell or
-    row is outside its fast form, including every malformed one."""
+    as ``SessionTable.of(load_session(path))``.  Cells are parsed as
+    ``load_session`` parses them, once per distinct cell, and the table is
+    checked as ``SubjectRecord`` checks a record; a file that fails is read
+    again by ``load_session``, which names its first offending row."""
     cols: list[list] = [[] for _ in CSV_COLUMNS]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != list(CSV_COLUMNS):
-                return None
-            while chunk := list(islice(reader, _CHUNK_ROWS)):
-                rows = [row for row in chunk if row]
-                if any(len(row) != len(CSV_COLUMNS) for row in rows):
-                    return None
-                for col, cells in zip(cols, zip(*rows)):
-                    col.extend(cells)
-        except (ValueError, csv.Error):  # undecodable text, or a line csv rejects
-            return None
-    for j in _MONEY_COLUMNS:
-        joined = ",".join(cols[j])
-        if not _PLAIN_MONEY_COLUMN.fullmatch(joined):
-            return None
-        digits = joined.replace(".", "").split(",")
-        if len(digits) != len(cols[j]):  # a cell held a comma
-            return None
-        cols[j] = list(map(int, digits))
     try:
+        rows = _rows(path)
+        while chunk := [row for _, row in islice(rows, _CHUNK_ROWS)]:
+            if any(len(row) != len(CSV_COLUMNS) for row in chunk):
+                raise ValueError("a row of the wrong width")
+            for col, cells in zip(cols, zip(*chunk)):
+                col.extend(cells)
         cols[1] = _parse_distinct(
             lambda cell: MechanismKind(cell.strip().lower()) == MechanismKind.BOSTON, cols[1])
+        for j in _MONEY_COLUMNS:
+            cols[j] = _parse_distinct(cents, cols[j])
         for j in _INT_COLUMNS:
             cols[j] = _parse_distinct(int, cols[j])
-    except ValueError:
-        return None
-    table = SessionTable._from_columns(cols)
-    return table if table._rows_valid() else None
+    except ValueError:  # a bad row or cell, or a DataFormatError from the reader
+        table = None
+    else:
+        table = SessionTable._from_columns(cols)
+    if table is not None and table._rows_valid():
+        return table
+    load_session(path)  # raises the first offending row's error
+    raise RuntimeError(f"{path}: the columns fail where load_session does not")
 
 
 def _parse_distinct(parse, cells) -> list:

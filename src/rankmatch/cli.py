@@ -38,7 +38,7 @@ def _load_json(path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # undecodable text or JSON
         raise DataFormatError(f"{path}: {exc}") from exc
 
 

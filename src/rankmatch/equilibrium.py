@@ -24,7 +24,6 @@ sequences, which together weigh exactly as all n! orders of every n1.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,11 +83,6 @@ class SymmetricInstance:
         if not isinstance(rho, list):
             raise DataFormatError(f"symmetric instance JSON 'rho' must be a list, got {rho!r}")
         return SymmetricInstance(n, v1, v2, vbar, RhoSchedule(tuple(rho)))
-
-    @staticmethod
-    def load(path) -> "SymmetricInstance":
-        with open(path) as fh:
-            return SymmetricInstance.from_json_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,36 @@ def test_analyze_cells_too_large_for_a_float(tmp_path, capsys):
         assert (code, out, err) == (1, "", f"error: {path}:4: {message}\n")
 
 
+def test_analyze_csv_error_is_data_error(tmp_path, capsys):
+    recs = analysis.generate_session(2, (287, 100, 50, 0, -69), 0.0, seed=3)
+    path = tmp_path / "s.csv"
+    analysis.save_session(recs, path)
+    lines = path.read_text().splitlines()
+    lines[3] = "x" * 200_000 + lines[3]  # past csv's field limit
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["analyze", "--session", str(path)], capsys)
+    assert (code, out, err) == (
+        1, "", f"error: {path}:4: field larger than field limit (131072)\n")
+
+
+def test_undecodable_session_is_data_error(tmp_path, capsys):
+    recs = analysis.generate_session(2, (287, 100, 50, 0, -69), 0.0, seed=3)
+    path = tmp_path / "s.csv"
+    analysis.save_session(recs, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+    code, out, err = run_cli(["analyze", "--session", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_undecodable_json_is_data_error(tmp_path, capsys):
+    path = tmp_path / "e1.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"n": 5}).encode())
+    code, out, err = run_cli(["equilibrium", "--instance", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_analyze_tables(tmp_path, capsys):
     recs = analysis.generate_session(8, (287, 100, 50, 0, -69), 100.0, seed=5,
                                      misreport_rate=0.3)

@@ -225,11 +225,10 @@ def load_both(path):
     return table
 
 
-def test_fast_path_and_fallback_agree(tmp_path):
+def test_table_equals_records(tmp_path):
     lines = base_lines(tmp_path)
     path = tmp_path / "edited.csv"
     load_both_lines(path, lines)
-    assert analysis._parse_columns(path) is not None  # the base file takes the fast path
 
     bad_cells = ("", "x", "-1.00", "1.005", "99", "-3", "٣", "BOSTON", "1.5", " 1.00",
                  "10000000000000000.00", "2", "0.00", "1e999999", "1" + "0" * 400)
@@ -259,6 +258,28 @@ def test_fast_path_and_fallback_agree(tmp_path):
 def load_both_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines))
     return load_both(path)
+
+
+def test_valid_files_load_without_the_record_loader(tmp_path, monkeypatch):
+    """Cells outside ``d.dd`` form and quoted cells are parsed as columns;
+    ``load_session`` reads a file again only when it is malformed."""
+    lines = base_lines(tmp_path)
+    path = tmp_path / "edited.csv"
+    edits = [(3, "1.5"), (4, " 1.00"), (14, "10000000000000000.00"), (0, '"s,00"')]
+    for j, cell in edits:
+        row = lines[2].split(",")
+        row[j] = cell
+        lines[2] = ",".join(row)
+    expected = load_both_lines(path, lines)
+    assert expected.subject_id[1] == "s,00"
+    assert expected.values[1, 0] == 150 and expected.values[1, 1] == 100
+    assert expected.phase2[1] == 10**18
+
+    def record_loader(path):
+        raise AssertionError("load_session called on a valid file")
+
+    monkeypatch.setattr(analysis, "load_session", record_loader)
+    assert_tables_equal(load_session_table(path), expected)
 
 
 # ---------------------------------------------------------------------------
