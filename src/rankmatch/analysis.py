@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from . import prng
-from .core import CENTS_DIGITS, DataFormatError, RankList, cents
+from .core import CENTS_DIGITS, DataFormatError, RankList, cents, csv_rows
 from .elicitation import LOTTERY_ROWS
 from .mechanisms import MechanismKind
 
@@ -213,38 +213,11 @@ class SessionTable:
 Session = Union[SessionTable, Sequence[SubjectRecord]]
 
 
-def _rows(path):
-    """Open a session CSV, check its header, and yield ``(lineno, row)`` for
-    each non-blank row after it; the one reader of session CSVs.  Text that
-    does not decode or a line ``csv`` rejects raises ``DataFormatError``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        lineno = 0  # rows read so far, the header included
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise DataFormatError(f"{path}: empty file")
-            if tuple(header) != CSV_COLUMNS:
-                raise DataFormatError(
-                    f"{path}: bad header; expected {','.join(CSV_COLUMNS)}")
-            lineno = 1
-            for lineno, row in enumerate(reader, start=2):
-                if row:
-                    yield lineno, row
-        except csv.Error as exc:
-            raise DataFormatError(f"{path}:{lineno + 1}: {exc}") from exc
-        except UnicodeDecodeError as exc:  # text decodes in blocks, so no row
-            raise DataFormatError(f"{path}: {exc}") from exc
-
-
 def load_session(path) -> list[SubjectRecord]:
     """Read a session CSV; raises DataFormatError naming the offending row."""
     records = []
     reports: dict[tuple[str, ...], RankList] = {}  # immutable, so records share one
-    for lineno, row in _rows(path):
-        if len(row) != len(CSV_COLUMNS):
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {len(CSV_COLUMNS)} cells, got {len(row)}")
+    for lineno, row in csv_rows(path, CSV_COLUMNS):
         # cells by position: the header matched CSV_COLUMNS exactly
         try:
             treatment = MechanismKind(row[1].strip().lower())
@@ -273,10 +246,8 @@ def load_session_table(path) -> SessionTable:
     again by ``load_session``, which names its first offending row."""
     cols: list[list] = [[] for _ in CSV_COLUMNS]
     try:
-        rows = _rows(path)
+        rows = csv_rows(path, CSV_COLUMNS)
         while chunk := [row for _, row in islice(rows, _CHUNK_ROWS)]:
-            if any(len(row) != len(CSV_COLUMNS) for row in chunk):
-                raise ValueError("a row of the wrong width")
             for col, cells in zip(cols, zip(*chunk)):
                 col.extend(cells)
         cols[1] = _parse_distinct(
@@ -285,7 +256,7 @@ def load_session_table(path) -> SessionTable:
             cols[j] = _parse_distinct(cents, cols[j])
         for j in _INT_COLUMNS:
             cols[j] = _parse_distinct(int, cols[j])
-    except ValueError:  # a bad row or cell, or a DataFormatError from the reader
+    except ValueError:  # a bad cell, or a DataFormatError from the reader
         table = None
     else:
         table = SessionTable._from_columns(cols)

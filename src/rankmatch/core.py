@@ -11,7 +11,7 @@ Conventions used across the package:
 """
 from __future__ import annotations
 
-import json
+import csv
 import operator
 import re
 from dataclasses import dataclass
@@ -26,6 +26,35 @@ class SizeLimitError(ValueError):
 
 class DataFormatError(ValueError):
     """An input file violates its documented schema."""
+
+
+def csv_rows(path, columns: Sequence[str]):
+    """Open a CSV file, check that its header is ``columns``, and yield
+    ``(lineno, row)`` for each non-blank row after it; the one reader of the
+    package's CSV inputs.  Rows are numbered from 2, blank ones included.  A
+    row that is not ``len(columns)`` cells wide, text that does not decode
+    and a line ``csv`` rejects raise ``DataFormatError``."""
+    width = len(columns)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        lineno = 0  # rows read so far, the header included
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: empty file")
+            if tuple(header) != tuple(columns):
+                raise DataFormatError(f"{path}: bad header; expected {','.join(columns)}")
+            lineno = 1
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) == width:
+                    yield lineno, row
+                elif row:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected {width} cells, got {len(row)}")
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:{lineno + 1}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # text decodes in blocks, so no row
+            raise DataFormatError(f"{path}: {exc}") from exc
 
 
 # Plain ``-?digits.dd`` strings, short enough that Decimal's default 28-digit
@@ -235,16 +264,6 @@ class MarketInstance:
         if not isinstance(rho, list):
             raise DataFormatError(f"market JSON 'rho' must be a list, got {rho!r}")
         return MarketInstance.from_cents(values, rho, goods)
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @staticmethod
-    def load(path) -> "MarketInstance":
-        with open(path) as fh:
-            return MarketInstance.from_json_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

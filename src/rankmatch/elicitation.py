@@ -8,11 +8,10 @@ encoded with ``screen1_row = 0``; the decoded value is $0.00.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DataFormatError
+from .core import DataFormatError, csv_rows
 
 MPL_ROWS = 50
 LOTTERY_ROWS = 50
@@ -114,27 +113,20 @@ def load_responses(path) -> list[tuple[str, MplResponse | LotteryResponse]]:
     Header: subject_id,task_id,screen1_row,screen2_row,switch_row with
     task_id one of mpl / holt_laury / loss_aversion; MPL rows fill the two
     screen columns (switch_row blank), lottery rows the reverse.  Returns
-    (subject_id, response) pairs; malformed rows raise DataFormatError with
-    a file:row: prefix.
+    (subject_id, response) pairs; malformed rows, rows of another width
+    included, raise DataFormatError with a file:row: prefix (see
+    ``core.csv_rows``).
     """
     out: list[tuple[str, MplResponse | LotteryResponse]] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(RESPONSE_COLUMNS):
-            raise DataFormatError(
-                f"{path}: header must be {','.join(RESPONSE_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                task = row["task_id"]
-                if task == "mpl":
-                    resp: MplResponse | LotteryResponse = MplResponse(
-                        int(row["screen1_row"]), int(row["screen2_row"]))
-                else:
-                    resp = LotteryResponse(LotteryTask(task),
-                                           int(row["switch_row"]))
-                out.append((row["subject_id"], resp))
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, (subject, task, screen1, screen2, switch) in csv_rows(path, RESPONSE_COLUMNS):
+        try:
+            if task == "mpl":
+                resp: MplResponse | LotteryResponse = MplResponse(int(screen1), int(screen2))
+            else:
+                resp = LotteryResponse(LotteryTask(task), int(switch))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        out.append((subject, resp))
     return out
 
 

@@ -4,11 +4,11 @@ Two profile kinds:
 
 * ``FixedReport`` — every agent submits a fixed rank list; each replication
   draws only the tie-break order and runs the real engine.  A block's orders
-  form one (reps x n) array that ``batch_rsd`` / ``batch_boston`` run in n
-  or n * n vectorized steps; the per-replication CSV writes the same arrays.
-  The first ``REFERENCE_CHECK_REPS`` orders of every block are also run
-  through the scalar ``run_rsd`` / ``run_boston``, and any disagreement
-  raises, so a fault in either engine stops the run.
+  form one (reps x n) array whose chunks ``batch_rsd`` / ``batch_boston`` run
+  in n or n * n vectorized steps; the per-replication CSV writes the same
+  chunks.  The first ``REFERENCE_CHECK_REPS`` orders of every block are
+  also run through the scalar ``run_rsd`` / ``run_boston``, and any
+  disagreement raises, so a fault in either engine stops the run.
 * ``Structured`` — the symmetric-environment strategies: each agent picks
   which top good to rank first, lower goods are ranked uniformly at random,
   and losers of the top-goods phase receive a uniform leftover good / list
@@ -22,11 +22,15 @@ Two profile kinds:
 
 Randomness is consumed in fixed-size blocks, one Philox substream
 ``(seed, block_index)`` per block, and blocks are merged in index order, so
-the report is byte-identical for any worker count.
+the report is byte-identical for any worker count.  A block's draws are made
+whole; the work after them (engine runs, gathers, sums, CSV lines) runs a
+chunk of at most ``CHUNK_CELLS`` cells (rows x n) at a time into exact
+integer sums, so its temporaries stay small and are reused from the heap
+across chunks and blocks instead of being returned to the kernel and
+faulted back.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -41,8 +45,10 @@ from .equilibrium import SymmetricInstance
 from .mechanisms import MechanismKind, TieBreakOrder, batch_mechanism, run_mechanism
 
 BLOCK_SIZE = 1 << 16
-# replications per CSV ``writerows`` call, which bounds the rows held as lists
-CSV_CHUNK_REPS = 1 << 10
+# cells (rows x agents) of post-draw work per chunk: the engine, gathers,
+# sums and CSV lines of CHUNK_CELLS // n rows at a time, so that a chunk's
+# temporaries are reused from the heap rather than trimmed and faulted back
+CHUNK_CELLS = 1 << 15
 # orders per block checked against the scalar reference engine
 REFERENCE_CHECK_REPS = 16
 
@@ -128,8 +134,9 @@ def _as_symmetric(market) -> SymmetricInstance:
 
 @dataclass
 class _Acc:
-    """Running sums merged across blocks in index order.  Money sums are
-    exact Python ints, so the report does not depend on the block count."""
+    """Running sums merged across chunks and blocks in index order.  Money
+    sums are exact Python ints, so the report does not depend on the block
+    or chunk count."""
 
     n: int
     reps: int = 0
@@ -151,6 +158,11 @@ class _Acc:
         self.hist += hist
         self.agent_u = [a + u for a, u in zip(self.agent_u, agent_u)]
 
+    def totals(self):
+        """The sums in ``add``'s argument order."""
+        return (self.reps, self.w_sum, self.w_sumsq, self.r_sum, self.r_sumsq,
+                self.hist, self.agent_u)
+
 
 def _mean_se(total: int, total_sq: int, count: int) -> tuple[float, float]:
     """Mean and its standard error from exact integer sums; the variance is
@@ -163,14 +175,25 @@ def _mean_se(total: int, total_sq: int, count: int) -> tuple[float, float]:
 
 
 def _sum_dtype(bound: int, reps: int):
-    """int64 when no block sum can overflow it: per-replication totals are at
+    """int64 when no chunk sum can overflow it: per-replication totals are at
     most ``bound`` in size, so their squares summed over ``reps`` replications
     are the largest sum.  Otherwise Python ints (``object`` arrays)."""
     return np.int64 if reps * bound * bound < 1 << 63 else object
 
 
-def _block_sums(ranks: np.ndarray, utils: np.ndarray, rho_got: np.ndarray):
-    """One block's sums from (reps x n) received ranks, utilities and the rho
+def _chunk_rows(n: int) -> int:
+    """Rows per chunk at n agents: ``CHUNK_CELLS // n``, at least one."""
+    return max(1, CHUNK_CELLS // n)
+
+
+def _chunks(reps: int, n: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` row bounds of a block's chunks."""
+    step = _chunk_rows(n)
+    return [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
+
+
+def _chunk_sums(ranks: np.ndarray, utils: np.ndarray, rho_got: np.ndarray):
+    """One chunk's sums from (rows x n) received ranks, utilities and the rho
     part of each utility."""
     reps, n = ranks.shape
     welfare = utils.sum(axis=1)
@@ -181,38 +204,43 @@ def _block_sums(ranks: np.ndarray, utils: np.ndarray, rho_got: np.ndarray):
             hist, [int(u) for u in utils.sum(axis=0)])
 
 
-def _fixed_outcomes(kind: MechanismKind, market: MarketInstance,
-                    reports: Sequence[RankList], pref: np.ndarray,
-                    reps: int, seed: int, block: int):
-    """Run one block of tie-break orders, stream (seed, block), through the
-    batch engine.  Returns (reps x n) goods, ranks, utilities and rho parts."""
+def _fixed_chunks(kind: MechanismKind, market: MarketInstance,
+                  reports: Sequence[RankList], pref: np.ndarray,
+                  reps: int, seed: int, block: int):
+    """Draw one block of tie-break orders, stream (seed, block), and run them
+    through the batch engine a chunk at a time.  Yields each chunk's first
+    row in the block and its (rows x n) goods, ranks, utilities and rho
+    parts."""
     n = market.n
     gen = prng.generator(seed, block)
     orders = np.tile(np.arange(n), (reps, 1))
     gen.permuted(orders, axis=1, out=orders)
-    goods, ranks = batch_mechanism(kind, pref, orders)
-    checked = zip(orders[:REFERENCE_CHECK_REPS].tolist(),
-                  goods[:REFERENCE_CHECK_REPS].tolist())
-    for rep, (order, got) in enumerate(checked):
-        expected = run_mechanism(kind, reports, TieBreakOrder(order)).assignment
-        if tuple(got) != expected:
-            raise RuntimeError(f"{kind.value} batch engine gave {got} for order {order} "
-                               f"(block {block}, rep {rep}); the reference engine "
-                               f"gives {list(expected)}")
     rows, rho = market.values.rows, market.rho.values
     bound = n * (max(max(r) for r in rows) + max(abs(v) for v in rho))
-    dtype = _sum_dtype(bound, reps)
-    rho_got = np.asarray(rho, dtype=dtype)[ranks - 1]
-    utils = np.asarray(rows, dtype=dtype)[np.arange(n), goods] + rho_got
-    return goods, ranks, utils, rho_got
+    dtype = _sum_dtype(bound, _chunk_rows(n))
+    rho_arr, value_arr = np.asarray(rho, dtype=dtype), np.asarray(rows, dtype=dtype)
+    agents = np.arange(n)
+    for lo, hi in _chunks(reps, n):
+        goods, ranks = batch_mechanism(kind, pref, orders[lo:hi])
+        for rep in range(lo, min(hi, REFERENCE_CHECK_REPS)):
+            order, got = orders[rep].tolist(), goods[rep - lo].tolist()
+            expected = run_mechanism(kind, reports, TieBreakOrder(order)).assignment
+            if tuple(got) != expected:
+                raise RuntimeError(f"{kind.value} batch engine gave {got} for order {order} "
+                                   f"(block {block}, rep {rep}); the reference engine "
+                                   f"gives {list(expected)}")
+        rho_got = rho_arr[ranks - 1]
+        yield lo, goods, ranks, value_arr[agents, goods] + rho_got, rho_got
 
 
 def _fixed_block(kind: MechanismKind, market: MarketInstance,
                  reports: Sequence[RankList], pref: np.ndarray,
                  reps: int, seed: int, block: int):
-    _, ranks, utils, rho_got = _fixed_outcomes(kind, market, reports, pref,
-                                               reps, seed, block)
-    return _block_sums(ranks, utils, rho_got)
+    acc = _Acc(market.n)
+    for _, _, ranks, utils, rho_got in _fixed_chunks(kind, market, reports, pref,
+                                                     reps, seed, block):
+        acc.add(*_chunk_sums(ranks, utils, rho_got))
+    return acc.totals()
 
 
 def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
@@ -222,70 +250,77 @@ def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
     Every replication gives x1 to one agent, x2 to another and a tail good
     to the rest, so its value total is the constant ``C`` and its welfare is
     ``C`` plus its rho total; per-agent value sums come from winner tallies.
+    The block's draws are made whole; placing the winners and tallying run
+    a chunk of rows at a time.
     """
     n = inst.n
     gen = prng.generator(seed, block)
-    x1_group = np.array([i for i in range(n) if tops[i] == 1])
-    x2_group = np.array([i for i in range(n) if tops[i] == 2])
+    tops_arr = np.asarray(tops)
+    x1_group = np.flatnonzero(tops_arr == 1)
+    x2_group = np.flatnonzero(tops_arr == 2)
     n1 = len(x1_group)
-    rows = np.arange(reps)
-
-    if kind == MechanismKind.RSD:
-        # first pick: uniform agent gets own top at rank 1; second pick:
-        # uniform among the rest gets the other top good (rank 1 if it is
-        # their own top, else rank 2); everyone else draws slots 3..n
-        ranks = gen.integers(3, n + 1, size=(reps, n))
-        i0 = gen.integers(0, n, size=reps)
-        i1 = gen.integers(0, n - 1, size=reps)
-        i1 = np.where(i1 >= i0, i1 + 1, i1)
-        tops_arr = np.asarray(tops)
-        top0 = tops_arr[i0]
-        ranks[rows, i0] = 1
-        ranks[rows, i1] = np.where(tops_arr[i1] != top0, 1, 2)
-        w1 = np.where(top0 == 1, i0, i1)
-        w2 = np.where(top0 == 1, i1, i0)
-    elif 1 <= n1 <= n - 1:
-        # round 1 resolves both top goods; losers draw slots 2..n-1
-        ranks = gen.integers(2, n, size=(reps, n))
-        w1 = x1_group[gen.integers(0, n1, size=reps)]
-        w2 = x2_group[gen.integers(0, n - n1, size=reps)]
-        ranks[rows, w1] = 1
-        ranks[rows, w2] = 1
-    elif n1 == n:
-        # corner lists (x1, x2, lowers): x1 in round 1, x2 in round 2
-        ranks = gen.integers(3, n + 1, size=(reps, n))
-        w1 = gen.integers(0, n, size=reps)
-        w2 = gen.integers(0, n - 1, size=reps)
-        w2 = np.where(w2 >= w1, w2 + 1, w2)
-        ranks[rows, w1] = 1
-        ranks[rows, w2] = 2
-    else:
-        # n1 == 0: lists (x2, lowers, x1); one loser is left holding x1
-        # at the bottom of their list after the lower goods run out
-        ranks = gen.integers(2, n, size=(reps, n))
-        w2 = gen.integers(0, n, size=reps)
-        w1 = gen.integers(0, n - 1, size=reps)
-        w1 = np.where(w1 >= w2, w1 + 1, w1)
-        ranks[rows, w2] = 1
-        ranks[rows, w1] = n
+    interior = kind == MechanismKind.BOSTON and 1 <= n1 <= n - 1
+    # agents who win no top good draw uniform slots: 3..n when both top goods
+    # go in the first two picks or rounds (RSD, the all-x1 corner), else
+    # 2..n-1; then two draws that pick the winners
+    low = 2 if interior or (kind == MechanismKind.BOSTON and n1 == 0) else 3
+    ranks = gen.integers(low, low + n - 2, size=(reps, n))
+    a_all = gen.integers(0, n1 if interior else n, size=reps)
+    b_all = gen.integers(0, n - n1 if interior else n - 1, size=reps)
 
     rho = inst.rho.values
     # rho_of[rank] for 1-based ranks; each replication's rho total by column adds
-    rho_of = np.asarray((0,) + rho, dtype=_sum_dtype(n * max(abs(v) for v in rho), reps))
-    got = rho_of[ranks]
-    r = got[:, 0] + got[:, 1]
-    for j in range(2, n):
-        r += got[:, j]
-    r_sum, r_sumsq = int(r.sum()), int((r * r).sum())
-    # (agent, rank) tallies, from codes agent * n + rank - 1 written over
-    # ranks: the histogram and each agent's rho sum
-    ranks += np.arange(-1, n * n - 1, n)
-    tally = np.bincount(ranks.ravel(), minlength=n * n).reshape(n, n)
-    wins1 = np.bincount(w1, minlength=n).tolist()
-    wins2 = np.bincount(w2, minlength=n).tolist()
-    agent_u = [a * inst.v1 + b * inst.v2 + (reps - a - b) * inst.vbar
+    rho_of = np.asarray((0,) + rho, dtype=_sum_dtype(n * max(abs(v) for v in rho),
+                                                     _chunk_rows(n)))
+    # (agent, rank) codes agent * n + rank - 1, written over ranks
+    codes = np.arange(-1, n * n - 1, n)
+    r_sum = r_sumsq = 0
+    tally = np.zeros(n * n, dtype=np.int64)
+    wins1 = np.zeros(n, dtype=np.int64)
+    wins2 = np.zeros(n, dtype=np.int64)
+    for lo, hi in _chunks(reps, n):
+        rk, a, b = ranks[lo:hi], a_all[lo:hi], b_all[lo:hi]
+        rows = np.arange(hi - lo)
+        if kind == MechanismKind.RSD:
+            # first pick: uniform agent a gets own top at rank 1; second
+            # pick: uniform b among the rest gets the other top good (rank 1
+            # if it is their own top, else rank 2)
+            b = np.where(b >= a, b + 1, b)
+            top0 = tops_arr[a]
+            rk[rows, a] = 1
+            rk[rows, b] = np.where(tops_arr[b] != top0, 1, 2)
+            w1 = np.where(top0 == 1, a, b)
+            w2 = np.where(top0 == 1, b, a)
+        elif interior:
+            # round 1 resolves both top goods
+            w1, w2 = x1_group[a], x2_group[b]
+            rk[rows, w1] = 1
+            rk[rows, w2] = 1
+        elif n1 == n:
+            # corner lists (x1, x2, lowers): x1 in round 1, x2 in round 2
+            w1, w2 = a, np.where(b >= a, b + 1, b)
+            rk[rows, w1] = 1
+            rk[rows, w2] = 2
+        else:
+            # n1 == 0: lists (x2, lowers, x1); one loser is left holding x1
+            # at the bottom of their list after the lower goods run out
+            w2, w1 = a, np.where(b >= a, b + 1, b)
+            rk[rows, w2] = 1
+            rk[rows, w1] = n
+        got = rho_of[rk]
+        r = got[:, 0] + got[:, 1]
+        for j in range(2, n):
+            r += got[:, j]
+        r_sum += int(r.sum())
+        r_sumsq += int((r * r).sum())
+        rk += codes
+        tally += np.bincount(rk.ravel(), minlength=n * n)
+        wins1 += np.bincount(w1, minlength=n)
+        wins2 += np.bincount(w2, minlength=n)
+    tally = tally.reshape(n, n)
+    agent_u = [k1 * inst.v1 + k2 * inst.v2 + (reps - k1 - k2) * inst.vbar
                + sum(c * v for c, v in zip(by_rank, rho))
-               for a, b, by_rank in zip(wins1, wins2, tally.tolist())]
+               for k1, k2, by_rank in zip(wins1.tolist(), wins2.tolist(), tally.tolist())]
     C = inst.v1 + inst.v2 + (n - 2) * inst.vbar
     return (reps, reps * C + r_sum, reps * C * C + 2 * C * r_sum + r_sumsq,
             r_sum, r_sumsq, tally.sum(axis=0), agent_u)
@@ -374,26 +409,26 @@ def write_replication_csv(kind: MechanismKind, market, profile: StrategyProfile,
     """Per-replication records (fixed profiles only), from the same engine
     runs and tie-break streams as ``simulate``.  Returns the report
     ``simulate`` gives for these arguments, from the same single pass; the
-    blocks run one after another, in the order they are written."""
+    blocks run one after another, in the order they are written, and each
+    chunk is written as one string of ``csv``-style lines."""
     if profile.fixed is None:
         raise ValueError("per-replication CSV supports fixed-report profiles only")
     sizes = _block_sizes(replications)
     mkt, pref = _fixed_setup(market, profile)
     n = mkt.n
-    results = []
+    acc = _Acc(n)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rep", "agent", "good", "rank", "utility_cents"])
+        fh.write("rep,agent,good,rank,utility_cents\r\n")
         done = 0
         for block, size in enumerate(sizes):
-            goods, ranks, utils, rho_got = _fixed_outcomes(kind, mkt, profile.fixed, pref,
-                                                           size, seed, block)
-            results.append(_block_sums(ranks, utils, rho_got))
-            for lo in range(0, size, CSV_CHUNK_REPS):
-                hi = min(lo + CSV_CHUNK_REPS, size)
-                columns = (np.repeat(np.arange(done + lo, done + hi), n),
-                           np.tile(np.arange(n), hi - lo),
-                           goods[lo:hi].ravel(), ranks[lo:hi].ravel(), utils[lo:hi].ravel())
-                writer.writerows(zip(*(c.tolist() for c in columns)))
+            for lo, goods, ranks, utils, rho_got in _fixed_chunks(kind, mkt, profile.fixed,
+                                                                  pref, size, seed, block):
+                acc.add(*_chunk_sums(ranks, utils, rho_got))
+                reps = len(goods)
+                cells = np.column_stack((
+                    np.repeat(np.arange(done + lo, done + lo + reps), n),
+                    np.tile(np.arange(n), reps),
+                    goods.ravel(), ranks.ravel(), utils.ravel()))
+                fh.write("%d,%d,%d,%d,%d\r\n" * (reps * n) % tuple(cells.ravel().tolist()))
             done += size
-    return _report(kind, replications, seed, n, profile, results)
+    return _report(kind, replications, seed, n, profile, [acc.totals()])

@@ -123,6 +123,37 @@ def test_load_responses_errors(tmp_path):
         load_responses(bad_row)
 
 
+HEADER = "subject_id,task_id,screen1_row,screen2_row,switch_row\n"
+
+
+def test_load_responses_counts_blank_rows(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text(HEADER + "s1,mpl,16,28,\n\ns1,mpl,16,99,\n")  # bad cell on line 4
+    with pytest.raises(DataFormatError, match=r"blank\.csv:4: screen2_row"):
+        load_responses(path)
+
+
+def test_load_responses_rejects_wide_rows(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text(HEADER + "s1,mpl,16,28,\ns1,holt_laury,,,30,7\n")
+    with pytest.raises(DataFormatError, match=r"wide\.csv:3: expected 5 cells, got 6"):
+        load_responses(path)
+
+
+def test_load_responses_field_limit_names_file(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text(HEADER + "s1,mpl,16,28,\n" + "s" * 131_073 + ",mpl,16,28,\n")
+    with pytest.raises(DataFormatError, match=r"long\.csv:3: field larger than field limit"):
+        load_responses(path)
+
+
+def test_load_responses_undecodable_names_file(tmp_path):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(HEADER.encode() + b"s1,mpl,16,28,\n\xff,mpl,16,28,\n")
+    with pytest.raises(DataFormatError, match=r"bytes\.csv: 'utf-8' codec can't decode"):
+        load_responses(path)
+
+
 def test_lottery_validation():
     la = LotteryResponse(LotteryTask.LOSS_AVERSION, 10)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,15 +101,18 @@ def test_structured_matches_closed_form_eu():
     assert abs(rep.rho_mean - float(wrho)) <= 4 * rep.rho_se + 1e-9
 
 
+@pytest.mark.parametrize("chunk_rows", [3, None])
 @pytest.mark.parametrize("block_size", [7, simulation.BLOCK_SIZE])
 @pytest.mark.parametrize("kind,n1", [(MechanismKind.BOSTON, 3), (MechanismKind.BOSTON, 5),
                                      (MechanismKind.BOSTON, 0), (MechanismKind.RSD, 4)])
-def test_structured_sums_exact_past_int64(monkeypatch, block_size, kind, n1):
+def test_structured_sums_exact_past_int64(monkeypatch, block_size, chunk_rows, kind, n1):
     # adding D to every value adds D to each utility and n * D to each welfare
     # and leaves every draw alone; at D = 10**15 the sums of squares pass
     # 2**63, so the block sums are Python ints
-    monkeypatch.setattr(simulation, "BLOCK_SIZE", block_size)
     D, reps, n = 10**15, 23, E1.n
+    monkeypatch.setattr(simulation, "BLOCK_SIZE", block_size)
+    if chunk_rows:
+        monkeypatch.setattr(simulation, "CHUNK_CELLS", chunk_rows * n)
     big = SymmetricInstance(n, E1.v1 + D, E1.v2 + D, E1.vbar + D, E1.rho)
     assert simulation._sum_dtype(n * (big.v1 + 800), reps) is object
     profile = StrategyProfile.structured_n1(n, n1)
@@ -220,8 +224,8 @@ def _fixed_cases():
 @pytest.mark.parametrize("kind", list(MechanismKind))
 def test_fixed_profile_matches_scalar_reference(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(simulation, "BLOCK_SIZE", 7)
-    monkeypatch.setattr(simulation, "CSV_CHUNK_REPS", 3)
-    reps, seed = 23, 5  # blocks of 7, 7, 7 and 2; CSV chunks of 3, 3, 1, 2
+    monkeypatch.setattr(simulation, "CHUNK_CELLS", 3 * 5)  # 3 rows at n = 5
+    reps, seed = 23, 5  # blocks of 7, 7, 7 and 2; chunks of 3, 3, 1, 2
     for market, reports in _fixed_cases():
         n = market.n
         outs = _scalar_reference(kind, market, reports, reps, seed)
@@ -396,8 +400,13 @@ def _block_result(res):
     return (reps, w_sum, w_sumsq, r_sum, r_sumsq, [int(c) for c in hist], list(agent_u))
 
 
+@pytest.mark.parametrize("chunk_rows", [3, None])
 @pytest.mark.parametrize("n", range(3, 11))
-def test_structured_block_matches_reference(n):
+def test_structured_block_matches_reference(monkeypatch, n, chunk_rows):
+    # chunks of 3 rows split blocks of 7 and 1000 raggedly; the third
+    # instance's rho sums are Python ints, the others' int64
+    if chunk_rows:
+        monkeypatch.setattr(simulation, "CHUNK_CELLS", chunk_rows * n)
     insts = _structured_instances(n)
     assert simulation._sum_dtype(n * max(insts[2].rho.values), 1000) is object
     rng = random.Random(n)
@@ -412,6 +421,26 @@ def test_structured_block_matches_reference(n):
                         got = simulation._structured_block(kind, inst, t, reps, seed, 3)
                         want = reference_structured_block(kind, inst, t, reps, seed, 3)
                         assert _block_result(got) == want, (inst, t, kind, reps)
+
+
+@pytest.mark.parametrize("kind", list(MechanismKind))
+def test_structured_memory_is_one_block_of_draws(kind):
+    # the post-draw work runs in chunks, so a block holds little beyond its
+    # draws, (reps x n) slots and two winner draws, and memory does not grow
+    # with the block count
+    profile = StrategyProfile.structured_n1(E1.n, 3)
+    simulate(kind, E1, profile, 1000, seed=1)  # lazy set-up outside the trace
+    peaks = []
+    for blocks in (1, 16):
+        tracemalloc.start()
+        try:
+            simulate(kind, E1, profile, blocks * simulation.BLOCK_SIZE, seed=2, threads=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    draws = (simulation.BLOCK_SIZE * E1.n + 2 * simulation.BLOCK_SIZE) * 8
+    assert abs(peaks[1] - peaks[0]) < 1 << 16, peaks
+    assert max(peaks) <= 1.5 * draws, (peaks, draws)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
