@@ -101,11 +101,25 @@ def test_structured_matches_closed_form_eu():
     assert abs(rep.rho_mean - float(wrho)) <= 4 * rep.rho_se + 1e-9
 
 
-@pytest.mark.parametrize("chunk_rows", [3, None])
+EXACT_SUM_CASES = pytest.mark.parametrize(
+    "kind,n1", [(MechanismKind.BOSTON, 3), (MechanismKind.BOSTON, 5),
+                (MechanismKind.BOSTON, 0), (MechanismKind.RSD, 4)])
+
+
 @pytest.mark.parametrize("block_size", [7, simulation.BLOCK_SIZE])
-@pytest.mark.parametrize("kind,n1", [(MechanismKind.BOSTON, 3), (MechanismKind.BOSTON, 5),
-                                     (MechanismKind.BOSTON, 0), (MechanismKind.RSD, 4)])
-def test_structured_sums_exact_past_int64(monkeypatch, block_size, chunk_rows, kind, n1):
+@EXACT_SUM_CASES
+def test_structured_sums_exact_past_int64(monkeypatch, block_size, kind, n1):
+    _check_structured_sums_exact(monkeypatch, block_size, None, kind, n1)
+
+
+@pytest.mark.parametrize("block_size", [7, simulation.BLOCK_SIZE])
+@EXACT_SUM_CASES
+def test_structured_sums_exact_past_int64_ragged_chunks(monkeypatch, block_size, kind, n1):
+    # chunks of 3 rows split blocks of 7 and 65536 raggedly
+    _check_structured_sums_exact(monkeypatch, block_size, 3, kind, n1)
+
+
+def _check_structured_sums_exact(monkeypatch, block_size, chunk_rows, kind, n1):
     # adding D to every value adds D to each utility and n * D to each welfare
     # and leaves every draw alone; at D = 10**15 the sums of squares pass
     # 2**63, so the block sums are Python ints
@@ -400,11 +414,19 @@ def _block_result(res):
     return (reps, w_sum, w_sumsq, r_sum, r_sumsq, [int(c) for c in hist], list(agent_u))
 
 
-@pytest.mark.parametrize("chunk_rows", [3, None])
 @pytest.mark.parametrize("n", range(3, 11))
-def test_structured_block_matches_reference(monkeypatch, n, chunk_rows):
-    # chunks of 3 rows split blocks of 7 and 1000 raggedly; the third
-    # instance's rho sums are Python ints, the others' int64
+def test_structured_block_matches_reference(monkeypatch, n):
+    _check_structured_block(monkeypatch, n, None)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_structured_block_matches_reference_ragged_chunks(monkeypatch, n):
+    # chunks of 3 rows split blocks of 7 and 1000 raggedly
+    _check_structured_block(monkeypatch, n, 3)
+
+
+def _check_structured_block(monkeypatch, n, chunk_rows):
+    # the third instance's rho sums are Python ints, the others' int64
     if chunk_rows:
         monkeypatch.setattr(simulation, "CHUNK_CELLS", chunk_rows * n)
     insts = _structured_instances(n)
