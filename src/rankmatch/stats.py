@@ -10,13 +10,14 @@ Both exact branches share one routine: the permutation null of the JT
 statistic, counted over tie blocks instead of enumerated.  Rank-sum is JT
 on two groups, so its exact p-value reads the same counts.
 
-``scipy.stats`` is imported inside the branches that compute a normal or
-Student-t tail: importing it takes most of a CLI call's start-up, and most
-subcommands compute no such p-value.
+The normal tails come from ``math.erfc`` and the Student-t tail of the OLS
+p-values from the regularized incomplete beta function, evaluated by its
+continued fraction, so the module needs numpy and ``math`` alone.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,19 +31,103 @@ def _tie_counts(pooled: Sequence[float]) -> list[int]:
     return [c for c in Counter(pooled).values() if c > 1]
 
 
+def _check_no_nan(pooled: Sequence[float]) -> None:
+    # NaN compares false with everything, so ranks and counts would be
+    # silently wrong
+    if any(math.isnan(v) for v in pooled):
+        raise ValueError("samples contain NaN")
+
+
+# ---------------------------------------------------------------------------
+# Distribution tails
+# ---------------------------------------------------------------------------
+
+_SQRT_HALF = math.sqrt(0.5)
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)  # ln Gamma(1/2)
+_CF_TOL = 1e-15
+_CF_MAX_TERMS = 1000
+
+
+def _norm_sf(z: float) -> float:
+    """P(Z > z) for a standard normal Z."""
+    return 0.5 * math.erfc(z * _SQRT_HALF)
+
+
+def _norm_cdf(z: float) -> float:
+    """P(Z <= z) for a standard normal Z."""
+    return _norm_sf(-z)
+
+
+def _log_gamma_ratio_half(a: float) -> float:
+    """ln Gamma(a + 1/2) - ln Gamma(a).  For large a the two lgammas cancel
+    (the difference is ~ ln(a)/2 while each is ~ a ln a), so there the
+    asymptotic series from the Bernoulli numbers is used instead: from
+    a = 20 on, its truncation error is below 1e-16."""
+    if a < 20.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    u = 1.0 / (a * a)
+    return 0.5 * math.log(a) - (
+        1 / 8 - (1 / 192 - (1 / 640 - (17 / 14336 - 31 / 18432 * u) * u) * u) * u) / a
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """The continued fraction 1/(1 + d1/(1 + d2/(1 + ...))) of the
+    incomplete beta function I_x(a, b) (Numerical Recipes, section 6.4),
+    by Lentz's method."""
+    f, c, d = 1.0, 1.0, 0.0
+    for m in range(_CF_MAX_TERMS):
+        for dm in (-(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+                   (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2))):
+            d = 1.0 / (1.0 + dm * d)
+            c = 1.0 + dm / c
+            f *= c * d
+        if abs(c * d - 1.0) < _CF_TOL:
+            return 1.0 / f
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
+
+
+def _t_two_sided(t: float, df: float) -> float:
+    """P(|T| >= |t|) for Student's T with ``df`` degrees of freedom.
+
+    That is the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df/(df + t^2).  Below x = (a+1)/(a+b+2) its continued fraction
+    converges fast; above it I_x(a, b) = 1 - I_(1-x)(b, a) is used.  1 - x
+    is computed from t^2/df, not by subtraction, so p near 1 keeps its
+    bits."""
+    q2 = t * t / df  # x = 1/(1 + q2), 1 - x = q2/(1 + q2)
+    if q2 == 0.0:
+        return 1.0
+    a = 0.5 * df
+    if math.isinf(q2):  # |t| past ~1e154: x underflows, its log does not
+        x, y, log_x = 0.0, 1.0, math.log(df) - 2.0 * math.log(abs(t))
+    else:
+        x, y, log_x = 1.0 / (1.0 + q2), q2 / (1.0 + q2), -math.log1p(q2)
+    log_y = math.log(y) if y < 0.5 else math.log1p(-x)
+    # x^a (1-x)^(1/2) / B(a, 1/2)
+    front = math.exp(a * log_x + 0.5 * log_y + _log_gamma_ratio_half(a) - _LOG_SQRT_PI)
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _beta_cf(a, 0.5, x) / a
+    return 1.0 - front * _beta_cf(0.5, a, y) / 0.5
+
+
 # ---------------------------------------------------------------------------
 # Jonckheere-Terpstra
 # ---------------------------------------------------------------------------
 
 def _jt_statistic(groups: Sequence[Sequence[float]]) -> float:
-    """Sum over ordered group pairs of Mann-Whitney counts, ties as 1/2."""
-    jt = 0.0
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            for a in groups[i]:
-                for b in groups[j]:
-                    jt += 1.0 if a < b else 0.5 if a == b else 0.0
-    return jt
+    """Sum over ordered group pairs of Mann-Whitney counts, ties as 1/2.
+
+    Each value is counted against the sorted union of all earlier groups at
+    once: ``bisect_left`` finds the values below it and ``bisect_right``
+    those below or tied, so their sum is its doubled count."""
+    doubled = 0
+    earlier: list = []
+    for g in groups:
+        for b in g:
+            doubled += bisect_left(earlier, b) + bisect_right(earlier, b)
+        earlier.extend(g)
+        earlier.sort()
+    return doubled / 2
 
 
 def _exact_p(groups: Sequence[Sequence[float]], hit: Callable[[int], bool]) -> float:
@@ -123,6 +208,7 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]],
     if len(groups) < 2 or any(not g for g in groups):
         raise ValueError("need at least 2 non-empty groups")
     pooled = [v for g in groups for v in g]
+    _check_no_nan(pooled)
     n = len(pooled)
     stat = _jt_statistic(groups)
     if method == "exact" or (method == "auto" and n <= EXACT_MAX_N):
@@ -135,12 +221,9 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]],
     if var <= 0:  # all pooled values identical: no evidence either way
         return stat, 1.0
     sd = math.sqrt(var)
-    from scipy import stats as sps
     if alternative == "decreasing":
-        z = (stat - mean + 0.5) / sd
-        return stat, float(sps.norm.cdf(z))
-    z = (stat - mean - 0.5) / sd
-    return stat, float(sps.norm.sf(z))
+        return stat, _norm_cdf((stat - mean + 0.5) / sd)
+    return stat, _norm_sf((stat - mean - 0.5) / sd)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +253,7 @@ def wilcoxon_ranksum(a: Sequence[float], b: Sequence[float],
     a, b = list(a), list(b)
     if not a or not b:
         raise ValueError("both samples must be non-empty")
+    _check_no_nan(a + b)
     na, nb = len(a), len(b)
     n = na + nb
     ranks = _midranks(a + b)
@@ -189,8 +273,7 @@ def wilcoxon_ranksum(a: Sequence[float], b: Sequence[float],
     if var <= 0:
         return stat, 1.0
     z = (abs(stat - mean) - 0.5) / math.sqrt(var)
-    from scipy import stats as sps
-    return stat, min(1.0, float(2.0 * sps.norm.sf(z)))
+    return stat, min(1.0, 2.0 * _norm_sf(z))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +348,7 @@ def ols_fit(y: Sequence[float], X: Sequence[Sequence[float]],
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = coef / se
-    from scipy import stats as sps
-    p = np.array([2.0 * float(sps.t.sf(abs(tj), df)) if df > 0 and np.isfinite(tj)
+    p = np.array([_t_two_sided(float(tj), df) if df > 0 and np.isfinite(tj)
                   else float("nan") for tj in t])
     stars = tuple(_stars(pj) if np.isfinite(pj) else "" for pj in p)
     return OlsResult(tuple(columns), tuple(map(float, coef)), tuple(map(float, se)),

@@ -418,10 +418,11 @@ def test_simulate_threads_below_one_is_data_error(appd_files, tmp_path, capsys, 
     assert not csv_path.exists()
 
 
-def test_scipy_stats_loaded_only_for_p_values(appd_files, tmp_path):
-    """A fresh interpreter: every subcommand that computes no p-value leaves
-    scipy.stats unimported; ``analyze --ols`` imports it.  Run out of
-    process, because this test module's own imports may load scipy."""
+def test_no_subcommand_needs_scipy(appd_files, tmp_path):
+    """A fresh interpreter in which ``import scipy`` fails: every subcommand,
+    ``analyze --ols --robust --tables`` among them, and the approximate
+    JT/rank-sum branches still succeed.  Run out of process, because this
+    test module's own imports may load scipy."""
     rp, mp = appd_files
     e1 = tmp_path / "e1.json"
     e1.write_text(json.dumps({"n": 5, "v1": 2824, "v2": 2256, "vbar": 700,
@@ -430,10 +431,12 @@ def test_scipy_stats_loaded_only_for_p_values(appd_files, tmp_path):
     analysis.save_session(analysis.generate_session(6, (287, 100, 50, 0, -69), 120.0,
                                                     seed=4, misreport_rate=0.2), session)
     out = str(tmp_path / "out.json")
+    tables = str(tmp_path / "tables")
     script = textwrap.dedent(f"""
         import sys
+        sys.modules["scipy"] = None  # any import of scipy now raises
         import rankmatch
-        from rankmatch import cli
+        from rankmatch import cli, stats
         runs = [
             ["selftest"],
             ["elicit-decode", "--screen1", "16", "--screen2", "28", "--out", {out!r}],
@@ -446,13 +449,19 @@ def test_scipy_stats_loaded_only_for_p_values(appd_files, tmp_path):
              "--profile-reports", {str(rp)!r}, "--reps", "1000", "--out", {out!r}],
             ["simulate", "--kind", "rsd", "--market", {str(e1)!r},
              "--structured-n1", "3", "--reps", "1000", "--out", {out!r}],
+            ["analyze", "--session", {str(session)!r}, "--out", {out!r}],
+            ["analyze", "--session", {str(session)!r}, "--ols", "--out", {out!r}],
+            ["analyze", "--session", {str(session)!r}, "--ols", "--robust",
+             "--tables", {tables!r}, "--out", {out!r}],
         ]
         for argv in runs:
             assert cli.main(argv) == 0, argv
-        assert "scipy.stats" not in sys.modules
-        assert cli.main(["analyze", "--session", {str(session)!r}, "--ols",
-                         "--out", {out!r}]) == 0
-        assert "scipy.stats" in sys.modules
+        groups = [[i % 7 for i in range(g, g + 9)] for g in range(3)]
+        for alternative in ("decreasing", "increasing"):
+            assert 0 < stats.jonckheere_terpstra(groups, alternative, method="approx")[1] < 1
+        assert 0 < stats.wilcoxon_ranksum(groups[0], groups[2], method="approx")[1] <= 1
+        assert "scipy" not in {{name.partition(".")[0] for name in sys.modules
+                               if sys.modules[name] is not None}}
     """)
     src = os.path.dirname(os.path.dirname(rankmatch.__file__))
     env = dict(os.environ,
