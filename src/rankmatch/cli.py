@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -26,7 +27,10 @@ DEFAULT_SEED = 20240901
 
 
 def _emit(doc: dict, out=None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or infinity has no JSON form
+        raise DataFormatError(f"cannot write the report as JSON: {exc}") from exc
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -302,9 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parse_args only reads it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:  # DataFormatError is a ValueError

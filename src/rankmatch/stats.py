@@ -312,8 +312,9 @@ def ols_fit(y: Sequence[float], X: Sequence[Sequence[float]],
             columns: Sequence[str] | None = None,
             robust: bool = False) -> OlsResult:
     """Least squares via QR.  Classical standard errors by default; set
-    ``robust=True`` for HC1 heteroskedasticity-robust errors.  Raises on
-    rank deficiency, naming the offending column."""
+    ``robust=True`` for HC1 heteroskedasticity-robust errors.  Raises
+    unless there are more rows than columns (standard errors need a residual
+    degree of freedom), and on rank deficiency, naming the offending column."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -323,8 +324,8 @@ def ols_fit(y: Sequence[float], X: Sequence[Sequence[float]],
         columns = [f"x{j}" for j in range(k)]
     if len(columns) != k:
         raise ValueError("column names must match X's width")
-    if n < k:
-        raise ValueError(f"need at least {k} rows, got {n}")
+    if n <= k:
+        raise ValueError(f"need more than {k} rows, got {n}")
     q, r = np.linalg.qr(X)
     diag = np.abs(np.diag(r))
     tol = max(n, k) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
@@ -341,14 +342,13 @@ def ols_fit(y: Sequence[float], X: Sequence[Sequence[float]],
     xtx_inv = rinv @ rinv.T
     if robust:
         meat = (X * (resid ** 2)[:, None]).T @ X
-        cov = xtx_inv @ meat @ xtx_inv * (n / df if df > 0 else float("nan"))
+        cov = xtx_inv @ meat @ xtx_inv * (n / df)
     else:
-        sigma2 = rss / df if df > 0 else float("nan")
-        cov = xtx_inv * sigma2
+        cov = xtx_inv * (rss / df)
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = coef / se
-    p = np.array([_t_two_sided(float(tj), df) if df > 0 and np.isfinite(tj)
+    p = np.array([_t_two_sided(float(tj), df) if np.isfinite(tj)
                   else float("nan") for tj in t])
     stars = tuple(_stars(pj) if np.isfinite(pj) else "" for pj in p)
     return OlsResult(tuple(columns), tuple(map(float, coef)), tuple(map(float, se)),

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
 import rankmatch
-from rankmatch import analysis
+from rankmatch import analysis, cli
 from rankmatch.cli import main
 
 
@@ -469,3 +470,138 @@ def test_no_subcommand_needs_scipy(appd_files, tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_analyze_ols_without_residual_df_is_strict_json(tmp_path, capsys):
+    """11 rows for 11 regressors leave no degree of freedom for the standard
+    errors: the regression is reported as an error, not as NaN tokens."""
+    recs = analysis.generate_session(8, (287, 100, 50, 0, -69), 120.0, seed=11,
+                                     misreport_rate=0.3)
+    path = tmp_path / "s.csv"
+    analysis.save_session(recs[:11], path)
+    for extra in ([], ["--robust"]):
+        with pytest.warns(UserWarning, match="excluded from welfare"):
+            code, out, _ = run_cli(["analyze", "--session", str(path), "--ols", *extra],
+                                   capsys)
+        assert code == 0
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["net_value_ols"] == {"error": "need more than 11 rows, got 11"}
+
+
+def test_non_finite_report_is_data_error(tmp_path):
+    out = tmp_path / "o.json"
+    with pytest.raises(ValueError, match="cannot write the report as JSON"):
+        cli._emit({"p": float("nan")}, str(out))
+    assert not out.exists()
+
+
+def _one_of_each(tmp_path, appd_files):
+    """One argv per subcommand that takes --out, given without it."""
+    rp, mp = appd_files
+    e1 = tmp_path / "e1.json"
+    e1.write_text(json.dumps(E1_DOC))
+    session = tmp_path / "s.csv"
+    analysis.save_session(analysis.generate_session(2, (287, 100, 50, 0, -69), 120.0,
+                                                    seed=4, misreport_rate=0.2), session)
+    return {
+        "mechanism": ["mechanism", "--kind", "boston", "--reports", str(rp),
+                      "--order", "1,0,2,3", "--market", str(mp)],
+        "expect": ["expect", "--kind", "rsd", "--reports", str(rp), "--market", str(mp)],
+        "equilibrium": ["equilibrium", "--instance", str(e1), "--brute-force"],
+        "simulate": ["simulate", "--kind", "rsd", "--market", str(e1),
+                     "--structured-n1", "3", "--reps", "500", "--seed", "9"],
+        "analyze": ["analyze", "--session", str(session), "--ols", "--robust"],
+        "elicit-decode": ["elicit-decode", "--screen1", "16", "--screen2", "28"],
+    }
+
+
+def test_parser_is_built_once_and_reused(appd_files, tmp_path, capsys, monkeypatch):
+    """Every subcommand twice in one process, with a usage error and a data
+    error between the rounds: the same bytes each round, from one parser."""
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    argvs = _one_of_each(tmp_path, appd_files)
+
+    def run_round(tag):
+        outputs = {}
+        for name, argv in argvs.items():
+            out = tmp_path / f"{tag}-{name}.json"
+            assert main(argv + ["--out", str(out)]) == 0, argv
+            outputs[name] = out.read_bytes()
+        assert main(["selftest"]) == 0
+        outputs["selftest"] = capsys.readouterr().out.encode()
+        return outputs
+
+    try:
+        first = run_round("a")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--kind", "rsd", "--reps", "many"])
+        assert exc.value.code == 2
+        assert main(["mechanism", "--kind", "rsd", "--reports", str(tmp_path / "none.json"),
+                     "--order", "0,1"]) == 1
+        capsys.readouterr()
+        second = run_round("b")
+    finally:
+        cli._parser.cache_clear()
+    assert second == first
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+    src = os.path.dirname(os.path.dirname(rankmatch.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # defaults such as equilibrium's --kind must not carry over from earlier calls
+    for name in ("equilibrium", "analyze"):
+        fresh = tmp_path / f"fresh-{name}.json"
+        proc = subprocess.run([sys.executable, "-m", "rankmatch.cli", *argvs[name],
+                               "--out", str(fresh)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert fresh.read_bytes() == first[name], name
+
+
+def test_parser_shared_by_threads(appd_files, tmp_path):
+    """More threads than cores, switching as often as the interpreter allows,
+    each calling main with its own --out: every output equals the serial one."""
+    argvs = _one_of_each(tmp_path, appd_files)
+    argvs["equilibrium"].remove("--brute-force")  # keep the rounds short
+    serial = {}
+    for name, argv in argvs.items():
+        out = tmp_path / f"serial-{name}.json"
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        serial[name] = out.read_bytes()
+
+    n_threads, rounds = 4, 3
+    results = [dict() for _ in range(n_threads)]
+
+    def worker(i):
+        for r in range(rounds):
+            for name, argv in argvs.items():
+                out = tmp_path / f"t{i}-{r}-{name}.json"
+                code = main(argv + ["--out", str(out)])
+                results[i][r, name] = (code, out.read_bytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert got == {(r, name): (0, serial[name])
+                       for r in range(rounds) for name in argvs}

@@ -243,6 +243,16 @@ def test_ols_intercept_only():
     assert res.coef[0] == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("robust", [False, True])
+def test_ols_needs_a_residual_degree_of_freedom(robust):
+    X = [[1.0, float(x), float(x * x)] for x in range(3)]
+    with pytest.raises(ValueError, match="need more than 3 rows, got 3"):
+        ols_fit([1.0, 0.0, 4.0], X, ["const", "x", "x2"], robust=robust)
+    res = ols_fit([1.0, 0.0, 4.0, 8.0], X + [[1.0, 3.0, 9.0]], ["const", "x", "x2"],
+                  robust=robust)
+    assert all(math.isfinite(v) for v in res.se + res.tstat + res.pvalue)
+
+
 def test_ols_rank_deficiency_names_column():
     X = [[1.0, float(x), 2.0 * x] for x in range(8)]
     with pytest.raises(ValueError, match="x2"):
