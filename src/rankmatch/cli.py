@@ -31,7 +31,7 @@ def _emit(doc: dict, out=None) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:  # NaN or infinity has no JSON form
         raise DataFormatError(f"cannot write the report as JSON: {exc}") from exc
-    if out:
+    if out is not None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
@@ -68,7 +68,7 @@ def cmd_mechanism(args) -> int:
         "received_rank": [reports[i].rank_of(matching.good_of(i))
                           for i in range(len(reports))],
     }
-    if args.market:
+    if args.market is not None:
         market = MarketInstance.from_json_dict(_load_json(args.market))
         from .core import build_outcome
         out = build_outcome(matching, reports, market)
@@ -130,13 +130,13 @@ def cmd_simulate(args) -> int:
             "give exactly one of --profile-reports / --structured-n1")
     if args.threads < 1:
         raise DataFormatError(f"threads must be >= 1, got {args.threads}")
-    if args.profile_reports:
+    if args.profile_reports is not None:
         reports = reports_from_json_dict(_load_json(args.profile_reports))
         profile = simulation.StrategyProfile.fixed_reports(reports)
     else:
         n = market.n
         profile = simulation.StrategyProfile.structured_n1(n, args.structured_n1)
-    if args.csv:
+    if args.csv is not None:
         report = simulation.write_replication_csv(MechanismKind(args.kind), market,
                                                   profile, args.reps, args.seed, args.csv)
     else:
@@ -159,7 +159,7 @@ def cmd_analyze(args) -> int:
                                                  robust=args.robust).to_json_dict()
         except ValueError as exc:
             doc["net_value_ols"] = {"error": str(exc)}
-    if args.tables:
+    if args.tables is not None:
         _write_tables(doc, args.tables)
     _emit(doc, args.out)
     return 0

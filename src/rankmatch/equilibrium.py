@@ -102,10 +102,6 @@ class EquilibriumSolution:
     range_lo: Fraction | None
     range_hi: Fraction | None
     corner_all_top: bool
-    # per-candidate expected utilities (cents) of the two strategies;
-    # None where the strategy has no followers at that n1
-    eu_rank_x1_first: dict[int, Fraction | None]
-    eu_rank_x2_first: dict[int, Fraction | None]
 
 
 def symmetric_params(inst: SymmetricInstance) -> SymmetricParams:
@@ -219,18 +215,7 @@ def solve_equilibrium(kind: MechanismKind, inst: SymmetricInstance) -> Equilibri
         candidates = tuple(k for k in range(1, n)
                            if range_lo <= k <= range_hi)
 
-    eu1: dict[int, Fraction | None] = {}
-    eu2: dict[int, Fraction | None] = {}
-    for k in candidates:
-        if k == n:
-            eu1[k] = corner_eu(inst)
-            eu2[k] = None
-        elif kind == MechanismKind.BOSTON:
-            eu1[k], eu2[k] = boston_group_eu(inst, k)
-        else:
-            eu1[k], eu2[k] = sd_group_eu(inst, k)
-
-    return EquilibriumSolution(kind, candidates, range_lo, range_hi, corner, eu1, eu2)
+    return EquilibriumSolution(kind, candidates, range_lo, range_hi, corner)
 
 
 # ---------------------------------------------------------------------------

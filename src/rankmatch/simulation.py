@@ -5,10 +5,11 @@ Two profile kinds:
 * ``FixedReport`` — every agent submits a fixed rank list; each replication
   draws only the tie-break order and runs the real engine.  A block's orders
   form one (reps x n) array whose chunks ``batch_rsd`` / ``batch_boston`` run
-  in n or n * n vectorized steps; the per-replication CSV writes the same
-  chunks.  The first ``REFERENCE_CHECK_REPS`` orders of every block are
-  also run through the scalar ``run_rsd`` / ``run_boston``, and any
-  disagreement raises, so a fault in either engine stops the run.
+  in n or n * n vectorized steps.  One block function serves ``simulate``
+  and the per-replication CSV, whose lines it writes chunk by chunk.  The
+  first ``REFERENCE_CHECK_REPS`` orders of every block are also run through
+  the scalar ``run_rsd`` / ``run_boston``, and any disagreement raises, so
+  a fault in either engine stops the run.
 * ``Structured`` — the symmetric-environment strategies: each agent picks
   which top good to rank first, lower goods are ranked uniformly at random,
   and losers of the top-goods phase receive a uniform leftover good / list
@@ -134,34 +135,30 @@ def _as_symmetric(market) -> SymmetricInstance:
 
 @dataclass
 class _Acc:
-    """Running sums merged across chunks and blocks in index order.  Money
-    sums are exact Python ints, so the report does not depend on the block
-    or chunk count."""
+    """Sums over the replications of a chunk, a block or a whole run, merged
+    in index order.  Money sums are exact Python ints, so the report does
+    not depend on the block or chunk count."""
 
-    n: int
-    reps: int = 0
-    w_sum: int = 0
-    w_sumsq: int = 0
-    r_sum: int = 0
-    r_sumsq: int = 0
+    reps: int
+    w_sum: int
+    w_sumsq: int
+    r_sum: int
+    r_sumsq: int
+    hist: np.ndarray  # int64 counts of received ranks 1..n
+    agent_u: list[int]
 
-    def __post_init__(self):
-        self.hist = np.zeros(self.n, dtype=np.int64)
-        self.agent_u = [0] * self.n
+    @staticmethod
+    def zero(n: int) -> "_Acc":
+        return _Acc(0, 0, 0, 0, 0, np.zeros(n, dtype=np.int64), [0] * n)
 
-    def add(self, reps, w_sum, w_sumsq, r_sum, r_sumsq, hist, agent_u):
-        self.reps += reps
-        self.w_sum += w_sum
-        self.w_sumsq += w_sumsq
-        self.r_sum += r_sum
-        self.r_sumsq += r_sumsq
-        self.hist += hist
-        self.agent_u = [a + u for a, u in zip(self.agent_u, agent_u)]
-
-    def totals(self):
-        """The sums in ``add``'s argument order."""
-        return (self.reps, self.w_sum, self.w_sumsq, self.r_sum, self.r_sumsq,
-                self.hist, self.agent_u)
+    def add(self, other: "_Acc") -> None:
+        self.reps += other.reps
+        self.w_sum += other.w_sum
+        self.w_sumsq += other.w_sumsq
+        self.r_sum += other.r_sum
+        self.r_sumsq += other.r_sumsq
+        self.hist += other.hist
+        self.agent_u = [a + u for a, u in zip(self.agent_u, other.agent_u)]
 
 
 def _mean_se(total: int, total_sq: int, count: int) -> tuple[float, float]:
@@ -192,25 +189,26 @@ def _chunks(reps: int, n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
 
 
-def _chunk_sums(ranks: np.ndarray, utils: np.ndarray, rho_got: np.ndarray):
+def _chunk_sums(ranks: np.ndarray, utils: np.ndarray, rho_got: np.ndarray) -> _Acc:
     """One chunk's sums from (rows x n) received ranks, utilities and the rho
     part of each utility."""
     reps, n = ranks.shape
     welfare = utils.sum(axis=1)
     rho_tot = rho_got.sum(axis=1)
     hist = np.bincount((ranks - 1).ravel(), minlength=n)
-    return (reps, int(welfare.sum()), int((welfare * welfare).sum()),
-            int(rho_tot.sum()), int((rho_tot * rho_tot).sum()),
-            hist, [int(u) for u in utils.sum(axis=0)])
+    return _Acc(reps, int(welfare.sum()), int((welfare * welfare).sum()),
+                int(rho_tot.sum()), int((rho_tot * rho_tot).sum()),
+                hist, [int(u) for u in utils.sum(axis=0)])
 
 
-def _fixed_chunks(kind: MechanismKind, market: MarketInstance,
-                  reports: Sequence[RankList], pref: np.ndarray,
-                  reps: int, seed: int, block: int):
-    """Draw one block of tie-break orders, stream (seed, block), and run them
-    through the batch engine a chunk at a time.  Yields each chunk's first
-    row in the block and its (rows x n) goods, ranks, utilities and rho
-    parts."""
+def _fixed_block(kind: MechanismKind, market: MarketInstance,
+                 reports: Sequence[RankList], pref: np.ndarray,
+                 reps: int, seed: int, block: int,
+                 write: Callable[[str], object] | None = None) -> _Acc:
+    """Draw one block of tie-break orders, stream (seed, block), run them
+    through the batch engine a chunk at a time and sum the chunks.  With
+    ``write``, each chunk's per-replication CSV lines are passed to it as one
+    string, numbered from the block's first replication."""
     n = market.n
     gen = prng.generator(seed, block)
     orders = np.tile(np.arange(n), (reps, 1))
@@ -220,6 +218,7 @@ def _fixed_chunks(kind: MechanismKind, market: MarketInstance,
     dtype = _sum_dtype(bound, _chunk_rows(n))
     rho_arr, value_arr = np.asarray(rho, dtype=dtype), np.asarray(rows, dtype=dtype)
     agents = np.arange(n)
+    acc = _Acc.zero(n)
     for lo, hi in _chunks(reps, n):
         goods, ranks = batch_mechanism(kind, pref, orders[lo:hi])
         for rep in range(lo, min(hi, REFERENCE_CHECK_REPS)):
@@ -230,21 +229,20 @@ def _fixed_chunks(kind: MechanismKind, market: MarketInstance,
                                    f"(block {block}, rep {rep}); the reference engine "
                                    f"gives {list(expected)}")
         rho_got = rho_arr[ranks - 1]
-        yield lo, goods, ranks, value_arr[agents, goods] + rho_got, rho_got
-
-
-def _fixed_block(kind: MechanismKind, market: MarketInstance,
-                 reports: Sequence[RankList], pref: np.ndarray,
-                 reps: int, seed: int, block: int):
-    acc = _Acc(market.n)
-    for _, _, ranks, utils, rho_got in _fixed_chunks(kind, market, reports, pref,
-                                                     reps, seed, block):
-        acc.add(*_chunk_sums(ranks, utils, rho_got))
-    return acc.totals()
+        utils = value_arr[agents, goods] + rho_got
+        acc.add(_chunk_sums(ranks, utils, rho_got))
+        if write is not None:
+            first = block * BLOCK_SIZE + lo
+            cells = np.column_stack((
+                np.repeat(np.arange(first, first + hi - lo), n),
+                np.tile(agents, hi - lo),
+                goods.ravel(), ranks.ravel(), utils.ravel()))
+            write("%d,%d,%d,%d,%d\r\n" * ((hi - lo) * n) % tuple(cells.ravel().tolist()))
+    return acc
 
 
 def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
-                      tops: tuple[int, ...], reps: int, seed: int, block: int):
+                      tops: tuple[int, ...], reps: int, seed: int, block: int) -> _Acc:
     """One block's sums from the received ranks and the winners of x1 and x2.
 
     Every replication gives x1 to one agent, x2 to another and a tail good
@@ -281,10 +279,12 @@ def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
     for lo, hi in _chunks(reps, n):
         rk, a, b = ranks[lo:hi], a_all[lo:hi], b_all[lo:hi]
         rows = np.arange(hi - lo)
-        if kind == MechanismKind.RSD:
+        if kind == MechanismKind.RSD or n1 == n:
             # first pick: uniform agent a gets own top at rank 1; second
             # pick: uniform b among the rest gets the other top good (rank 1
-            # if it is their own top, else rank 2)
+            # if it is their own top, else rank 2).  Boston's all-x1 corner
+            # is the same draw: lists (x1, x2, lowers) give x1 to a in round
+            # 1 and x2 to b at rank 2 in round 2
             b = np.where(b >= a, b + 1, b)
             top0 = tops_arr[a]
             rk[rows, a] = 1
@@ -296,11 +296,6 @@ def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
             w1, w2 = x1_group[a], x2_group[b]
             rk[rows, w1] = 1
             rk[rows, w2] = 1
-        elif n1 == n:
-            # corner lists (x1, x2, lowers): x1 in round 1, x2 in round 2
-            w1, w2 = a, np.where(b >= a, b + 1, b)
-            rk[rows, w1] = 1
-            rk[rows, w2] = 2
         else:
             # n1 == 0: lists (x2, lowers, x1); one loser is left holding x1
             # at the bottom of their list after the lower goods run out
@@ -322,8 +317,8 @@ def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
                + sum(c * v for c, v in zip(by_rank, rho))
                for k1, k2, by_rank in zip(wins1.tolist(), wins2.tolist(), tally.tolist())]
     C = inst.v1 + inst.v2 + (n - 2) * inst.vbar
-    return (reps, reps * C + r_sum, reps * C * C + 2 * C * r_sum + r_sumsq,
-            r_sum, r_sumsq, tally.sum(axis=0), agent_u)
+    return _Acc(reps, reps * C + r_sum, reps * C * C + 2 * C * r_sum + r_sumsq,
+                r_sum, r_sumsq, tally.sum(axis=0), agent_u)
 
 
 def _block_sizes(replications: int) -> list[int]:
@@ -346,9 +341,9 @@ def _fixed_setup(market, profile: StrategyProfile) -> tuple[MarketInstance, np.n
 def _report(kind: MechanismKind, replications: int, seed: int, n: int,
             profile: StrategyProfile, results) -> SimReport:
     """Merge block sums, in block-index order, into a report."""
-    acc = _Acc(n)
+    acc = _Acc.zero(n)
     for res in results:
-        acc.add(*res)
+        acc.add(res)
     w_mean, w_se = _mean_se(acc.w_sum, acc.w_sumsq, acc.reps)
     r_mean, r_se = _mean_se(acc.r_sum, acc.r_sumsq, acc.reps)
     agent_eu = tuple(u / acc.reps for u in acc.agent_u)
@@ -415,20 +410,8 @@ def write_replication_csv(kind: MechanismKind, market, profile: StrategyProfile,
         raise ValueError("per-replication CSV supports fixed-report profiles only")
     sizes = _block_sizes(replications)
     mkt, pref = _fixed_setup(market, profile)
-    n = mkt.n
-    acc = _Acc(n)
     with open(path, "w", newline="") as fh:
         fh.write("rep,agent,good,rank,utility_cents\r\n")
-        done = 0
-        for block, size in enumerate(sizes):
-            for lo, goods, ranks, utils, rho_got in _fixed_chunks(kind, mkt, profile.fixed,
-                                                                  pref, size, seed, block):
-                acc.add(*_chunk_sums(ranks, utils, rho_got))
-                reps = len(goods)
-                cells = np.column_stack((
-                    np.repeat(np.arange(done + lo, done + lo + reps), n),
-                    np.tile(np.arange(n), reps),
-                    goods.ravel(), ranks.ravel(), utils.ravel()))
-                fh.write("%d,%d,%d,%d,%d\r\n" * (reps * n) % tuple(cells.ravel().tolist()))
-            done += size
-    return _report(kind, replications, seed, n, profile, [acc.totals()])
+        results = [_fixed_block(kind, mkt, profile.fixed, pref, size, seed, block, fh.write)
+                   for block, size in enumerate(sizes)]
+    return _report(kind, replications, seed, mkt.n, profile, results)

@@ -230,21 +230,6 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]],
 # Wilcoxon rank-sum
 # ---------------------------------------------------------------------------
 
-def _midranks(pooled: Sequence[float]) -> list[float]:
-    order = sorted(range(len(pooled)), key=lambda i: pooled[i])
-    ranks = [0.0] * len(pooled)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        mid = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mid
-        i = j + 1
-    return ranks
-
-
 def wilcoxon_ranksum(a: Sequence[float], b: Sequence[float],
                      method: str = "auto") -> tuple[float, float]:
     """Two-sided rank-sum test; statistic is the rank sum of ``a`` with
@@ -256,13 +241,14 @@ def wilcoxon_ranksum(a: Sequence[float], b: Sequence[float],
     _check_no_nan(a + b)
     na, nb = len(a), len(b)
     n = na + nb
-    ranks = _midranks(a + b)
-    stat = sum(ranks[:na])
+    # the rank sum of a is na*(na+1)/2 + na*nb - JT([a, b]), so its distance
+    # from the mean is |2*JT - na*nb| / 2; every term is a multiple of 1/2,
+    # so the float sum is exact
+    jt = _jt_statistic([a, b])
+    stat = na * (na + 1) / 2 + na * nb - jt
 
     if method == "exact" or (method == "auto" and n <= EXACT_MAX_N):
-        # the rank sum of a is na*nb + na*(na+1)/2 - JT([a, b]), so its
-        # distance from the mean is |na*nb - 2*JT| / 2
-        dev = abs(2 * _jt_statistic([a, b]) - na * nb)
+        dev = abs(2 * jt - na * nb)
         return stat, _exact_p([a, b], lambda s: abs(s - na * nb) >= dev)
     if method not in ("auto", "approx"):
         raise ValueError(f"unknown method {method!r}")

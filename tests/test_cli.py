@@ -385,6 +385,28 @@ def test_tables_on_existing_file_is_data_error(tmp_path, capsys):
     assert err.startswith("error: ") and str(session) in err
 
 
+def test_empty_paths_are_data_errors(appd_files, tmp_path, monkeypatch, capsys):
+    # "" is a path that names no file, not a flag left out
+    rp, mp = appd_files
+    session = tmp_path / "s.csv"
+    analysis.save_session(analysis.generate_session(2, (287, 100, 50, 0, -69), 0.0,
+                                                    seed=3), session)
+    simulate = ["simulate", "--kind", "rsd", "--market", str(mp), "--reps", "10"]
+    argvs = [simulate + ["--profile-reports", ""],
+             simulate + ["--profile-reports", str(rp), "--csv", ""],
+             ["elicit-decode", "--screen1", "1", "--screen2", "50", "--out", ""],
+             ["mechanism", "--kind", "rsd", "--reports", str(rp), "--order", "0,1,2,3",
+              "--market", ""],
+             ["analyze", "--session", str(session), "--tables", ""]]
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    for argv in argvs:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and "No such file or directory: ''" in err, argv
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_market_goods_default_labels(appd_files, tmp_path, capsys):
     rp, _ = appd_files
     mp = tmp_path / "bare.json"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -149,6 +150,24 @@ def test_structured_corner_and_all_x2():
     rep = simulate(MechanismKind.BOSTON, E1, StrategyProfile.structured_n1(5, 0),
                    50_000, seed=3)
     assert rep.rank_histogram[0] == 50_000  # the lone x2 winner each rep
+
+
+def test_boston_corner_is_rsd():
+    # at n1 = n Boston's lists (x1, x2, lowers) give x1 in round 1 and x2 at
+    # rank 2 in round 2, as RSD's first two picks do: the reports differ
+    # only in the mechanism
+    rsd, boston = (json.loads((GOLDEN / f"simulate_{kind}_n1_5.json").read_text())
+                   for kind in ("rsd", "boston"))
+    assert (rsd.pop("mechanism"), boston.pop("mechanism")) == ("rsd", "boston")
+    assert rsd == boston
+    for n in range(3, 7):
+        inst = _structured_instances(n)[0]
+        profile = StrategyProfile.structured_n1(n, n)
+        for threads in (1, 2):
+            reps = simulation.BLOCK_SIZE + 5  # two blocks
+            rsd, boston = (simulate(kind, inst, profile, reps, seed=n, threads=threads)
+                           for kind in (MechanismKind.RSD, MechanismKind.BOSTON))
+            assert dataclasses.replace(boston, mechanism=MechanismKind.RSD) == rsd
 
 
 def test_rank_distribution():
@@ -410,8 +429,8 @@ def _structured_instances(n):
 
 
 def _block_result(res):
-    reps, w_sum, w_sumsq, r_sum, r_sumsq, hist, agent_u = res
-    return (reps, w_sum, w_sumsq, r_sum, r_sumsq, [int(c) for c in hist], list(agent_u))
+    return (res.reps, res.w_sum, res.w_sumsq, res.r_sum, res.r_sumsq,
+            [int(c) for c in res.hist], list(res.agent_u))
 
 
 @pytest.mark.parametrize("n", range(3, 11))

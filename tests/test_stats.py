@@ -171,6 +171,7 @@ def test_approx_p_values_match_oracles():
         ties = [(a + b).count(v) for v in set(a + b)]
         w_var = na * nb / 12.0 * ((n + 1) - sum(t ** 3 - t for t in ties) / (n * (n - 1.0)))
         w, p = wilcoxon_ranksum(a, b, method="approx")
+        assert w == _rank_sum(a, a + b)
         z = (abs(w - na * (n + 1) / 2.0) - 0.5) / math.sqrt(w_var)
         assert p == min(1.0, 2.0 * _norm_sf(z))
 
