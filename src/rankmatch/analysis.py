@@ -21,6 +21,7 @@ from itertools import islice
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import prng
 from .core import CENTS_DIGITS, DataFormatError, RankList, cents, csv_rows
@@ -240,10 +241,28 @@ _CHUNK_ROWS = 4096
 
 def load_session_table(path) -> SessionTable:
     """Read a session CSV as columns: the same table, and the same errors,
-    as ``SessionTable.of(load_session(path))``.  Cells are parsed as
-    ``load_session`` parses them, once per distinct cell, and the table is
+    as ``SessionTable.of(load_session(path))``.
+
+    A file in the plain form ``save_session`` writes (ASCII, no quotes,
+    ``\\n`` or ``\\r\\n`` line ends, money ``d.dd`` and integers of at most
+    18 digits; see ``_plain_table``) is parsed from its bytes with numpy.
+    Any other file goes through ``csv``, its cells parsed as
+    ``load_session`` parses them, once per distinct cell.  Either table is
     checked as ``SubjectRecord`` checks a record; a file that fails is read
     again by ``load_session``, which names its first offending row."""
+    with open(path, "rb") as fh:
+        table = _plain_table(fh.read())
+    if table is None:
+        table = _csv_table(path)
+    if table is not None and table._rows_valid():
+        return table
+    load_session(path)  # raises the first offending row's error
+    raise RuntimeError(f"{path}: the columns fail where load_session does not")
+
+
+def _csv_table(path) -> SessionTable | None:
+    """The table of any session CSV ``csv`` reads, or None when a cell or
+    the reader fails."""
     cols: list[list] = [[] for _ in CSV_COLUMNS]
     try:
         rows = csv_rows(path, CSV_COLUMNS)
@@ -257,19 +276,125 @@ def load_session_table(path) -> SessionTable:
         for j in _INT_COLUMNS:
             cols[j] = _parse_distinct(int, cols[j])
     except ValueError:  # a bad cell, or a DataFormatError from the reader
-        table = None
-    else:
-        table = SessionTable._from_columns(cols)
-    if table is not None and table._rows_valid():
-        return table
-    load_session(path)  # raises the first offending row's error
-    raise RuntimeError(f"{path}: the columns fail where load_session does not")
+        return None
+    return SessionTable._from_columns(cols)
 
 
 def _parse_distinct(parse, cells) -> list:
     """``parse`` of every cell, called once per distinct cell."""
     parsed = {cell: parse(cell) for cell in set(cells)}
     return list(map(parsed.__getitem__, cells))
+
+
+_PLAIN_HEADER = ",".join(CSV_COLUMNS).encode()
+# the byte ending each cell of a plain row: a comma, or the newline
+_PLAIN_ENDS = np.array([ord(",")] * (len(CSV_COLUMNS) - 1) + [ord("\n")], dtype=np.uint8)
+# 10**18 - 1 < 2**63, so a plain number cell always fits int64
+_PLAIN_DIGITS = 18
+
+
+def _plain_table(data: bytes) -> SessionTable | None:
+    """The table of a session CSV in the plain form ``save_session`` writes,
+    or None for any other file.
+
+    Plain means: ASCII with no ``"`` or NUL; lines end in ``\\n`` or
+    ``\\r\\n`` (the last may lack it); the header line is exactly
+    ``CSV_COLUMNS``; at least one row and no blank line, each row of 21
+    cells; treatments ``rsd`` or ``boston``; money ``[0-9]+\\.[0-9][0-9]``
+    and integers ``[0-9]+``, of at most 18 digits; every cell shorter than
+    ``csv``'s field limit, and the widest id times the row count no more
+    than the file's size.  ``csv`` reads such a file cell for cell as
+    written, and ``load_session`` parses each cell to the value read here."""
+    if not data.isascii() or b'"' in data or b"\0" in data or data.endswith(b"\r"):
+        return None
+    if not data.startswith((_PLAIN_HEADER + b"\n", _PLAIN_HEADER + b"\r\n")):
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    a = np.frombuffer(data, dtype=np.uint8)
+    if b"\r" in data and not (a[np.flatnonzero(a == ord("\r")) + 1] == ord("\n")).all():
+        return None
+    # every cell's end, the header's first: row after row of 21
+    seps = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
+    width = len(CSV_COLUMNS)
+    if len(seps) % width or not (a[seps].reshape(-1, width) == _PLAIN_ENDS).all():
+        return None
+    if len(seps) == width:
+        return None  # the header alone
+    # the gap between two ends is a cell's width plus one, or two past a \r
+    if max(seps[0] + 1, np.diff(seps).max()) > csv.field_size_limit():
+        return None  # a cell csv may refuse
+
+    start, end = _cell_bounds(a, seps, (0, 1, 2))
+    widths = end - start
+    if int(widths[[0, 2]].max()) * widths.shape[1] > len(data):
+        return None  # padded ids would outgrow the file
+    if widths[1].max() > len("boston"):
+        return None
+    treatment = _text_cells(a, start[1], end[1])
+    boston = treatment == "boston"
+    if not (boston | (treatment == "rsd")).all():
+        return None
+    money = _plain_numbers(a, *_cell_bounds(a, seps, _MONEY_COLUMNS), point=True)
+    if money is None:
+        return None
+    ints = _plain_numbers(a, *_cell_bounds(a, seps, _INT_COLUMNS), point=False)
+    if ints is None:
+        return None
+    cols: list = [None] * width
+    cols[0] = _text_cells(a, start[0], end[0]).tolist()
+    cols[1] = boston
+    cols[2] = _text_cells(a, start[2], end[2]).tolist()
+    for j, col in zip(_MONEY_COLUMNS + _INT_COLUMNS, [*money, *ints]):
+        cols[j] = col
+    return SessionTable._from_columns(cols)
+
+
+def _cell_bounds(a: np.ndarray, seps: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
+    """(column, row) start and end offsets of the cells in ``columns`` of
+    every row past the header, given every cell's end ``seps``."""
+    at = np.arange(len(CSV_COLUMNS), len(seps), len(CSV_COLUMNS)) + np.array(columns)[:, None]
+    end = seps[at]
+    end -= a[end - 1] == ord("\r")  # a line's \r is no part of its last cell
+    return seps[at - 1] + 1, end
+
+
+def _text_cells(a: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The ASCII cells ``a[start:end]`` as one ``U`` array."""
+    widths = end - start
+    width = max(1, int(widths.max()))
+    padded = np.concatenate([a, np.zeros(width, dtype=np.uint8)])
+    cells = sliding_window_view(padded, width)[start]
+    cells *= np.arange(width) < widths[:, None]
+    # an ASCII byte is its own UCS-4 code point, and NULs pad a U cell
+    return cells.astype(np.uint32).view(f"U{width}").ravel()
+
+
+def _plain_numbers(a: np.ndarray, start: np.ndarray, end: np.ndarray,
+                   point: bool) -> np.ndarray | None:
+    """The int64 values of the (column, row) cells ``a[start:end]``, or None
+    unless every cell is a plain integer; with ``point``, plain money, read
+    in cents."""
+    widths = end - start
+    shortest, widest = (len("0.00"), _PLAIN_DIGITS + 1) if point else (1, _PLAIN_DIGITS)
+    if widths.min() < shortest or widths.max() > widest:
+        return None
+    width = int(widths.max())
+    # every cell right-aligned in ``width`` bytes: the byte at place p lies
+    # p bytes before the cell's last
+    digits = np.stack([a[end - k] for k in range(width, 0, -1)])
+    if point:
+        if not (digits[-3] == ord(".")).all():
+            return None
+        digits[-3] = ord("0")
+    digits -= np.uint8(ord("0"))
+    place = np.arange(width - 1, -1, -1)
+    digits *= place[:, None, None] < widths
+    if not (digits < 10).all():
+        return None
+    # money's point is place 2, so the digits left of it sit one place lower
+    exponent = place - (place >= 2) if point else place
+    return np.einsum("w,wcr->cr", 10 ** exponent, digits)
 
 
 def save_session(records: Sequence[SubjectRecord], path) -> None:

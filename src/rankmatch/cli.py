@@ -42,7 +42,7 @@ def _load_json(path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # undecodable text or JSON
+    except ValueError as exc:  # undecodable text or JSON; an OSError names the path
         raise DataFormatError(f"{path}: {exc}") from exc
 
 

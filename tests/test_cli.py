@@ -404,6 +404,14 @@ def test_empty_paths_are_data_errors(appd_files, tmp_path, monkeypatch, capsys):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: ") and "No such file or directory: ''" in err, argv
+        assert "error: : " not in err, argv
+    # a missing JSON input is named once, as a missing session is
+    missing = str(tmp_path / "missing.json")
+    for argv in (["mechanism", "--kind", "rsd", "--reports", missing, "--order", "0,1,2,3"],
+                 ["analyze", "--session", missing]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: [Errno 2] ") and err.count(missing) == 1, argv
     assert sorted(os.listdir(tmp_path)) == before
 
 

@@ -4,6 +4,7 @@
 ``load_session_table`` must accept, reject and build exactly what
 ``load_session`` does.
 """
+import csv
 import json
 import math
 import random
@@ -231,7 +232,10 @@ def test_table_equals_records(tmp_path):
     load_both_lines(path, lines)
 
     bad_cells = ("", "x", "-1.00", "1.005", "99", "-3", "٣", "BOSTON", "1.5", " 1.00",
-                 "10000000000000000.00", "2", "0.00", "1e999999", "1" + "0" * 400)
+                 "10000000000000000.00", "2", "0.00", "1e999999", "1" + "0" * 400,
+                 # 18 digits fit the plain parse; 19 go through csv
+                 "999999999999999999", "9223372036854775807", "9999999999999999.99",
+                 "92233720368547758.07", "s\u00e9", 'x"y')
     loaded = 0
     for j in range(len(CSV_COLUMNS)):
         for cell in bad_cells:
@@ -253,6 +257,16 @@ def test_table_equals_records(tmp_path):
                    lines[:1], lines[:2] + [""] + lines[2:],
                    ["x"] + lines[1:], []):
         load_both_lines(path, edited)
+
+    text = "".join(line + "\n" for line in lines)
+    limit = csv.field_size_limit()
+    for edited in (text.replace("\n", "\r\n"), text[:-1], text.replace("\n", "\r\n")[:-2],
+                   text.replace("\n", "\r", 1), text.replace("\n", "\r", 5), text[:-1] + "\r",
+                   text.replace("\n", "\n\r\n", 3), "\ufeff" + text,
+                   lines[0] + "\r\n", lines[0], text.replace("s00", "s" + "0" * limit, 1),
+                   text.replace("s00", "s" + "0" * (limit - 2), 1)):
+        path.write_bytes(edited.encode())
+        load_both(path)
 
 
 def load_both_lines(path, lines):
@@ -280,6 +294,26 @@ def test_valid_files_load_without_the_record_loader(tmp_path, monkeypatch):
 
     monkeypatch.setattr(analysis, "load_session", record_loader)
     assert_tables_equal(load_session_table(path), expected)
+
+
+def test_plain_files_load_without_csv(tmp_path, monkeypatch):
+    """A file as ``save_session`` writes it, with CRLF or LF line ends, is
+    parsed from its bytes; ``csv`` reads it for no table."""
+    records = random_session(1)
+    path = tmp_path / "session.csv"
+    save_session(records, path)
+    crlf = path.read_bytes()
+    assert crlf.count(b"\r\n") == len(records) + 1
+
+    def csv_reader(path, columns):
+        raise AssertionError("csv read a plain file")
+
+    for data in (crlf, crlf.replace(b"\r\n", b"\n")):
+        path.write_bytes(data)
+        expected = SessionTable.of(load_session(path))
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "csv_rows", csv_reader)
+            assert_tables_equal(load_session_table(path), expected)
 
 
 # ---------------------------------------------------------------------------
