@@ -4,12 +4,19 @@ Two profile kinds:
 
 * ``FixedReport`` — every agent submits a fixed rank list; each replication
   draws only the tie-break order and runs the real engine.  A block's orders
-  form one (reps x n) array whose chunks ``batch_rsd`` / ``batch_boston`` run
-  in n or n * n vectorized steps.  One block function serves ``simulate``
-  and the per-replication CSV, whose lines it writes chunk by chunk.  The
-  first ``REFERENCE_CHECK_REPS`` orders of every block are also run through
-  the scalar ``run_rsd`` / ``run_boston``, and any disagreement raises, so
-  a fault in either engine stops the run.
+  form one (reps x n) array.  When the block holds at least n! of them,
+  orders repeat: each row gets an exact integer code, and ``np.unique``
+  gives the distinct codes and how often each was drawn.  ``batch_rsd`` /
+  ``batch_boston`` then run each distinct order once, a chunk at a time, in
+  n or n * n vectorized steps, and the sums weight every outcome by its
+  count, so a block of n = 5 runs at most 120 rows.  With more possible
+  orders than draws, each row is its own group.  One block function serves
+  ``simulate`` and the per-replication CSV, whose lines it writes chunk by
+  chunk of replications, each replication finding its distinct row by
+  code.  The first ``REFERENCE_CHECK_REPS`` drawn orders of every block are
+  also run through the scalar ``run_rsd`` / ``run_boston`` and compared
+  with their distinct row's outcome, and any disagreement raises, so a
+  fault in either engine or in the grouping stops the run.
 * ``Structured`` — the symmetric-environment strategies: each agent picks
   which top good to rank first, lower goods are ranked uniformly at random,
   and losers of the top-goods phase receive a uniform leftover good / list
@@ -28,13 +35,14 @@ whole; the work after them (engine runs, gathers, sums, CSV lines) runs a
 chunk of at most ``CHUNK_CELLS`` cells (rows x n) at a time into exact
 integer sums, so its temporaries stay small and are reused from the heap
 across chunks and blocks instead of being returned to the kernel and
-faulted back.
+faulted back.  Only for the CSV lines does a block keep the goods, ranks
+and utilities of all its distinct rows.  ``concurrent.futures`` is imported
+only by a run that uses more than one worker.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -189,40 +197,68 @@ def _chunks(reps: int, n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
 
 
-def _chunk_sums(ranks: np.ndarray, utils: np.ndarray, rho_got: np.ndarray) -> _Acc:
+def _chunk_sums(ranks: np.ndarray, utils: np.ndarray, rho_got: np.ndarray,
+                counts: np.ndarray) -> _Acc:
     """One chunk's sums from (rows x n) received ranks, utilities and the rho
-    part of each utility."""
-    reps, n = ranks.shape
+    part of each utility, row i standing for ``counts[i]`` replications."""
+    n = ranks.shape[1]
     welfare = utils.sum(axis=1)
     rho_tot = rho_got.sum(axis=1)
     hist = np.bincount((ranks - 1).ravel(), minlength=n)
-    return _Acc(reps, int(welfare.sum()), int((welfare * welfare).sum()),
-                int(rho_tot.sum()), int((rho_tot * rho_tot).sum()),
-                hist, [int(u) for u in utils.sum(axis=0)])
+    # a row drawn c > 1 times adds its ranks c - 1 more times; the float bins
+    # are exact, as integer weights sum to at most reps * n < 2**53
+    again = counts > 1
+    hist += np.bincount((ranks[again] - 1).ravel(), weights=np.repeat(counts[again] - 1, n),
+                        minlength=n).astype(np.int64)
+    return _Acc(int(counts.sum()), int(counts @ welfare), int(counts @ (welfare * welfare)),
+                int(counts @ rho_tot), int(counts @ (rho_tot * rho_tot)),
+                hist, [int(u) for u in counts @ utils])
 
 
 def _fixed_block(kind: MechanismKind, market: MarketInstance,
                  reports: Sequence[RankList], pref: np.ndarray,
                  reps: int, seed: int, block: int,
                  write: Callable[[str], object] | None = None) -> _Acc:
-    """Draw one block of tie-break orders, stream (seed, block), run them
-    through the batch engine a chunk at a time and sum the chunks.  With
-    ``write``, each chunk's per-replication CSV lines are passed to it as one
-    string, numbered from the block's first replication."""
+    """Draw one block of tie-break orders, stream (seed, block), and sum their
+    outcomes.  The batch engine runs once per distinct order of the block, a
+    chunk of distinct orders at a time, and each chunk's sums weight an
+    order's outcome by the number of times it was drawn.  With ``write``, the
+    per-replication CSV lines are passed to it a chunk of replications at a
+    time, each chunk as one string, numbered from the block's first
+    replication."""
     n = market.n
     gen = prng.generator(seed, block)
     orders = np.tile(np.arange(n), (reps, 1))
     gen.permuted(orders, axis=1, out=orders)
+    if math.factorial(n) <= reps:
+        # orders repeat: group equal rows by their code sum(order[j] * n**j);
+        # a block that fits in memory has reps < 16!, so n <= 15 and every
+        # code is below n**n < 2**63
+        powers = n ** np.arange(n)
+        code = orders @ powers
+        uniq, counts = np.unique(code, return_counts=True)
+        distinct = uniq[:, None] // powers % n
+    else:
+        # more orders than draws: few repeat, and grouping them would cost
+        # more than it saves, so every row is its own group
+        code = uniq = np.arange(reps)
+        counts = np.ones(reps, dtype=np.int64)
+        distinct = orders
     rows, rho = market.values.rows, market.rho.values
     bound = n * (max(max(r) for r in rows) + max(abs(v) for v in rho))
-    dtype = _sum_dtype(bound, _chunk_rows(n))
+    # one distinct order may stand for every replication of the block
+    dtype = _sum_dtype(bound, reps)
     rho_arr, value_arr = np.asarray(rho, dtype=dtype), np.asarray(rows, dtype=dtype)
     agents = np.arange(n)
+    # distinct row of each replication the scalar engine checks
+    check = np.searchsorted(uniq, code[:REFERENCE_CHECK_REPS])
+    # goods, ranks and utilities of the distinct rows, for the CSV lines
+    kept = None if write is None else np.empty((len(uniq), n, 3), dtype=dtype)
     acc = _Acc.zero(n)
-    for lo, hi in _chunks(reps, n):
-        goods, ranks = batch_mechanism(kind, pref, orders[lo:hi])
-        for rep in range(lo, min(hi, REFERENCE_CHECK_REPS)):
-            order, got = orders[rep].tolist(), goods[rep - lo].tolist()
+    for lo, hi in _chunks(len(uniq), n):
+        goods, ranks = batch_mechanism(kind, pref, distinct[lo:hi])
+        for rep in np.flatnonzero((check >= lo) & (check < hi)).tolist():
+            order, got = orders[rep].tolist(), goods[check[rep] - lo].tolist()
             expected = run_mechanism(kind, reports, TieBreakOrder(order)).assignment
             if tuple(got) != expected:
                 raise RuntimeError(f"{kind.value} batch engine gave {got} for order {order} "
@@ -230,13 +266,17 @@ def _fixed_block(kind: MechanismKind, market: MarketInstance,
                                    f"gives {list(expected)}")
         rho_got = rho_arr[ranks - 1]
         utils = value_arr[agents, goods] + rho_got
-        acc.add(_chunk_sums(ranks, utils, rho_got))
-        if write is not None:
+        acc.add(_chunk_sums(ranks, utils, rho_got, counts[lo:hi]))
+        if kept is not None:
+            for k, part in enumerate((goods, ranks, utils)):
+                kept[lo:hi, :, k] = part
+    if write is not None:
+        for lo, hi in _chunks(reps, n):
             first = block * BLOCK_SIZE + lo
-            cells = np.column_stack((
-                np.repeat(np.arange(first, first + hi - lo), n),
-                np.tile(agents, hi - lo),
-                goods.ravel(), ranks.ravel(), utils.ravel()))
+            cells = np.empty((hi - lo, n, 5), dtype=dtype)  # rep, agent, good, rank, utility
+            cells[:, :, 0] = np.arange(first, first + hi - lo)[:, None]
+            cells[:, :, 1] = agents
+            cells[:, :, 2:] = kept[np.searchsorted(uniq, code[lo:hi])]
             write("%d,%d,%d,%d,%d\r\n" * ((hi - lo) * n) % tuple(cells.ravel().tolist()))
     return acc
 
@@ -385,6 +425,8 @@ def simulate(kind: MechanismKind, market, profile: StrategyProfile,
 
     workers = min(threads, os.cpu_count() or 1, len(sizes))
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(block_fn, sizes, range(len(sizes))))
     else:

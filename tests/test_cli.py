@@ -178,14 +178,17 @@ def test_simulate_fixed_profile_threads(appd_files, capsys):
 
 def test_simulate_csv_report_matches_simulate(appd_files, tmp_path, capsys):
     rp, mp = appd_files
+    reps = 70_000  # two blocks
     args = ["simulate", "--kind", "rsd", "--market", str(mp), "--profile-reports",
-            str(rp), "--reps", "3000", "--seed", "7"]
+            str(rp), "--reps", str(reps), "--seed", "7"]
     code, plain, _ = run_cli(args, capsys)
     assert code == 0
+    code, threaded, _ = run_cli(args + ["--threads", "2"], capsys)
+    assert code == 0 and threaded == plain
     path = tmp_path / "reps.csv"
     code, with_csv, _ = run_cli(args + ["--csv", str(path)], capsys)
     assert code == 0 and with_csv == plain
-    assert len(path.read_text().splitlines()) == 1 + 3000 * 4
+    assert len(path.read_text().splitlines()) == 1 + reps * 4
 
 
 def test_simulate_requires_one_profile(tmp_path, capsys, appd_files):
@@ -500,6 +503,34 @@ def test_no_subcommand_needs_scipy(appd_files, tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_thread_pool_is_imported_only_for_threads(appd_files, tmp_path):
+    """``import rankmatch.cli`` and a one-thread run leave ``concurrent.futures``
+    unloaded; ``--threads 2`` loads it where there are two cores and writes the
+    bytes ``--threads 1`` writes.  Run out of process, because this test
+    module's own imports may load the pool."""
+    rp, mp = appd_files
+    outs = [str(tmp_path / f"t{threads}.json") for threads in (1, 2)]
+    script = textwrap.dedent(f"""
+        import os, sys
+        from rankmatch import cli
+        assert "concurrent.futures" not in sys.modules
+        args = ["simulate", "--kind", "boston", "--market", {str(mp)!r},
+                "--profile-reports", {str(rp)!r}, "--reps", "70000", "--seed", "3"]
+        assert cli.main(args + ["--threads", "1", "--out", {outs[0]!r}]) == 0
+        assert "concurrent.futures" not in sys.modules
+        assert cli.main(args + ["--threads", "2", "--out", {outs[1]!r}]) == 0
+        assert ("concurrent.futures" in sys.modules) == ((os.cpu_count() or 1) > 1)
+    """)
+    src = os.path.dirname(os.path.dirname(rankmatch.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    with open(outs[0], "rb") as one, open(outs[1], "rb") as two:
+        assert one.read() == two.read()
 
 
 def _reject_constant(name):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -219,18 +220,22 @@ def test_replication_csv(tmp_path):
 
 
 def _scalar_reference(kind, market, reports, reps, seed):
-    """The scalar engine once per replication, over the orders ``simulate``
-    draws: one Philox stream (seed, block) per block of BLOCK_SIZE reps."""
+    """The scalar engine's outcome of every replication, over the orders
+    ``simulate`` draws: one Philox stream (seed, block) per block of
+    BLOCK_SIZE reps.  Each distinct order runs once."""
     n = market.n
     outcomes = []
+    by_order = {}
     block = 0
     while len(outcomes) < reps:
         size = min(simulation.BLOCK_SIZE, reps - len(outcomes))
         orders = np.tile(np.arange(n), (size, 1))
         prng.generator(seed, block).permuted(orders, axis=1, out=orders)
-        for order in orders.tolist():
-            matching = run_mechanism(kind, reports, TieBreakOrder(order))
-            outcomes.append(build_outcome(matching, reports, market))
+        for order in map(tuple, orders.tolist()):
+            if order not in by_order:
+                matching = run_mechanism(kind, reports, TieBreakOrder(order))
+                by_order[order] = build_outcome(matching, reports, market)
+            outcomes.append(by_order[order])
         block += 1
     return outcomes
 
@@ -252,6 +257,11 @@ def _fixed_cases():
     # cents this large overflow int64 sums of squares: exact Python ints
     big = [[10**15 + rng.randint(0, 10**12) for _ in range(n)] for _ in range(n)]
     yield MarketInstance.from_cents(big, [10**13, 10**12, 0, 0, 0]), reports
+    # three agents have 6 orders: blocks of 7 run each drawn order once,
+    # weighted by its count, and the last block of 2 runs both its rows
+    values = [[rng.randint(0, 3000) for _ in range(3)] for _ in range(3)]
+    yield (MarketInstance.from_cents(values, [400, 0, -20]),
+           [RankList(tuple(rng.sample(range(3), 3))) for _ in range(3)])
 
 
 @pytest.mark.parametrize("kind", list(MechanismKind))
@@ -292,6 +302,39 @@ def test_fixed_profile_matches_scalar_reference(tmp_path, monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", list(MechanismKind))
+@pytest.mark.parametrize("scale,chunk_fits_int64", [(6_000_000, True), (10**15, False)])
+def test_fixed_sums_exact_under_count_weights(kind, scale, chunk_fits_int64):
+    """Three agents have 6 orders, so each distinct row of a full block
+    stands for about 10 900 replications.  Near 2e7 cents of welfare the
+    squares of a chunk's rows sum below 2**63 but a block's replications
+    pass it; near 3e15 even one square does.  The report equals exact
+    integer sums over the scalar engine's replay of the same draws."""
+    n, reps, seed = 3, simulation.BLOCK_SIZE + 4_321, 8  # two blocks
+    top, mid = scale + 600_000, scale + 300_000
+    market = MarketInstance.from_cents([[top, mid, scale], [scale, top, mid], [mid, scale, top]],
+                                       [50_000, 10_000, 0])
+    reports = [RankList((0, 1, 2)), RankList((0, 2, 1)), RankList((1, 0, 2))]
+    outs = _scalar_reference(kind, market, reports, reps, seed)
+    welfare = [out.welfare_total for out in outs]
+    rho = [out.rho_total for out in outs]
+    w_sq = sum(w * w for w in welfare)
+    assert w_sq >= 2**63
+    assert (simulation._chunk_rows(n) * max(welfare) ** 2 < 2**63) == chunk_fits_int64
+
+    rep = simulate(kind, market, StrategyProfile.fixed_reports(reports), reps, seed)
+    hist = [0] * n
+    for out in outs:
+        for r in out.received_rank:
+            hist[r - 1] += 1
+    assert rep.rank_histogram == tuple(hist)
+    assert (rep.welfare_mean, rep.welfare_se) == simulation._mean_se(sum(welfare), w_sq, reps)
+    assert (rep.rho_mean, rep.rho_se) == simulation._mean_se(sum(rho),
+                                                             sum(r * r for r in rho), reps)
+    assert rep.agent_eu_mean == tuple(sum(out.utility[i] for out in outs) / reps
+                                      for i in range(n))
+
+
+@pytest.mark.parametrize("kind", list(MechanismKind))
 def test_batch_engine_is_checked_against_reference(tmp_path, monkeypatch, kind):
     market, reports = next(_fixed_cases())
     profile = StrategyProfile.fixed_reports(reports)
@@ -317,13 +360,14 @@ def test_mean_se_exact_near_2_60():
 
 def test_worker_count_is_clamped(monkeypatch):
     requested = []
-    pool_class = simulation.ThreadPoolExecutor
+    pool_class = concurrent.futures.ThreadPoolExecutor
 
     def recording_pool(max_workers):
         requested.append(max_workers)
         return pool_class(max_workers=max_workers)
 
-    monkeypatch.setattr(simulation, "ThreadPoolExecutor", recording_pool)
+    # simulate imports the pool class when it needs one, so patch its home
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setattr(simulation, "BLOCK_SIZE", 7)
     monkeypatch.setattr(simulation.os, "cpu_count", lambda: 64)
     fixed = StrategyProfile.fixed_reports([RankList((0, 1, 2)), RankList((1, 0, 2)),
