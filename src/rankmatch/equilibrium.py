@@ -20,9 +20,12 @@ slot lottery.  Agents with the same list are interchangeable in both
 engines, so the outcome of a tie-break order depends only on which list
 sits at each priority position; the engine runs those 2**n label
 sequences, which together weigh exactly as all n! orders of every n1.
+Their outcome counts depend on no instance value, so the engine runs
+once per (mechanism, n) in a process.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -120,7 +123,7 @@ def _u_boston(inst: SymmetricInstance, top: int, n1: int) -> Fraction:
     """EU of an agent ranking x{top} first when n1 agents in total rank x1
     first.  Valid for the formal extension 0 <= n1 <= n used by the
     deviation comparisons."""
-    delta = symmetric_params(inst).delta
+    delta = inst.vbar + inst.rho.mean(2, inst.n - 1)
     group = n1 if top == 1 else inst.n - n1
     if group < 1:
         raise ValueError(f"no agent ranks x{top} first at n1={n1}")
@@ -130,7 +133,7 @@ def _u_boston(inst: SymmetricInstance, top: int, n1: int) -> Fraction:
 
 def _u_sd(inst: SymmetricInstance, top: int, n1: int) -> Fraction:
     n, rho = inst.n, inst.rho
-    dp = symmetric_params(inst).delta_prime
+    dp = inst.vbar + rho.mean(3, n)
     if top == 1:
         if n1 < 1:
             raise ValueError(f"no agent ranks x1 first at n1={n1}")
@@ -178,10 +181,9 @@ def corner_holds(kind: MechanismKind, inst: SymmetricInstance) -> bool:
 def corner_eu(inst: SymmetricInstance) -> Fraction:
     """EU of every agent at the all-rank-x1-first corner (both mechanisms)."""
     n, rho = inst.n, inst.rho
-    rb = symmetric_params(inst).rho_bar
     return (Fraction(1, n) * (inst.v1 + rho.at(1))
             + Fraction(1, n) * (inst.v2 + rho.at(2))
-            + Fraction(n - 2, n) * (inst.vbar + rb))
+            + Fraction(n - 2, n) * (inst.vbar + rho.mean(3, n)))
 
 
 def solve_equilibrium(kind: MechanismKind, inst: SymmetricInstance) -> EquilibriumSolution:
@@ -228,27 +230,18 @@ def _lottery_value(inst: SymmetricInstance, first_slot: int, last_slot: int) -> 
     return inst.vbar + inst.rho.mean(first_slot, last_slot)
 
 
-def _enum_group_eus(kind: MechanismKind,
-                    inst: SymmetricInstance) -> list[tuple[Fraction | None, Fraction | None]]:
-    """Per n1 in 0..n, the EUs of an x1-first agent and of an x2-first
-    agent, None where nobody plays that strategy.
-
-    One engine call runs all 2**n label sequences: row b holds the x2-first
-    list at priority position p when bit p of b is set, under the identity
-    order.  A sequence with n1 x1-first positions stands for n1!·(n−n1)! of
-    the n! orders of a profile with n1 x1-first agents, so the x1-first EU
-    is that group's total over the C(n, n1) such rows divided by
-    n1·C(n, n1), and likewise for x2-first.  An agent who receives a top
-    good at rank <= 2 scores value + rho(rank), and everyone else the slot
-    lottery over the leftover goods."""
-    n = inst.n
+@functools.cache
+def _label_tally(kind: MechanismKind, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Outcome counts [n1][side][outcome] over all 2**n label sequences,
+    side 1 being the x2-first list.  One engine call: row b holds the
+    x2-first list at priority position p when bit p of b is set, under the
+    identity order.  The counts are cached per (kind, n), so a test that
+    patches the engine must call ``_label_tally.cache_clear()`` first."""
     tail = tuple(range(2, n))
     if kind == MechanismKind.RSD:
         lists = ((0, 1) + tail, (1, 0) + tail)
-        cont = _lottery_value(inst, 3, n)
     else:
         lists = ((0,) + tail + (1,), (1,) + tail + (0,))
-        cont = _lottery_value(inst, 2, n - 1)
     label = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1  # 1 = x2-first
     orders = np.broadcast_to(np.arange(n), label.shape)
     goods, ranks = batch_mechanism(kind, np.array(lists, dtype=np.int64)[label], orders)
@@ -259,15 +252,34 @@ def _enum_group_eus(kind: MechanismKind,
     row_n1 = n - label.sum(axis=1, keepdims=True)
     tally = np.bincount(((2 * row_n1 + label) * 5 + outcome).ravel(),
                         minlength=(n + 1) * 10).reshape(n + 1, 2, 5).tolist()
+    return tuple(tuple(map(tuple, sides)) for sides in tally)
+
+
+def _enum_group_eus(kind: MechanismKind,
+                    inst: SymmetricInstance) -> list[tuple[Fraction | None, Fraction | None]]:
+    """Per n1 in 0..n, the EUs of an x1-first agent and of an x2-first
+    agent, None where nobody plays that strategy.
+
+    The counts come from ``_label_tally``, whose engine call runs once per
+    (kind, n) in a process.  A sequence with n1 x1-first positions stands
+    for n1!·(n−n1)! of the n! orders of a profile with n1 x1-first agents,
+    so the x1-first EU is that group's total over the C(n, n1) such rows
+    divided by n1·C(n, n1), and likewise for x2-first.  An agent who
+    receives a top good at rank <= 2 scores value + rho(rank), and everyone
+    else the slot lottery over the leftover goods."""
+    n = inst.n
+    if kind == MechanismKind.RSD:
+        cont = _lottery_value(inst, 3, n)
+    else:
+        cont = _lottery_value(inst, 2, n - 1)
     payoff = [inst.good_value(g) + inst.rho.at(r) for g in (0, 1) for r in (1, 2)]
     eus = []
-    for n1 in range(n + 1):
+    for n1, sides in enumerate(_label_tally(kind, n)):
         group = []
-        for side, size in enumerate((n1, n - n1)):
+        for (*won_counts, lost), size in zip(sides, (n1, n - n1)):
             if size == 0:
                 group.append(None)
                 continue
-            *won_counts, lost = tally[n1][side]
             players = size * math.comb(n, n1)
             group.append(Fraction(sum(c * p for c, p in zip(won_counts, payoff)), players)
                          + Fraction(lost, players) * cont)

@@ -7,9 +7,10 @@ who picks first in RSD and holds tie-break number 1 in Boston.  The scalar
 ``run_rsd`` / ``run_boston`` are the readable reference and serve single
 orders.  The batch engines behind ``batch_mechanism`` run many orders in one
 call, either under one profile shared by every row (``exact_expected_utilities``
-runs the ``all_orders`` array this way) or under a profile per row (the
-top-goods phase of ``equilibrium.brute_force_equilibria`` runs every
-priority-label sequence this way), so each question is one engine call.
+runs the ``all_orders`` array, built in numpy, this way) or under a profile
+per row (the top-goods phase of ``equilibrium.brute_force_equilibria`` runs
+every priority-label sequence this way, once per mechanism and n in a
+process), so each question is at most one engine call.
 """
 from __future__ import annotations
 
@@ -118,8 +119,17 @@ def batch_mechanism(kind: MechanismKind, pref: np.ndarray,
 
 
 def all_orders(n: int) -> np.ndarray:
-    """Every tie-break order of n agents, as an (n! x n) int array."""
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    """Every tie-break order of n agents, as an (n! x n) int64 array in the
+    row order of ``itertools.permutations`` (n = 0: the one empty order).
+    The orders of k agents are, per first agent f, those of k - 1 agents
+    with every id >= f raised by one."""
+    orders = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, n + 1):
+        first = np.repeat(np.arange(k), len(orders))[:, None]
+        rest = np.tile(orders, (k, 1))
+        rest += rest >= first
+        orders = np.hstack((first, rest))
+    return orders
 
 
 def utility_total(goods: np.ndarray, ranks: np.ndarray, values: Sequence[int],

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,26 +8,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankmatch import cli
+from rankmatch import cli, equilibrium
 from rankmatch.core import RankList, RhoSchedule, SizeLimitError
 from rankmatch.equilibrium import (
     SymmetricInstance,
     _deviation_eu,
     _enum_group_eus,
+    _label_tally,
     _lottery_value,
     _u_boston,
     _u_sd,
     boston_group_eu,
     brute_force_equilibria,
     check_truthtelling_equilibrium,
+    corner_eu,
     corner_holds,
     equilibrium_welfare,
     sd_group_eu,
     solve_equilibrium,
     symmetric_params,
 )
-from rankmatch.mechanisms import (MechanismKind, all_orders, batch_mechanism,
-                                  exact_expected_utilities, utility_total)
+from rankmatch.mechanisms import (MechanismKind, TieBreakOrder, all_orders, batch_mechanism,
+                                  exact_expected_utilities, run_mechanism, utility_total)
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 E1 = SymmetricInstance(5, 2824, 2256, 700, RhoSchedule((800, 200, 0, 0, 0)))
@@ -108,6 +111,19 @@ def test_corner_instance():
         equilibrium_welfare(MechanismKind.RSD, inst, 4)
 
 
+def test_corner_eu_equals_engine_enumeration():
+    # at the corner every agent reports the same list, so each mechanism's
+    # exact EU over all n! orders is an oracle that shares no closed form
+    rng = random.Random(17)
+    for n in (3, 4, 5, 6):
+        for _ in range(3):
+            inst = rand_instance(rng, n)
+            reports = [RankList(tuple(range(n)))] * n
+            for kind in MechanismKind:
+                assert set(exact_expected_utilities(kind, reports, inst.market())) == \
+                    {corner_eu(inst)}, (kind, inst)
+
+
 def test_rsd_corner_without_boston_corner():
     # deviating to x2 is sure money in Boston but not in RSD, so the RSD
     # corner can survive when the Boston one fails
@@ -154,17 +170,24 @@ def test_brute_force_group_eus_equal_closed_forms():
                         assert u2 == closed[kind](inst, 2, n1), (kind, inst, n1)
 
 
+def structured_lists(kind, n):
+    """(x1-first list, x2-first list): the other top good second in RSD and
+    last in Boston."""
+    tail = tuple(range(2, n))
+    if kind == MechanismKind.RSD:
+        return (0, 1) + tail, (1, 0) + tail
+    return (0,) + tail + (1,), (1,) + tail + (0,)
+
+
 def reference_enum_group_eus(kind, inst):
     """The brute force over tie-break orders: for each n1 one engine call
     over all n! orders, agents 0..n1-1 ranking x1 first, reading agent 0
     (x1-first) and agent n-1 (x2-first)."""
     n = inst.n
-    tail = tuple(range(2, n))
+    lists = structured_lists(kind, n)
     if kind == MechanismKind.RSD:
-        lists = ((0, 1) + tail, (1, 0) + tail)
         cont = _lottery_value(inst, 3, n)
     else:
-        lists = ((0,) + tail + (1,), (1,) + tail + (0,))
         cont = _lottery_value(inst, 2, n - 1)
     values = [inst.good_value(g) for g in range(n)]
     orders = all_orders(n)
@@ -198,6 +221,48 @@ def test_label_sequences_equal_all_orders(n):
             for kind in MechanismKind:
                 assert _enum_group_eus(kind, case) == reference_enum_group_eus(kind, case), \
                     (kind, case)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_label_tally_equals_scalar_count_over_all_orders(n):
+    """The cached tally, built cold, times n1!·(n−n1)! equals the outcome
+    counts of the scalar engine over all n! orders of each profile, agents
+    0..n1-1 ranking x1 first: no label rows and no batch engine."""
+    _label_tally.cache_clear()
+    for kind in MechanismKind:
+        tally = _label_tally(kind, n)
+        lists = [RankList(lst) for lst in structured_lists(kind, n)]
+        for n1 in range(n + 1):
+            reports = [lists[0]] * n1 + [lists[1]] * (n - n1)
+            counts = [[0] * 5 for _ in range(2)]
+            for perm in itertools.permutations(range(n)):
+                matching = run_mechanism(kind, reports, TieBreakOrder(perm))
+                for agent, good in enumerate(matching.assignment):
+                    rank = reports[agent].rank_of(good)
+                    outcome = 2 * good + rank - 1 if good < 2 and rank <= 2 else 4
+                    counts[agent >= n1][outcome] += 1
+            weight = math.factorial(n1) * math.factorial(n - n1)
+            assert [[weight * c for c in side] for side in tally[n1]] == counts, (kind, n1)
+
+
+def test_label_tally_runs_engine_once_per_kind_and_n(monkeypatch):
+    _label_tally.cache_clear()
+    calls = []
+
+    def counting(kind, pref, orders):
+        calls.append((kind, len(orders)))
+        return batch_mechanism(kind, pref, orders)
+    monkeypatch.setattr(equilibrium, "batch_mechanism", counting)
+    other = SymmetricInstance(5, 3100, 2000, 50, RhoSchedule((700, 300, 10, 0, -40)))
+    for kind in MechanismKind:
+        for inst in (E1, other, E1):
+            assert brute_force_equilibria(kind, inst) == \
+                set(solve_equilibrium(kind, inst).n1_candidates)
+    assert calls == [(MechanismKind.RSD, 32), (MechanismKind.BOSTON, 32)]
+    tally = _label_tally(MechanismKind.BOSTON, 5)
+    assert isinstance(tally, tuple)
+    assert all(isinstance(sides, tuple) and all(isinstance(side, tuple) for side in sides)
+               for sides in tally)
 
 
 GOLDEN_INSTANCES = {

@@ -10,6 +10,7 @@ from rankmatch.core import MarketInstance, RankList, SizeLimitError, build_outco
 from rankmatch.mechanisms import (
     MechanismKind,
     TieBreakOrder,
+    all_orders,
     batch_boston,
     batch_rsd,
     exact_expected_utilities,
@@ -142,6 +143,17 @@ def test_exact_matches_brute_average():
                     totals[i] += out.utility[i]
             assert tuple(Fraction(t, math.factorial(n)) for t in totals) == eus, \
                 (kind, market, reports)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_all_orders_equal_itertools_permutations(n):
+    # the exact oracles' tests enumerate through all_orders, so it is
+    # checked against an order source it does not share
+    orders = all_orders(n)
+    ref = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    assert orders.shape == ref.shape == (math.factorial(n), n)
+    assert orders.dtype == np.int64 and orders.flags.c_contiguous
+    assert np.array_equal(orders, ref)
 
 
 def _assert_batch_matches_scalar(lists, orders):
