@@ -8,6 +8,12 @@ main treatment outcome.
 
 Every measure works on a ``SessionTable``, the session as columns; it also
 takes a sequence of ``SubjectRecord`` and builds the table first.
+
+A session CSV has two readers.  ``load_session`` reads any file record by
+record and names the first malformed row in file order.
+``load_session_table`` parses a file in the plain form ``save_session``
+writes straight into columns, and leaves every other file to
+``load_session``.
 """
 from __future__ import annotations
 
@@ -17,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -44,6 +49,19 @@ _INT_COLUMNS = (8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20)
 # the bound ``cents`` puts on money, here on the ``practice`` count, so the
 # regression's float design holds it
 PRACTICE_LIMIT = 10**CENTS_DIGITS
+# The range checks of a row's whole-number fields, in the order
+# ``SubjectRecord`` makes them, as (field, lowest, highest, message): a value
+# outside lowest..highest, or not whole, fails with the message formatted
+# with the value.  ``SessionTable._rows_valid`` walks them over columns.
+_RANGE_RULES = (
+    ("phase1_order", 1, 20, "phase1_order must be in 1..20, got {}"),
+    ("crt", 0, 3, "crt must be in 0..3, got {}"),
+    ("female", 0, 1, "female must be 0/1, got {}"),
+    ("risk_row", 1, LOTTERY_ROWS, f"risk_row must be in 1..{LOTTERY_ROWS}, got {{}}"),
+    ("loss_row", 1, LOTTERY_ROWS, f"loss_row must be in 1..{LOTTERY_ROWS}, got {{}}"),
+    ("practice", 0, math.inf, "practice must be >= 0, got {}"),
+    ("practice", -math.inf, PRACTICE_LIMIT - 1, f"practice must be below 10**{CENTS_DIGITS}"),
+)
 
 
 class TruthGaps(NamedTuple):
@@ -93,20 +111,10 @@ class SubjectRecord:
             raise ValueError("elicited values must be non-negative")
         if self.good_received not in self.report.order:
             raise ValueError("good_received must appear in the report")
-        if not 1 <= self.phase1_order <= 20:
-            raise ValueError(f"phase1_order must be in 1..20, got {self.phase1_order}")
-        if not 0 <= self.crt <= 3:
-            raise ValueError(f"crt must be in 0..3, got {self.crt}")
-        if self.female not in (0, 1):
-            raise ValueError(f"female must be 0/1, got {self.female}")
-        if not 1 <= self.risk_row <= LOTTERY_ROWS:
-            raise ValueError(f"risk_row must be in 1..{LOTTERY_ROWS}, got {self.risk_row}")
-        if not 1 <= self.loss_row <= LOTTERY_ROWS:
-            raise ValueError(f"loss_row must be in 1..{LOTTERY_ROWS}, got {self.loss_row}")
-        if self.practice < 0:
-            raise ValueError(f"practice must be >= 0, got {self.practice}")
-        if self.practice >= PRACTICE_LIMIT:
-            raise ValueError(f"practice must be below 10**{CENTS_DIGITS}")
+        for field, lowest, highest, message in _RANGE_RULES:
+            value = getattr(self, field)
+            if not lowest <= value <= highest or value != int(value):
+                raise ValueError(message.format(value))
         if not self.subject_id:
             raise ValueError("subject_id must be non-empty")
         if not self.group_id:
@@ -202,12 +210,8 @@ class SessionTable:
             # with the report a permutation of 0..4, it lists any good in 0..4
             and ((0 <= self.good) & (self.good < N_GOODS)).all()
             and (self.values >= 0).all() and (self.phase2 >= 0).all()
-            and ((1 <= self.phase1_order) & (self.phase1_order <= 20)).all()
-            and ((0 <= self.crt) & (self.crt <= 3)).all()
-            and ((self.female == 0) | (self.female == 1)).all()
-            and ((1 <= self.risk_row) & (self.risk_row <= LOTTERY_ROWS)).all()
-            and ((1 <= self.loss_row) & (self.loss_row <= LOTTERY_ROWS)).all()
-            and ((0 <= self.practice) & (self.practice < PRACTICE_LIMIT)).all()
+            and all(((lowest <= getattr(self, field)) & (getattr(self, field) <= highest)).all()
+                    for field, lowest, highest, _ in _RANGE_RULES)
             and all(self.subject_id) and all(self.group_id))
 
 
@@ -236,54 +240,24 @@ def load_session(path) -> list[SubjectRecord]:
     return records
 
 
-_CHUNK_ROWS = 4096
-
-
 def load_session_table(path) -> SessionTable:
     """Read a session CSV as columns: the same table, and the same errors,
     as ``SessionTable.of(load_session(path))``.
 
     A file in the plain form ``save_session`` writes (ASCII, no quotes,
     ``\\n`` or ``\\r\\n`` line ends, money ``d.dd`` and integers of at most
-    18 digits; see ``_plain_table``) is parsed from its bytes with numpy.
-    Any other file goes through ``csv``, its cells parsed as
-    ``load_session`` parses them, once per distinct cell.  Either table is
-    checked as ``SubjectRecord`` checks a record; a file that fails is read
-    again by ``load_session``, which names its first offending row."""
+    18 digits; see ``_plain_table``) whose rows pass ``SubjectRecord``'s
+    checks is parsed from its bytes with numpy.  Any other file, and any
+    plain file with a bad row, is read by ``load_session``, which names the
+    first offending row in file order."""
     with open(path, "rb") as fh:
         table = _plain_table(fh.read())
     if table is None:
-        table = _csv_table(path)
-    if table is not None and table._rows_valid():
+        return SessionTable.of(load_session(path))
+    if table._rows_valid():
         return table
     load_session(path)  # raises the first offending row's error
     raise RuntimeError(f"{path}: the columns fail where load_session does not")
-
-
-def _csv_table(path) -> SessionTable | None:
-    """The table of any session CSV ``csv`` reads, or None when a cell or
-    the reader fails."""
-    cols: list[list] = [[] for _ in CSV_COLUMNS]
-    try:
-        rows = csv_rows(path, CSV_COLUMNS)
-        while chunk := [row for _, row in islice(rows, _CHUNK_ROWS)]:
-            for col, cells in zip(cols, zip(*chunk)):
-                col.extend(cells)
-        cols[1] = _parse_distinct(
-            lambda cell: MechanismKind(cell.strip().lower()) == MechanismKind.BOSTON, cols[1])
-        for j in _MONEY_COLUMNS:
-            cols[j] = _parse_distinct(cents, cols[j])
-        for j in _INT_COLUMNS:
-            cols[j] = _parse_distinct(int, cols[j])
-    except ValueError:  # a bad cell, or a DataFormatError from the reader
-        return None
-    return SessionTable._from_columns(cols)
-
-
-def _parse_distinct(parse, cells) -> list:
-    """``parse`` of every cell, called once per distinct cell."""
-    parsed = {cell: parse(cell) for cell in set(cells)}
-    return list(map(parsed.__getitem__, cells))
 
 
 _PLAIN_HEADER = ",".join(CSV_COLUMNS).encode()
@@ -398,7 +372,7 @@ def _plain_numbers(a: np.ndarray, start: np.ndarray, end: np.ndarray,
 
 
 def save_session(records: Sequence[SubjectRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:

@@ -40,7 +40,7 @@ def _emit(doc: dict, out=None) -> None:
 
 def _load_json(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except ValueError as exc:  # undecodable text or JSON; an OSError names the path
         raise DataFormatError(f"{path}: {exc}") from exc

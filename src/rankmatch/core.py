@@ -35,7 +35,7 @@ def csv_rows(path, columns: Sequence[str]):
     row that is not ``len(columns)`` cells wide, text that does not decode
     and a line ``csv`` rejects raise ``DataFormatError``."""
     width = len(columns)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         lineno = 0  # rows read so far, the header included
         try:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -41,22 +42,32 @@ def test_net_value_identity():
 
 
 def test_record_validation():
-    with pytest.raises(ValueError):
-        make_record(phase2=-5)
-    with pytest.raises(ValueError):
-        make_record(phase1_order=0)
-    with pytest.raises(ValueError):
-        make_record(crt=4)
-    for kw, message in ((dict(risk_row=0), "risk_row must be in 1..50, got 0"),
+    for kw, message in ((dict(phase1_values=PLANTED_PHASE1[:4]),
+                         "records cover exactly the five session goods"),
+                        (dict(phase1_values=(-1,) + PLANTED_PHASE1[1:]),
+                         "elicited values must be non-negative"),
+                        (dict(phase2=-5), "elicited values must be non-negative"),
+                        (dict(good=7), "good_received must appear in the report"),
+                        (dict(phase1_order=0), "phase1_order must be in 1..20, got 0"),
+                        (dict(phase1_order=21), "phase1_order must be in 1..20, got 21"),
+                        (dict(phase1_order=1.5), "phase1_order must be in 1..20, got 1.5"),
+                        (dict(crt=-1), "crt must be in 0..3, got -1"),
+                        (dict(crt=4), "crt must be in 0..3, got 4"),
+                        (dict(female=2), "female must be 0/1, got 2"),
+                        (dict(female=0.5), "female must be 0/1, got 0.5"),
+                        (dict(risk_row=0), "risk_row must be in 1..50, got 0"),
                         (dict(risk_row=51), "risk_row must be in 1..50, got 51"),
                         (dict(loss_row=-3), "loss_row must be in 1..50, got -3"),
                         (dict(loss_row=99), "loss_row must be in 1..50, got 99"),
                         (dict(practice=-1), "practice must be >= 0, got -1"),
+                        (dict(practice=10**100), "practice must be below 10**100"),
                         (dict(subject_id=""), "subject_id must be non-empty"),
                         (dict(group_id=""), "group_id must be non-empty")):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_record(**kw)
-    for kw in (dict(risk_row=1), dict(loss_row=50), dict(practice=0), dict(practice=10**30)):
+    for kw in (dict(phase1_order=20), dict(crt=0), dict(crt=3), dict(female=1),
+               dict(risk_row=1), dict(loss_row=50), dict(practice=0), dict(practice=10**30),
+               dict(practice=10**100 - 1)):
         make_record(**kw)
 
 

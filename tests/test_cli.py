@@ -533,6 +533,49 @@ def test_thread_pool_is_imported_only_for_threads(appd_files, tmp_path):
         assert one.read() == two.read()
 
 
+def test_inputs_are_read_as_utf8_under_any_locale(appd_files, tmp_path):
+    """With the C locale, and UTF-8 mode and locale coercion off, the
+    process encoding is not UTF-8; a session with non-ASCII ids (written by
+    ``save_session`` and read by ``analyze``), a response CSV and a market
+    JSON with non-ASCII text give what they give in UTF-8 mode.  Run out of
+    process, because the encoding is fixed when the interpreter starts."""
+    rp, mp = appd_files
+    market = json.loads(mp.read_text())
+    market["goods"][0] = "caf\u00e9"
+    mp.write_text(json.dumps(market, ensure_ascii=False), encoding="utf-8")
+    responses = tmp_path / "responses.csv"
+    responses.write_text("subject_id,task_id,screen1_row,screen2_row,switch_row\n"
+                         "s\u00e9,mpl,16,28,\ns\u00e9,holt_laury,,,12\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(rankmatch.__file__))
+    results = {}
+    for utf8 in ("0", "1"):
+        session = str(tmp_path / f"session{utf8}.csv")
+        script = textwrap.dedent(f"""
+            import codecs, dataclasses, json, locale
+            from rankmatch import analysis, cli, elicitation
+            records = analysis.generate_session(2, (287, 100, 50, 0, -69), 120.0, seed=4)
+            records[:5] = [dataclasses.replace(r, group_id="g\\u00e9") for r in records[:5]]
+            records[0] = dataclasses.replace(records[0], subject_id="s\\u00e9")
+            analysis.save_session(records, {session!r})
+            assert cli.main(["analyze", "--session", {session!r}, "--ols"]) == 0
+            assert cli.main(["mechanism", "--kind", "boston", "--reports", {str(rp)!r},
+                             "--order", "1,0,2,3", "--market", {str(mp)!r}]) == 0
+            print(json.dumps([(subject, repr(response)) for subject, response
+                              in elicitation.load_responses({str(responses)!r})]))
+            print(codecs.lookup(locale.getpreferredencoding(False)).name)
+        """)
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8=utf8, PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        results[utf8] = proc.stdout.rsplit("\n", 2)
+    (c_out, c_encoding, _), (utf8_out, utf8_encoding, _) = results["0"], results["1"]
+    assert c_encoding != "utf-8" and utf8_encoding == "utf-8"
+    assert c_out == utf8_out
+    assert '"s\\u00e9"' in c_out and '"caf\\u00e9"' in c_out
+
+
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 

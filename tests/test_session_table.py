@@ -233,7 +233,7 @@ def test_table_equals_records(tmp_path):
 
     bad_cells = ("", "x", "-1.00", "1.005", "99", "-3", "٣", "BOSTON", "1.5", " 1.00",
                  "10000000000000000.00", "2", "0.00", "1e999999", "1" + "0" * 400,
-                 # 18 digits fit the plain parse; 19 go through csv
+                 # 18 digits fit the plain parse; 19 go to the record reader
                  "999999999999999999", "9223372036854775807", "9999999999999999.99",
                  "92233720368547758.07", "s\u00e9", 'x"y')
     loaded = 0
@@ -274,9 +274,10 @@ def load_both_lines(path, lines):
     return load_both(path)
 
 
-def test_valid_files_load_without_the_record_loader(tmp_path, monkeypatch):
-    """Cells outside ``d.dd`` form and quoted cells are parsed as columns;
-    ``load_session`` reads a file again only when it is malformed."""
+def test_valid_non_plain_files_load(tmp_path):
+    """A quoted cell, money outside ``d.dd`` form and a number past 18
+    digits each leave the plain form; such a file is read record by record
+    into the same table."""
     lines = base_lines(tmp_path)
     path = tmp_path / "edited.csv"
     edits = [(3, "1.5"), (4, " 1.00"), (14, "10000000000000000.00"), (0, '"s,00"')]
@@ -285,15 +286,10 @@ def test_valid_files_load_without_the_record_loader(tmp_path, monkeypatch):
         row[j] = cell
         lines[2] = ",".join(row)
     expected = load_both_lines(path, lines)
+    assert analysis._plain_table(path.read_bytes()) is None
     assert expected.subject_id[1] == "s,00"
     assert expected.values[1, 0] == 150 and expected.values[1, 1] == 100
     assert expected.phase2[1] == 10**18
-
-    def record_loader(path):
-        raise AssertionError("load_session called on a valid file")
-
-    monkeypatch.setattr(analysis, "load_session", record_loader)
-    assert_tables_equal(load_session_table(path), expected)
 
 
 def test_plain_files_load_without_csv(tmp_path, monkeypatch):
@@ -314,6 +310,63 @@ def test_plain_files_load_without_csv(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(analysis, "csv_rows", csv_reader)
             assert_tables_equal(load_session_table(path), expected)
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz: mutated session files through both loaders and the CLI
+# ---------------------------------------------------------------------------
+
+FUZZ_MUTANTS = 1200
+FUZZ_TOKENS = [bytes([c]) for c in b',\r\n". -e0123456789x'] + ["\u00e9".encode()]
+
+
+def mutate(rng, data):
+    """``data`` with one to four byte edits: a token inserted, a byte
+    deleted, or a byte replaced by a token."""
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(len(data) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            data[at:at] = rng.choice(FUZZ_TOKENS)
+        elif at < len(data):
+            data[at:at + 1] = rng.choice(FUZZ_TOKENS) if edit == 1 else b""
+    return bytes(data)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_fuzzed_sessions(tmp_path, capsys):
+    """Mutants of ``save_session`` files, with CRLF and LF line ends: the
+    columnar loader builds the record loader's table or raises its error,
+    and ``analyze --ols`` exits 0 with strict JSON, or 1 with one error line
+    that names the file."""
+    rng = random.Random(20240901)
+    path = tmp_path / "mutant.csv"
+    save_session(analysis.generate_session(2, (287, 100, 50, 0, -69), 120.0, seed=7,
+                                           misreport_rate=0.3) + random_session(1)[:5], path)
+    crlf = path.read_bytes()
+    bases = (crlf, crlf.replace(b"\r\n", b"\n"))
+    seen = set()
+    for i in range(FUZZ_MUTANTS):
+        data = mutate(rng, bases[i % 2])
+        path.write_bytes(data)
+        loaded = load_both(path) is not None
+        seen.add((analysis._plain_table(data) is not None, loaded))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # incomplete groups
+            code = cli.main(["analyze", "--session", str(path), "--ols"])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert loaded and err == ""
+            json.loads(out, parse_constant=reject_constant)
+        else:
+            assert code == 1 and out == "", data
+            assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+    # plain and record-read files, each loaded and rejected
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------
