@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import prng
-from .core import CENTS_DIGITS, DataFormatError, RankList, cents, csv_rows
+from .core import CENTS_DIGITS, DataFormatError, RankList, cents, csv_rows, whole_number
 from .elicitation import LOTTERY_ROWS
 from .mechanisms import MechanismKind
 
@@ -109,6 +109,9 @@ class SubjectRecord:
             raise ValueError("records cover exactly the five session goods")
         if any(v < 0 for v in self.phase1_values) or self.phase2_value < 0:
             raise ValueError("elicited values must be non-negative")
+        for v in self.phase1_values:
+            whole_number(v, "phase1_values cents")
+        whole_number(self.phase2_value, "phase2_value cents")
         if self.good_received not in self.report.order:
             raise ValueError("good_received must appear in the report")
         for field, lowest, highest, message in _RANGE_RULES:

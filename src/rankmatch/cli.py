@@ -38,11 +38,11 @@ def _emit(doc: dict, out=None) -> None:
         sys.stdout.write(text)
 
 
-def _load_json(path) -> dict:
+def _load_json(path, parse):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # undecodable text or JSON; an OSError names the path
+            return parse(json.load(fh))
+    except ValueError as exc:  # bad text, JSON or values; an OSError names the path
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
@@ -58,7 +58,7 @@ def _frac(f) -> dict:
 
 
 def cmd_mechanism(args) -> int:
-    reports = reports_from_json_dict(_load_json(args.reports))
+    reports = _load_json(args.reports, reports_from_json_dict)
     order = _parse_order(args.order)
     matching = run_mechanism(MechanismKind(args.kind), reports, order)
     doc = {
@@ -69,7 +69,7 @@ def cmd_mechanism(args) -> int:
                           for i in range(len(reports))],
     }
     if args.market is not None:
-        market = MarketInstance.from_json_dict(_load_json(args.market))
+        market = _load_json(args.market, MarketInstance.from_json_dict)
         from .core import build_outcome
         out = build_outcome(matching, reports, market)
         doc["utility_cents"] = list(out.utility)
@@ -82,8 +82,8 @@ def cmd_mechanism(args) -> int:
 
 
 def cmd_expect(args) -> int:
-    reports = reports_from_json_dict(_load_json(args.reports))
-    market = MarketInstance.from_json_dict(_load_json(args.market))
+    reports = _load_json(args.reports, reports_from_json_dict)
+    market = _load_json(args.market, MarketInstance.from_json_dict)
     eus = exact_expected_utilities(MechanismKind(args.kind), reports, market)
     _emit({"kind": args.kind, "expected_utility": [_frac(u) for u in eus]}, args.out)
     return 0
@@ -109,10 +109,9 @@ def _equilibrium_report(kind: MechanismKind, inst: SymmetricInstance,
 
 
 def cmd_equilibrium(args) -> int:
-    inst = SymmetricInstance.from_json_dict(_load_json(args.instance))
+    inst = _load_json(args.instance, SymmetricInstance.from_json_dict)
     doc: dict = {"n": inst.n}
-    kinds = [MechanismKind.RSD, MechanismKind.BOSTON] if args.kind == "both" \
-        else [MechanismKind(args.kind)]
+    kinds = list(MechanismKind) if args.kind == "both" else [MechanismKind(args.kind)]
     for kind in kinds:
         doc[kind.value] = _equilibrium_report(kind, inst, args.brute_force)
     _emit(doc, args.out)
@@ -120,18 +119,16 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    raw = _load_json(args.market)
-    if isinstance(raw, dict) and "values" in raw:
-        market = MarketInstance.from_json_dict(raw)
-    else:
-        market = SymmetricInstance.from_json_dict(raw)
+    market = _load_json(args.market, lambda doc: (
+        MarketInstance if isinstance(doc, dict) and "values" in doc
+        else SymmetricInstance).from_json_dict(doc))
     if (args.profile_reports is None) == (args.structured_n1 is None):
         raise DataFormatError(
             "give exactly one of --profile-reports / --structured-n1")
     if args.threads < 1:
         raise DataFormatError(f"threads must be >= 1, got {args.threads}")
     if args.profile_reports is not None:
-        reports = reports_from_json_dict(_load_json(args.profile_reports))
+        reports = _load_json(args.profile_reports, reports_from_json_dict)
         profile = simulation.StrategyProfile.fixed_reports(reports)
     else:
         n = market.n

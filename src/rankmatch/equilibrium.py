@@ -22,20 +22,24 @@ sits at each priority position; the engine runs those 2**n label
 sequences, which together weigh exactly as all n! orders of every n1.
 Their outcome counts depend on no instance value, so the engine runs
 once per (mechanism, n) in a process.
+
+``check_truthtelling_equilibrium`` prices a cached table likewise: facing n-1
+truthful agents, a deviator's good depends only on its list and position, so
+one engine call per (mechanism, n) over the n!·n such rows counts its outcomes.
+A test patching the engine must first clear ``_label_tally`` and ``_deviation_table``.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import (DataFormatError, MarketInstance, RankList, RhoSchedule, SizeLimitError,
-                   whole_cents, whole_number)
-from .mechanisms import MechanismKind, TieBreakOrder, batch_mechanism, run_mechanism
+from .core import (DataFormatError, MarketInstance, RhoSchedule, SizeLimitError, whole_cents,
+                   whole_number)
+from .mechanisms import MechanismKind, all_orders, batch_mechanism
 
 BRUTE_FORCE_MAX_N = 6
 TRUTHTELLING_MAX_N = 6
@@ -235,8 +239,7 @@ def _label_tally(kind: MechanismKind, n: int) -> tuple[tuple[tuple[int, ...], ..
     """Outcome counts [n1][side][outcome] over all 2**n label sequences,
     side 1 being the x2-first list.  One engine call: row b holds the
     x2-first list at priority position p when bit p of b is set, under the
-    identity order.  The counts are cached per (kind, n), so a test that
-    patches the engine must call ``_label_tally.cache_clear()`` first."""
+    identity order."""
     tail = tuple(range(2, n))
     if kind == MechanismKind.RSD:
         lists = ((0, 1) + tail, (1, 0) + tail)
@@ -315,38 +318,35 @@ def brute_force_equilibria(kind: MechanismKind, inst: SymmetricInstance) -> set[
 # truth-telling equilibrium check (exact, real engines)
 # ---------------------------------------------------------------------------
 
-def _deviation_eu(kind: MechanismKind, dev: RankList, inst: SymmetricInstance) -> Fraction:
-    """Exact EU of agent 0 reporting ``dev`` while the n-1 others report
-    truthfully.
-
-    The opponents are interchangeable, so every tie-break order with the
-    deviator at a given priority position gives the deviator the same good;
-    the engine runs one order per position."""
-    n = inst.n
-    reports = [dev] + [RankList(tuple(range(n)))] * (n - 1)
-    total = 0
-    for pos in range(n):
-        order = list(range(1, n))
-        order.insert(pos, 0)
-        good = run_mechanism(kind, reports, TieBreakOrder(order)).good_of(0)
-        total += inst.good_value(good) + inst.rho.at(dev.rank_of(good))
-    return Fraction(total, n)
+@functools.cache
+def _deviation_table(kind: MechanismKind, n: int) -> tuple[tuple[int, ...], tuple]:
+    """(truthful row, undominated rows over all n! lists) of agent 0's
+    outcome counts at the n priority positions, the others truthful: wins
+    of x1, of x2 and of a tail good, then receipts of ranks 1..n.  As v1 >
+    v2 > vbar and rho is non-increasing, a total grows with the cumulative
+    counts, so a row that another matches or beats in each is dropped."""
+    devs = all_orders(n)  # row 0 is the truthful list
+    pref = np.broadcast_to(np.arange(n), (len(devs) * n, n, n)).copy()
+    pref[:, 0] = np.repeat(devs, n, axis=0)  # row d·n + p: list d at position p
+    orders = np.tile([np.insert(np.arange(1, n), p, 0) for p in range(n)], (len(devs), 1))
+    goods, ranks = batch_mechanism(kind, pref, orders)
+    base = np.arange(len(pref)) // n * (n + 3)
+    cells = np.concatenate((base + np.minimum(goods[:, 0], 2), base + ranks[:, 0] + 2))
+    counts = np.bincount(cells, minlength=len(devs) * (n + 3)).reshape(len(devs), n + 3)
+    distinct = np.unique(counts, axis=0)
+    cum = np.hstack((distinct[:, :3].cumsum(1), distinct[:, 3:].cumsum(1)))
+    undominated = (cum[:, None] <= cum).all(2).sum(1) == 1
+    return tuple(counts[0].tolist()), tuple(map(tuple, distinct[undominated].tolist()))
 
 
 def check_truthtelling_equilibrium(kind: MechanismKind, inst: SymmetricInstance) -> bool:
-    """True iff no unilateral deviation from the all-truthful profile raises
-    exact expected utility.  Enumerates all n! deviation reports."""
-    n = inst.n
-    if n > TRUTHTELLING_MAX_N:
+    """True iff no unilateral deviation from all-truthful raises exact EU."""
+    if inst.n > TRUTHTELLING_MAX_N:
         raise SizeLimitError(f"truth-telling check limited to n <= {TRUTHTELLING_MAX_N}")
-    truthful = RankList(tuple(range(n)))
-    baseline = _deviation_eu(kind, truthful, inst)
-    for perm in itertools.permutations(range(n)):
-        if perm == truthful.order:
-            continue
-        if _deviation_eu(kind, RankList(perm), inst) > baseline:
-            return False
-    return True
+    truthful, deviations = _deviation_table(kind, inst.n)
+    payoff = (inst.v1, inst.v2, inst.vbar) + inst.rho.values
+    totals = [sum(c * p for c, p in zip(row, payoff)) for row in (truthful, *deviations)]
+    return max(totals) == totals[0]  # each total is n times the EU
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ who picks first in RSD and holds tie-break number 1 in Boston.  The scalar
 orders.  The batch engines behind ``batch_mechanism`` run many orders in one
 call, either under one profile shared by every row (``exact_expected_utilities``
 runs the ``all_orders`` array, built in numpy, this way) or under a profile
-per row (the top-goods phase of ``equilibrium.brute_force_equilibria`` runs
-every priority-label sequence this way, once per mechanism and n in a
-process), so each question is at most one engine call.
+per row (``equilibrium.brute_force_equilibria``'s label sequences and
+``check_truthtelling_equilibrium``'s (list, position) rows, each once per
+mechanism and n in a process), so each question is at most one engine call.
 """
 from __future__ import annotations
 

@@ -47,6 +47,14 @@ def test_record_validation():
                         (dict(phase1_values=(-1,) + PLANTED_PHASE1[1:]),
                          "elicited values must be non-negative"),
                         (dict(phase2=-5), "elicited values must be non-negative"),
+                        (dict(phase1_values=(2824.7,) + PLANTED_PHASE1[1:]),
+                         "phase1_values cents must be a whole number, got 2824.7"),
+                        (dict(phase1_values=PLANTED_PHASE1[:4] + (math.nan,)),
+                         "phase1_values cents must be a whole number, got nan"),
+                        (dict(phase2=3000.5),
+                         "phase2_value cents must be a whole number, got 3000.5"),
+                        (dict(phase2=math.inf),
+                         "phase2_value cents must be a whole number, got inf"),
                         (dict(good=7), "good_received must appear in the report"),
                         (dict(phase1_order=0), "phase1_order must be in 1..20, got 0"),
                         (dict(phase1_order=21), "phase1_order must be in 1..20, got 21"),
@@ -67,7 +75,7 @@ def test_record_validation():
             make_record(**kw)
     for kw in (dict(phase1_order=20), dict(crt=0), dict(crt=3), dict(female=1),
                dict(risk_row=1), dict(loss_row=50), dict(practice=0), dict(practice=10**30),
-               dict(practice=10**100 - 1)):
+               dict(practice=10**100 - 1), dict(phase2=3111.0)):
         make_record(**kw)
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,6 +12,8 @@ import pytest
 import rankmatch
 from rankmatch import analysis, cli
 from rankmatch.cli import main
+from rankmatch.core import RhoSchedule
+from rankmatch.equilibrium import SymmetricInstance
 
 
 def run_cli(args, capsys):
@@ -85,7 +89,7 @@ def test_bad_symmetric_instance_is_data_error(tmp_path, capsys, field, value, me
                   "--structured-n1", "3", "--reps", "10"]):
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (1, ""), args
-        assert err == f"error: {message}\n", args
+        assert err == f"error: {path}: {message}\n", args
 
 
 @pytest.mark.parametrize("doc", [[1, 2], 5, "e1", None])
@@ -101,7 +105,7 @@ def test_json_not_an_object_is_data_error(appd_files, tmp_path, capsys, doc):
             (["expect", "--kind", "rsd", "--reports", str(path), "--market", str(mp)], "reports")):
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (1, ""), args
-        assert err == f"error: {what} JSON must be an object, got {doc!r}\n", args
+        assert err == f"error: {path}: {what} JSON must be an object, got {doc!r}\n", args
 
 
 @pytest.mark.parametrize("which,doc,message", [
@@ -121,12 +125,13 @@ def test_json_not_an_object_is_data_error(appd_files, tmp_path, capsys, doc):
 ])
 def test_malformed_market_and_reports_are_data_errors(appd_files, capsys, which, doc, message):
     rp, mp = appd_files
-    (mp if which == "market" else rp).write_text(json.dumps(doc))
+    path = mp if which == "market" else rp
+    path.write_text(json.dumps(doc))
     for args in (["expect", "--kind", "rsd", "--reports", str(rp), "--market", str(mp)],
                  ["simulate", "--kind", "boston", "--market", str(mp),
                   "--profile-reports", str(rp), "--reps", "10"]):
         code, out, err = run_cli(args, capsys)
-        assert (code, out, err) == (1, "", f"error: {message}\n"), args
+        assert (code, out, err) == (1, "", f"error: {path}: {message}\n"), args
 
 
 def test_fractional_market_cents_are_data_errors(appd_files, tmp_path, capsys):
@@ -139,7 +144,7 @@ def test_fractional_market_cents_are_data_errors(appd_files, tmp_path, capsys):
                       "--profile-reports", str(rp), "--reps", "10"]):
             code, out, err = run_cli(args, capsys)
             assert (code, out) == (1, ""), args
-            assert err.startswith(f"error: {field} cents must be a whole number"), err
+            assert err.startswith(f"error: {mp}: {field} cents must be a whole number"), err
     # integral floats are whole cents: the same output as the ints
     doc = {"values": [[120.0, 80, 40, 20]] * 4, "rho": [10.0, 5, 0, 0]}
     mp.write_text(json.dumps(doc))
@@ -416,6 +421,39 @@ def test_empty_paths_are_data_errors(appd_files, tmp_path, monkeypatch, capsys):
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: [Errno 2] ") and err.count(missing) == 1, argv
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_json_value_errors_name_the_file(appd_files, tmp_path, capsys):
+    """A value a JSON reader rejects names the file once, for every JSON
+    flag and both market forms; so does a missing file."""
+    rp, mp = appd_files
+    bad = {"reports": tmp_path / "bad_reports.json", "market": tmp_path / "bad_market.json",
+           "instance": tmp_path / "bad_instance.json"}
+    bad["reports"].write_text(json.dumps({"reports": [[0, 0, 1, 2]] * 4}))
+    bad["market"].write_text(json.dumps({"values": [[120, "x", 40, 20]] * 4,
+                                         "rho": [10, 5, 0, 0]}))
+    bad["instance"].write_text(json.dumps(dict(E1_DOC, v2="x")))
+    simulate = ["simulate", "--kind", "rsd", "--reps", "10"]
+    cases = (
+        (["mechanism", "--kind", "rsd", "--order", "0,1,2,3", "--reports"], "reports", []),
+        (["mechanism", "--kind", "rsd", "--order", "0,1,2,3", "--reports", str(rp),
+          "--market"], "market", []),
+        (["expect", "--kind", "boston", "--market", str(mp), "--reports"], "reports", []),
+        (["expect", "--kind", "boston", "--reports", str(rp), "--market"], "market", []),
+        (["equilibrium", "--brute-force", "--instance"], "instance", []),
+        (simulate + ["--profile-reports", str(rp), "--market"], "market", []),
+        (simulate + ["--market"], "instance", ["--structured-n1", "3"]),
+        (simulate + ["--market", str(mp), "--profile-reports"], "reports", []))
+    missing = str(tmp_path / "missing.json")
+    for head, which, tail in cases:
+        for path in (str(bad[which]), missing):
+            argv = head + [path] + tail
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (1, ""), argv
+            assert err.count("\n") == 1 and err.endswith("\n"), argv
+            assert err.count(path) == 1, argv
+            if path != missing:
+                assert err.startswith(f"error: {path}: "), argv
 
 
 def test_market_goods_default_labels(appd_files, tmp_path, capsys):
@@ -709,3 +747,55 @@ def test_parser_shared_by_threads(appd_files, tmp_path):
     for got in results:
         assert got == {(r, name): (0, serial[name])
                        for r in range(rounds) for name in argvs}
+
+
+FUZZ_CASES = 3000
+FUZZ_TOKENS = (b"0", b"-1", b"3", b"6", b"7", b"-300", b"5000", b"1e3", b"100.0", b"2.5",
+               b"1e999", b"-1e999", b"NaN", b"1e300", b"9" * 120, b"true", b"null", b'"x"',
+               b"[]", b"{}", b"[1, 2]", b'"n"', b"")
+FUZZ_BYTES = b'{}[],:"-.+0123456789eE \\'
+# a JSON token; a number or a string that is not a key is a value
+FUZZ_TOKEN = rb'(?P<value>-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|"[^"]*"(?!:))|"[^"]*"|[][{},:]'
+
+
+def _fuzz_edit(rng, data):
+    """One random edit: a JSON value (or, less often, any token) replaced from
+    ``FUZZ_TOKENS``, or a byte deleted, replaced or inserted."""
+    pick = rng.random()
+    tokens = [m for m in re.finditer(FUZZ_TOKEN, data) if pick >= 0.6 or m["value"]]
+    if pick < 0.75 and tokens:
+        m = rng.choice(tokens)
+        return data[:m.start()] + rng.choice(FUZZ_TOKENS) + data[m.end():]
+    i = rng.randrange(len(data) + 1)
+    byte = bytes([rng.choice(FUZZ_BYTES) if rng.random() < 0.9 else rng.randrange(256)])
+    op = rng.randrange(3)  # delete, replace, insert
+    return data[:i] + (byte if op else b"") + data[i + (op != 2):]
+
+
+def test_instance_reader_fuzz(tmp_path, capsys):
+    """Seeded byte and token edits of symmetric-instance documents through
+    ``equilibrium --brute-force``: exit 0 with strict JSON on stdout, or
+    exit 1 with nothing on stdout and one stderr line naming the file."""
+    insts = [SymmetricInstance.from_json_dict(E1_DOC),
+             SymmetricInstance(3, 1900, 1750, 150, RhoSchedule((640, 310, -220))),
+             SymmetricInstance(4, 100000, 300, 200, RhoSchedule((50, 40, 30, 20))),
+             SymmetricInstance(6, 3300, 2875, 1260, RhoSchedule((900, 250, 120, 0, -75, -300)))]
+    docs = [json.dumps(inst.to_json_dict()).encode() for inst in insts]
+    rng = random.Random(1923)
+    path = tmp_path / "inst.json"
+    argv = ["equilibrium", "--instance", str(path), "--kind", "both", "--brute-force"]
+    codes = []
+    for _ in range(FUZZ_CASES):
+        data = rng.choice(docs)
+        for _ in range(rng.randint(1, 2)):
+            data = _fuzz_edit(rng, data)
+        path.write_bytes(data)
+        code, out, err = run_cli(argv, capsys)
+        codes.append(code)
+        if code == 0:
+            json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in output of {data!r}"))
+            assert err == "", data
+        else:
+            assert code == 1 and out == "", data
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, (data, err)
+    assert 0 < codes.count(0) < len(codes)

@@ -12,7 +12,7 @@ from rankmatch import cli, equilibrium
 from rankmatch.core import RankList, RhoSchedule, SizeLimitError
 from rankmatch.equilibrium import (
     SymmetricInstance,
-    _deviation_eu,
+    _deviation_table,
     _enum_group_eus,
     _label_tally,
     _lottery_value,
@@ -292,6 +292,37 @@ def test_brute_force_size_limit():
         brute_force_equilibria(MechanismKind.RSD, inst)
 
 
+def _deviation_eu(kind, dev, inst):
+    """Exact EU of agent 0 reporting ``dev`` while the n-1 others report
+    truthfully, by the scalar engine: the opponents are interchangeable, so
+    every tie-break order with the deviator at a given priority position
+    gives the deviator the same good, and one order per position stands
+    for all n!."""
+    n = inst.n
+    reports = [dev] + [RankList(tuple(range(n)))] * (n - 1)
+    total = 0
+    for pos in range(n):
+        order = list(range(1, n))
+        order.insert(pos, 0)
+        good = run_mechanism(kind, reports, TieBreakOrder(order)).good_of(0)
+        total += inst.good_value(good) + inst.rho.at(dev.rank_of(good))
+    return Fraction(total, n)
+
+
+def reference_truthtelling(kind, inst):
+    """The scalar loop: no deviation report's ``_deviation_eu`` beats the
+    truthful one."""
+    truthful = RankList(tuple(range(inst.n)))
+    baseline = _deviation_eu(kind, truthful, inst)
+    return all(_deviation_eu(kind, RankList(perm), inst) <= baseline
+               for perm in itertools.permutations(range(inst.n)))
+
+
+def priced(row, inst):
+    """A deviation-table row's total: n times the deviator's EU."""
+    return sum(c * p for c, p in zip(row, (inst.v1, inst.v2, inst.vbar) + inst.rho.values))
+
+
 def test_truthtelling_section_2_2():
     inst = SymmetricInstance(3, 100, 80, 0, RhoSchedule((10, 0, 0)))
     assert check_truthtelling_equilibrium(MechanismKind.RSD, inst)
@@ -321,3 +352,90 @@ def test_truthtelling_boston_implies_rsd():
             seen_boston += 1
             assert check_truthtelling_equilibrium(MechanismKind.RSD, inst)
     assert seen_boston >= 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_deviation_table_equals_scalar_deviation_eu(n):
+    """Built cold, the table's truthful row prices to n times the scalar
+    truthful EU, each kept row to n times the scalar EU of some deviation,
+    and the best kept row to n times the best scalar EU over all n!
+    deviations: on a random instance, with its rho shifted negative, with
+    rho(1) == rho(2), and with values shifted by 10**15 cents."""
+    _deviation_table.cache_clear()
+    rng = random.Random(90 + n)
+    inst = rand_instance(rng, n, strict_top=True)
+    neg = RhoSchedule(tuple(r - 1000 for r in inst.rho.values))
+    flat = RhoSchedule((inst.rho.values[1],) + inst.rho.values[1:])
+    shift = 10**15
+    cases = (inst,
+             SymmetricInstance(n, inst.v1, inst.v2, inst.vbar, neg),
+             SymmetricInstance(n, inst.v1, inst.v2, inst.vbar, flat),
+             SymmetricInstance(n, inst.v1 + shift, inst.v2 + shift, inst.vbar + shift, neg))
+    perms = [RankList(p) for p in itertools.permutations(range(n))]
+    for kind in MechanismKind:
+        truthful, rows = _deviation_table(kind, n)
+        assert all(sum(row[:3]) == sum(row[3:]) == n for row in (truthful, *rows))
+        assert len(set(rows)) == len(rows)
+        # no kept row is matched or beaten by another in every cumulative count
+        cum = [list(itertools.accumulate(row[:3])) + list(itertools.accumulate(row[3:]))
+               for row in rows]
+        assert not any(a != b and all(x <= y for x, y in zip(a, b)) for a in cum for b in cum)
+        for case in cases:
+            scalar = {n * _deviation_eu(kind, dev, case) for dev in perms}
+            kept = {priced(row, case) for row in rows}
+            assert kept <= scalar and max(kept) == max(scalar), (kind, case)
+            assert priced(truthful, case) == n * _deviation_eu(kind, perms[0], case), (kind, case)
+
+
+def test_truthtelling_equals_scalar_loop():
+    """The priced table gives the scalar loop's verdict on 300 seeded
+    instances, n = 3..6, most with negative rho entries, rho scaled down
+    and half with a flat tail (so truth-telling often holds), a fifth with
+    rho(1) == rho(2) and a seventh with v1 far above v2; both verdicts occur
+    at every n for both kinds."""
+    rng = random.Random(1919)
+    verdicts = set()
+    for i in range(300):
+        n = 3 + i % 4
+        inst = rand_instance(rng, n, nonneg=i % 3 == 0)
+        scale = rng.choice((1, 8, 40))
+        rho = tuple(r // scale for r in inst.rho.values)
+        if i % 8 < 4:
+            rho = rho[:2] + (rho[2],) * (n - 2)
+        if i % 5 == 0:
+            rho = (rho[1],) + rho[1:]
+        v1 = inst.v1 + (10**5 if i % 7 == 0 else 0)
+        inst = SymmetricInstance(n, v1, inst.v2, inst.vbar, RhoSchedule(rho))
+        for kind in MechanismKind:
+            verdict = check_truthtelling_equilibrium(kind, inst)
+            assert verdict == reference_truthtelling(kind, inst), (kind, inst)
+            verdicts.add((kind, n, verdict))
+    assert len(verdicts) == 2 * 4 * 2
+
+
+def test_truthtelling_runs_engine_once_per_kind_and_n(monkeypatch):
+    _deviation_table.cache_clear()
+    calls = []
+
+    def counting(kind, pref, orders):
+        calls.append((kind, len(orders)))
+        return batch_mechanism(kind, pref, orders)
+    monkeypatch.setattr(equilibrium, "batch_mechanism", counting)
+    other = SymmetricInstance(5, 3100, 2000, 50, RhoSchedule((700, 300, 10, 0, -40)))
+    for kind in MechanismKind:
+        for inst in (E1, other, E1):
+            assert check_truthtelling_equilibrium(kind, inst) == \
+                reference_truthtelling(kind, inst)
+    assert calls == [(MechanismKind.RSD, 5 * 120), (MechanismKind.BOSTON, 5 * 120)]
+
+
+def test_truthtelling_size_limit_before_the_engine(monkeypatch):
+    _deviation_table.cache_clear()
+
+    def engine(kind, pref, orders):
+        raise AssertionError("engine called")
+    monkeypatch.setattr(equilibrium, "batch_mechanism", engine)
+    inst = SymmetricInstance(7, 30, 20, 10, RhoSchedule((5, 4, 3, 2, 1, 0, 0)))
+    for kind in MechanismKind:
+        with pytest.raises(SizeLimitError, match="truth-telling check limited to n <= 6"):
+            check_truthtelling_equilibrium(kind, inst)
