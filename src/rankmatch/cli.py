@@ -14,7 +14,8 @@ import sys
 from fractions import Fraction
 
 from . import analysis, elicitation, equilibrium, simulation, stats
-from .core import DataFormatError, MarketInstance, RankList, cents, reports_from_json_dict
+from .core import (DataFormatError, MarketInstance, RankList, SizeLimitError, cents,
+                   reports_from_json_dict)
 from .equilibrium import SymmetricInstance
 from .mechanisms import (
     MechanismKind,
@@ -46,6 +47,14 @@ def _load_json(path, parse):
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
+def _check_fit(reports, reports_path, market, market_path) -> None:
+    """A data error naming both files unless there is one report for each of
+    the market's n agents (the reader makes each rank n goods)."""
+    if len(reports) != market.n:
+        raise DataFormatError(f"{reports_path}: {len(reports)} reports do not fit the "
+                              f"n = {market.n} market of {market_path}")
+
+
 def _parse_order(text: str) -> TieBreakOrder:
     try:
         return TieBreakOrder(tuple(int(x) for x in text.split(",")))
@@ -59,6 +68,9 @@ def _frac(f) -> dict:
 
 def cmd_mechanism(args) -> int:
     reports = _load_json(args.reports, reports_from_json_dict)
+    if args.market is not None:
+        market = _load_json(args.market, MarketInstance.from_json_dict)
+        _check_fit(reports, args.reports, market, args.market)
     order = _parse_order(args.order)
     matching = run_mechanism(MechanismKind(args.kind), reports, order)
     doc = {
@@ -69,7 +81,6 @@ def cmd_mechanism(args) -> int:
                           for i in range(len(reports))],
     }
     if args.market is not None:
-        market = _load_json(args.market, MarketInstance.from_json_dict)
         from .core import build_outcome
         out = build_outcome(matching, reports, market)
         doc["utility_cents"] = list(out.utility)
@@ -84,7 +95,11 @@ def cmd_mechanism(args) -> int:
 def cmd_expect(args) -> int:
     reports = _load_json(args.reports, reports_from_json_dict)
     market = _load_json(args.market, MarketInstance.from_json_dict)
-    eus = exact_expected_utilities(MechanismKind(args.kind), reports, market)
+    _check_fit(reports, args.reports, market, args.market)
+    try:
+        eus = exact_expected_utilities(MechanismKind(args.kind), reports, market)
+    except SizeLimitError as exc:  # the market is too large to enumerate
+        raise SizeLimitError(f"{args.market}: {exc}") from exc
     _emit({"kind": args.kind, "expected_utility": [_frac(u) for u in eus]}, args.out)
     return 0
 
@@ -112,8 +127,11 @@ def cmd_equilibrium(args) -> int:
     inst = _load_json(args.instance, SymmetricInstance.from_json_dict)
     doc: dict = {"n": inst.n}
     kinds = list(MechanismKind) if args.kind == "both" else [MechanismKind(args.kind)]
-    for kind in kinds:
-        doc[kind.value] = _equilibrium_report(kind, inst, args.brute_force)
+    try:
+        for kind in kinds:
+            doc[kind.value] = _equilibrium_report(kind, inst, args.brute_force)
+    except SizeLimitError as exc:  # the instance is too large to enumerate
+        raise SizeLimitError(f"{args.instance}: {exc}") from exc
     _emit(doc, args.out)
     return 0
 
@@ -129,6 +147,7 @@ def cmd_simulate(args) -> int:
         raise DataFormatError(f"threads must be >= 1, got {args.threads}")
     if args.profile_reports is not None:
         reports = _load_json(args.profile_reports, reports_from_json_dict)
+        _check_fit(reports, args.profile_reports, market, args.market)
         profile = simulation.StrategyProfile.fixed_reports(reports)
     else:
         n = market.n

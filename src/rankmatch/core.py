@@ -324,6 +324,9 @@ def reports_from_json_dict(doc: dict) -> list[RankList]:
     reports = [RankList(tuple(whole_number(g, "good id") for g in row)) for row in raw]
     if len({len(r) for r in reports}) > 1:
         raise DataFormatError("all reports must rank the same number of goods")
+    if reports and len(reports[0]) != len(reports):
+        raise DataFormatError(f"{len(reports)} reports must each rank {len(reports)} goods, "
+                              f"got {len(reports[0])}")
     return reports
 
 

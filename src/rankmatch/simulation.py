@@ -22,11 +22,14 @@ Two profile kinds:
   and losers of the top-goods phase receive a uniform leftover good / list
   slot (Boston: slots 2..n-1 with the other top good last; the all-x1 corner
   ranks x2 second, as does RSD everywhere).  A block draws a (reps x n)
-  array of received ranks and the winners of x1 and x2, and keeps only
-  tallies: every replication's value total is the same constant, so
-  welfare moments follow from rho totals, the histogram and per-agent rho
-  sums from one count of (agent, rank) pairs, and per-agent value sums
-  from counts of each top good's winners.
+  array of slots and the winners of x1 and x2, and keeps only tallies:
+  every replication's value total is the same constant, so welfare moments
+  follow from rho totals, and the histogram and per-agent sums from one
+  count of (agent, rank) pairs.  A replication's outcome depends only on
+  its draws, at most (n-2)**n * n * (n-1) distinct ones (4 860 at n = 5).
+  When a block holds at least ``GROUP_REPEATS`` replications per possible
+  draw, it counts equal draws by code and tallies each distinct draw once,
+  weighted by its count, as fixed profiles do with orders.
 
 Randomness is consumed in fixed-size blocks, one Philox substream
 ``(seed, block_index)`` per block, and blocks are merged in index order, so
@@ -60,6 +63,10 @@ BLOCK_SIZE = 1 << 16
 CHUNK_CELLS = 1 << 15
 # orders per block checked against the scalar reference engine
 REFERENCE_CHECK_REPS = 16
+# a structured block groups equal draws when it holds at least this many
+# replications per possible draw; on 2 Xeon cores grouping was faster from
+# about 4 at n = 5, and slower at 3.2 at n = 6
+GROUP_REPEATS = 8
 
 
 @dataclass(frozen=True)
@@ -197,22 +204,27 @@ def _chunks(reps: int, n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
 
 
+def _tally(cells: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
+    """int64 counts of the values 0..size-1 in (rows x k) ``cells``, row i
+    standing for ``counts[i]`` rows; the float bins of rows drawn more than
+    once are exact, as integer weights sum to at most reps * k < 2**53."""
+    out = np.bincount(cells.ravel(), minlength=size)
+    again = counts > 1
+    if again.any():
+        out += np.bincount(cells[again].ravel(), minlength=size,
+                           weights=np.repeat(counts[again] - 1, cells.shape[1])).astype(np.int64)
+    return out
+
+
 def _chunk_sums(ranks: np.ndarray, utils: np.ndarray, rho_got: np.ndarray,
                 counts: np.ndarray) -> _Acc:
     """One chunk's sums from (rows x n) received ranks, utilities and the rho
     part of each utility, row i standing for ``counts[i]`` replications."""
-    n = ranks.shape[1]
     welfare = utils.sum(axis=1)
     rho_tot = rho_got.sum(axis=1)
-    hist = np.bincount((ranks - 1).ravel(), minlength=n)
-    # a row drawn c > 1 times adds its ranks c - 1 more times; the float bins
-    # are exact, as integer weights sum to at most reps * n < 2**53
-    again = counts > 1
-    hist += np.bincount((ranks[again] - 1).ravel(), weights=np.repeat(counts[again] - 1, n),
-                        minlength=n).astype(np.int64)
     return _Acc(int(counts.sum()), int(counts @ welfare), int(counts @ (welfare * welfare)),
                 int(counts @ rho_tot), int(counts @ (rho_tot * rho_tot)),
-                hist, [int(u) for u in counts @ utils])
+                _tally(ranks - 1, counts, ranks.shape[1]), [int(u) for u in counts @ utils])
 
 
 def _fixed_block(kind: MechanismKind, market: MarketInstance,
@@ -283,13 +295,14 @@ def _fixed_block(kind: MechanismKind, market: MarketInstance,
 
 def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
                       tops: tuple[int, ...], reps: int, seed: int, block: int) -> _Acc:
-    """One block's sums from the received ranks and the winners of x1 and x2.
+    """One block's sums from the received ranks of its replications.
 
     Every replication gives x1 to one agent, x2 to another and a tail good
     to the rest, so its value total is the constant ``C`` and its welfare is
-    ``C`` plus its rho total; per-agent value sums come from winner tallies.
-    The block's draws are made whole; placing the winners and tallying run
-    a chunk of rows at a time.
+    ``C`` plus its rho total; per-agent sums come from an (agent, rank)
+    tally.  With at least ``GROUP_REPEATS`` replications per possible draw,
+    each distinct draw is placed and tallied once, weighted by its count.
+    Placing and tallying run a chunk of rows at a time.
     """
     n = inst.n
     gen = prng.generator(seed, block)
@@ -300,24 +313,41 @@ def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
     interior = kind == MechanismKind.BOSTON and 1 <= n1 <= n - 1
     # agents who win no top good draw uniform slots: 3..n when both top goods
     # go in the first two picks or rounds (RSD, the all-x1 corner), else
-    # 2..n-1; then two draws that pick the winners
+    # 2..n-1; then two draws that pick the winners.  A grouped block draws
+    # slots as its code's digits 0..n-3, in int32 (the values int64 draws
+    # give); rows tallied one by one index fastest as int64
     low = 2 if interior or (kind == MechanismKind.BOSTON and n1 == 0) else 3
-    ranks = gen.integers(low, low + n - 2, size=(reps, n))
-    a_all = gen.integers(0, n1 if interior else n, size=reps)
-    b_all = gen.integers(0, n - n1 if interior else n - 1, size=reps)
+    span_a, span_b = (n1, n - n1) if interior else (n, n - 1)
+    group = GROUP_REPEATS * (n - 2) ** n * span_a * span_b <= reps
+    first, dtype = (0, np.int32) if group else (low, np.int64)
+    ranks = gen.integers(first, first + n - 2, size=(reps, n), dtype=dtype)
+    a_all = gen.integers(0, span_a, size=reps, dtype=dtype)
+    b_all = gen.integers(0, span_b, size=reps, dtype=dtype)
+    if group:
+        # code (b * span_a + a) * (n - 2)**n + (slots in base n - 2), below
+        # reps, written over the b draws
+        code = b_all
+        for col, base in [(a_all, span_a)] + [(ranks[:, j], n - 2) for j in range(n - 1, -1, -1)]:
+            code *= base
+            code += col
+        counts = np.bincount(code)
+        code = np.flatnonzero(counts)
+        counts = counts[code]
+        ranks = code[:, None] // (n - 2) ** np.arange(n) % (n - 2) + low
+        b_all, a_all = np.divmod(code // (n - 2) ** n, span_a)
+    else:
+        counts = np.ones(reps, dtype=np.int64)
 
     rho = inst.rho.values
-    # rho_of[rank] for 1-based ranks; each replication's rho total by column adds
-    rho_of = np.asarray((0,) + rho, dtype=_sum_dtype(n * max(abs(v) for v in rho),
-                                                     _chunk_rows(n)))
+    # rho_of[rank] for 1-based ranks; each replication's rho total by column
+    # adds; one distinct draw may stand for every replication of the block
+    rho_of = np.asarray((0,) + rho, dtype=_sum_dtype(n * max(abs(v) for v in rho), reps))
     # (agent, rank) codes agent * n + rank - 1, written over ranks
     codes = np.arange(-1, n * n - 1, n)
     r_sum = r_sumsq = 0
     tally = np.zeros(n * n, dtype=np.int64)
-    wins1 = np.zeros(n, dtype=np.int64)
-    wins2 = np.zeros(n, dtype=np.int64)
-    for lo, hi in _chunks(reps, n):
-        rk, a, b = ranks[lo:hi], a_all[lo:hi], b_all[lo:hi]
+    for lo, hi in _chunks(len(counts), n):
+        rk, a, b, c = ranks[lo:hi], a_all[lo:hi], b_all[lo:hi], counts[lo:hi]
         rows = np.arange(hi - lo)
         if kind == MechanismKind.RSD or n1 == n:
             # first pick: uniform agent a gets own top at rank 1; second
@@ -326,36 +356,36 @@ def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
             # is the same draw: lists (x1, x2, lowers) give x1 to a in round
             # 1 and x2 to b at rank 2 in round 2
             b = np.where(b >= a, b + 1, b)
-            top0 = tops_arr[a]
             rk[rows, a] = 1
-            rk[rows, b] = np.where(tops_arr[b] != top0, 1, 2)
-            w1 = np.where(top0 == 1, a, b)
-            w2 = np.where(top0 == 1, b, a)
+            rk[rows, b] = np.where(tops_arr[b] != tops_arr[a], 1, 2)
         elif interior:
             # round 1 resolves both top goods
-            w1, w2 = x1_group[a], x2_group[b]
-            rk[rows, w1] = 1
-            rk[rows, w2] = 1
+            rk[rows, x1_group[a]] = 1
+            rk[rows, x2_group[b]] = 1
         else:
             # n1 == 0: lists (x2, lowers, x1); one loser is left holding x1
             # at the bottom of their list after the lower goods run out
-            w2, w1 = a, np.where(b >= a, b + 1, b)
-            rk[rows, w2] = 1
-            rk[rows, w1] = n
+            rk[rows, a] = 1
+            rk[rows, np.where(b >= a, b + 1, b)] = n
         got = rho_of[rk]
         r = got[:, 0] + got[:, 1]
         for j in range(2, n):
             r += got[:, j]
-        r_sum += int(r.sum())
-        r_sumsq += int((r * r).sum())
+        r_sum += int(c @ r)
+        r_sumsq += int(c @ (r * r))
         rk += codes
-        tally += np.bincount(rk.ravel(), minlength=n * n)
-        wins1 += np.bincount(w1, minlength=n)
-        wins2 += np.bincount(w2, minlength=n)
+        tally += _tally(rk, c, n * n)
     tally = tally.reshape(n, n)
-    agent_u = [k1 * inst.v1 + k2 * inst.v2 + (reps - k1 - k2) * inst.vbar
-               + sum(c * v for c, v in zip(by_rank, rho))
-               for k1, k2, by_rank in zip(wins1.tolist(), wins2.tolist(), tally.tolist())]
+    # rank 1 is always an agent's own top good, and the other top good comes
+    # at a rank no slot takes: 2 when slots start at 3, else n (the all-x2
+    # corner; in the interior no agent receives rank n)
+    other = 1 if low == 3 else n - 1
+    agent_u = []
+    for top, by_rank in zip(tops, tally.tolist()):
+        own, alt = (inst.v1, inst.v2) if top == 1 else (inst.v2, inst.v1)
+        agent_u.append(by_rank[0] * own + by_rank[other] * alt
+                       + (reps - by_rank[0] - by_rank[other]) * inst.vbar
+                       + sum(c * v for c, v in zip(by_rank, rho)))
     C = inst.v1 + inst.v2 + (n - 2) * inst.vbar
     return _Acc(reps, reps * C + r_sum, reps * C * C + 2 * C * r_sum + r_sumsq,
                 r_sum, r_sumsq, tally.sum(axis=0), agent_u)

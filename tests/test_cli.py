@@ -12,7 +12,7 @@ import pytest
 import rankmatch
 from rankmatch import analysis, cli
 from rankmatch.cli import main
-from rankmatch.core import RhoSchedule
+from rankmatch.core import MarketInstance, RankList, RhoSchedule, reports_to_json_dict
 from rankmatch.equilibrium import SymmetricInstance
 
 
@@ -122,6 +122,7 @@ def test_json_not_an_object_is_data_error(appd_files, tmp_path, capsys, doc):
      "[0, 1, 2, 3], None]"),
     ("reports", {"reports": [[0, 1, 2, 3]] * 3 + [[0, 1, 2, 2.5]]},
      "good id must be a whole number, got 2.5"),
+    ("reports", {"reports": [[0, 1, 2, 3]] * 3}, "3 reports must each rank 3 goods, got 4"),
 ])
 def test_malformed_market_and_reports_are_data_errors(appd_files, capsys, which, doc, message):
     rp, mp = appd_files
@@ -456,6 +457,50 @@ def test_json_value_errors_name_the_file(appd_files, tmp_path, capsys):
                 assert err.startswith(f"error: {path}: "), argv
 
 
+def test_size_limit_errors_name_the_file(tmp_path, capsys):
+    """An input too large to enumerate is a data error naming its file."""
+    market, reports, inst = (tmp_path / f"{name}.json" for name in ("m9", "r9", "i7"))
+    market.write_text(json.dumps({"values": [[100] * 9] * 9, "rho": [0] * 9}))
+    reports.write_text(json.dumps({"reports": [list(range(9))] * 9}))
+    inst.write_text(json.dumps({"n": 7, "v1": 3000, "v2": 2000, "vbar": 100,
+                                "rho": [50, 40, 30, 20, 10, 0, 0]}))
+    code, out, err = run_cli(["expect", "--kind", "rsd", "--market", str(market),
+                              "--reports", str(reports)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {market}: exact enumeration limited to n <= 8 (got 9)")
+    assert err.count("\n") == 1
+    code, out, err = run_cli(["equilibrium", "--instance", str(inst), "--brute-force"], capsys)
+    assert (code, out, err) == (1, "", f"error: {inst}: brute force limited to n <= 6\n")
+
+
+def test_reports_that_do_not_fit_the_market_name_both_files(appd_files, tmp_path, capsys):
+    """Reports for another number of agents than the market's n are a data
+    error naming both files, for every subcommand that reads both."""
+    _, mp = appd_files
+    e1 = tmp_path / "e1.json"
+    e1.write_text(json.dumps(E1_DOC))
+    rp = tmp_path / "reports.json"
+    for reports in ([[0, 1, 2]] * 3, [[0, 1, 2, 3, 4]] * 5, []):
+        rp.write_text(json.dumps({"reports": reports}))
+        for market in (mp, e1):
+            argvs = [["simulate", "--kind", "rsd", "--market", str(market),
+                      "--profile-reports", str(rp), "--reps", "5"]]
+            if market == mp:
+                argvs += [["expect", "--kind", "boston", "--reports", str(rp),
+                           "--market", str(mp)],
+                          ["mechanism", "--kind", "rsd", "--reports", str(rp),
+                           "--order", "0,1,2,3", "--market", str(mp)]]
+            for argv in argvs:
+                code, out, err = run_cli(argv, capsys)
+                n = 4 if market == mp else 5
+                if len(reports) == n:
+                    assert (code, err) == (0, ""), argv
+                    continue
+                assert (code, out) == (1, ""), argv
+                assert err == (f"error: {rp}: {len(reports)} reports do not fit the n = {n} "
+                               f"market of {market}\n"), argv
+
+
 def test_market_goods_default_labels(appd_files, tmp_path, capsys):
     rp, _ = appd_files
     mp = tmp_path / "bare.json"
@@ -750,6 +795,7 @@ def test_parser_shared_by_threads(appd_files, tmp_path):
 
 
 FUZZ_CASES = 3000
+FUZZ_MARKET_CASES = 1500
 FUZZ_TOKENS = (b"0", b"-1", b"3", b"6", b"7", b"-300", b"5000", b"1e3", b"100.0", b"2.5",
                b"1e999", b"-1e999", b"NaN", b"1e300", b"9" * 120, b"true", b"null", b'"x"',
                b"[]", b"{}", b"[1, 2]", b'"n"', b"")
@@ -772,30 +818,70 @@ def _fuzz_edit(rng, data):
     return data[:i] + (byte if op else b"") + data[i + (op != 2):]
 
 
+def _check_fuzzed(capsys, rng, cases, path, docs, argvs, partner=None):
+    """Run ``cases`` mutants, each 1-2 ``_fuzz_edit``s of the first document
+    of a random pair in ``docs`` written to ``path`` (the second, unedited,
+    to ``partner``), through every argv: exit 0 with strict JSON on stdout,
+    or exit 1 with nothing on stdout and one stderr line naming ``path``."""
+    codes = []
+    for _ in range(cases):
+        data, other = rng.choice(docs)
+        for _ in range(rng.randint(1, 2)):
+            data = _fuzz_edit(rng, data)
+        path.write_bytes(data)
+        if partner is not None:
+            partner.write_bytes(other)
+        for argv in argvs:
+            code, out, err = run_cli(argv, capsys)
+            codes.append(code)
+            if code == 0:
+                json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in output of {data!r}"))
+                assert err == "", data
+            else:
+                assert code == 1 and out == "", data
+                assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, (data, err)
+    assert 0 < codes.count(0) < len(codes)
+
+
 def test_instance_reader_fuzz(tmp_path, capsys):
     """Seeded byte and token edits of symmetric-instance documents through
-    ``equilibrium --brute-force``: exit 0 with strict JSON on stdout, or
-    exit 1 with nothing on stdout and one stderr line naming the file."""
+    ``equilibrium --brute-force``."""
     insts = [SymmetricInstance.from_json_dict(E1_DOC),
              SymmetricInstance(3, 1900, 1750, 150, RhoSchedule((640, 310, -220))),
              SymmetricInstance(4, 100000, 300, 200, RhoSchedule((50, 40, 30, 20))),
              SymmetricInstance(6, 3300, 2875, 1260, RhoSchedule((900, 250, 120, 0, -75, -300)))]
-    docs = [json.dumps(inst.to_json_dict()).encode() for inst in insts]
-    rng = random.Random(1923)
+    docs = [(json.dumps(inst.to_json_dict()).encode(), None) for inst in insts]
     path = tmp_path / "inst.json"
     argv = ["equilibrium", "--instance", str(path), "--kind", "both", "--brute-force"]
-    codes = []
-    for _ in range(FUZZ_CASES):
-        data = rng.choice(docs)
-        for _ in range(rng.randint(1, 2)):
-            data = _fuzz_edit(rng, data)
-        path.write_bytes(data)
-        code, out, err = run_cli(argv, capsys)
-        codes.append(code)
-        if code == 0:
-            json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in output of {data!r}"))
-            assert err == "", data
-        else:
-            assert code == 1 and out == "", data
-            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, (data, err)
-    assert 0 < codes.count(0) < len(codes)
+    _check_fuzzed(capsys, random.Random(1923), FUZZ_CASES, path, docs, [argv])
+
+
+FUZZ_MARKETS = [
+    (MarketInstance.from_cents([[100, 80, 0]] * 3, [10, 0, 0]), [[0, 1, 2], [0, 1, 2], [1, 2, 0]]),
+    (MarketInstance.from_cents([[120, 80, 40, 20]] * 4, [10, 5, 0, 0],
+                               ["pizza", "chips", "soda", "pretzels"]),
+     [[0, 3, 1, 2], [0, 1, 2, 3], [0, 1, 3, 2], [3, 2, 1, 0]]),
+    (MarketInstance.from_cents([[2824, 2256, 700, 700, 700], [2600, 2900, 500, 400, 300],
+                                [900, 800, 3000, 100, 0], [1500, 1400, 1300, 1200, 1100],
+                                [50, 0, 10**15, 7, 7]], [800, 200, 0, -10, -10**12]),
+     [[0, 1, 2, 3, 4], [1, 0, 2, 3, 4], [2, 3, 4, 0, 1], [0, 2, 1, 4, 3], [4, 3, 2, 1, 0]]),
+]
+
+
+@pytest.mark.parametrize("reader", ["market", "reports"])
+def test_market_and_reports_reader_fuzz(tmp_path, capsys, reader):
+    """Seeded byte and token edits of ``to_json_dict`` market documents, or
+    of reports documents, each with its unedited partner, through ``expect``
+    and ``simulate --profile-reports``."""
+    pairs = [(json.dumps(market.to_json_dict()).encode(),
+              json.dumps(reports_to_json_dict([RankList(tuple(r)) for r in reports])).encode())
+             for market, reports in FUZZ_MARKETS]
+    mp, rp = tmp_path / "market.json", tmp_path / "reports.json"
+    argvs = [["expect", "--kind", "boston", "--reports", str(rp), "--market", str(mp)],
+             ["simulate", "--kind", "rsd", "--market", str(mp), "--profile-reports", str(rp),
+              "--reps", "20", "--seed", "3"]]
+    if reader == "market":
+        _check_fuzzed(capsys, random.Random(2031), FUZZ_MARKET_CASES, mp, pairs, argvs, rp)
+    else:
+        pairs = [(r, m) for m, r in pairs]
+        _check_fuzzed(capsys, random.Random(2032), FUZZ_MARKET_CASES, rp, pairs, argvs, mp)

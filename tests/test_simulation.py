@@ -508,11 +508,38 @@ def _check_structured_block(monkeypatch, n, chunk_rows):
                         assert _block_result(got) == want, (inst, t, kind, reps)
 
 
+@pytest.mark.parametrize("n", range(3, 7))
+def test_structured_block_grouped_matches_reference(monkeypatch, n):
+    # a full block groups its equal draws at n <= 5, every kind and n1, and
+    # runs row by row at n = 6; forced down the per-row path, a grouped
+    # block gives the same sums
+    block_rows = []
+    chunks = simulation._chunks
+    monkeypatch.setattr(simulation, "_chunks",
+                        lambda rows, n: block_rows.append(rows) or chunks(rows, n))
+    inst = _structured_instances(n)[0]
+    reps, rng = simulation.BLOCK_SIZE, random.Random(100 + n)
+    for n1 in range(n + 1):
+        tops = StrategyProfile.structured_n1(n, n1).tops
+        for t in (tops, tuple(rng.sample(tops, n))):
+            for kind in MechanismKind:
+                seed = rng.randrange(2**32)
+                got = _block_result(simulation._structured_block(kind, inst, t, reps, seed, 0))
+                assert got == reference_structured_block(kind, inst, t, reps, seed, 0), (t, kind)
+                assert (block_rows.pop() < reps) == (n <= 5)
+                if n <= 5:
+                    with monkeypatch.context() as m:
+                        m.setattr(simulation, "GROUP_REPEATS", math.inf)
+                        per_row = simulation._structured_block(kind, inst, t, reps, seed, 0)
+                    assert block_rows.pop() == reps
+                    assert _block_result(per_row) == got, (t, kind)
+
+
 @pytest.mark.parametrize("kind", list(MechanismKind))
 def test_structured_memory_is_one_block_of_draws(kind):
     # the post-draw work runs in chunks, so a block holds little beyond its
-    # draws, (reps x n) slots and two winner draws, and memory does not grow
-    # with the block count
+    # 4-byte draws, (reps x n) slots and two winner draws, and memory does
+    # not grow with the block count
     profile = StrategyProfile.structured_n1(E1.n, 3)
     simulate(kind, E1, profile, 1000, seed=1)  # lazy set-up outside the trace
     peaks = []
@@ -523,7 +550,7 @@ def test_structured_memory_is_one_block_of_draws(kind):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    draws = (simulation.BLOCK_SIZE * E1.n + 2 * simulation.BLOCK_SIZE) * 8
+    draws = (simulation.BLOCK_SIZE * E1.n + 2 * simulation.BLOCK_SIZE) * 4
     assert abs(peaks[1] - peaks[0]) < 1 << 16, peaks
     assert max(peaks) <= 1.5 * draws, (peaks, draws)
 
