@@ -72,6 +72,9 @@ def cmd_mechanism(args) -> int:
         market = _load_json(args.market, MarketInstance.from_json_dict)
         _check_fit(reports, args.reports, market, args.market)
     order = _parse_order(args.order)
+    if len(order) != len(reports):
+        raise DataFormatError(f"--order {args.order!r} orders {len(order)} agents, but "
+                              f"{args.reports} has {len(reports)} reports")
     matching = run_mechanism(MechanismKind(args.kind), reports, order)
     doc = {
         "kind": args.kind,

@@ -21,7 +21,9 @@ engines, so the outcome of a tie-break order depends only on which list
 sits at each priority position; the engine runs those 2**n label
 sequences, which together weigh exactly as all n! orders of every n1.
 Their outcome counts depend on no instance value, so the engine runs
-once per (mechanism, n) in a process.
+once per (mechanism, n) in a process.  Each instance prices them as exact
+ints, every group EU times w·n! (w = n − 2 slots in the lottery window),
+and compares those.
 
 ``check_truthtelling_equilibrium`` prices a cached table likewise: facing n-1
 truthful agents, a deviator's good depends only on its list and position, so
@@ -228,10 +230,11 @@ def solve_equilibrium(kind: MechanismKind, inst: SymmetricInstance) -> Equilibri
 # brute-force oracle: enumeration of priority-label sequences
 # ---------------------------------------------------------------------------
 
-def _lottery_value(inst: SymmetricInstance, first_slot: int, last_slot: int) -> Fraction:
+def _lottery_window(kind: MechanismKind, n: int) -> range:
     # Remaining agents rank the leftover goods uniformly at random, so the
-    # received good sits at a uniform slot of the window; its value is vbar.
-    return inst.vbar + inst.rho.mean(first_slot, last_slot)
+    # received good sits at a uniform slot of this window of n − 2 list
+    # positions; its value is vbar.
+    return range(3, n + 1) if kind == MechanismKind.RSD else range(2, n)
 
 
 @functools.cache
@@ -259,47 +262,47 @@ def _label_tally(kind: MechanismKind, n: int) -> tuple[tuple[tuple[int, ...], ..
 
 
 def _enum_group_eus(kind: MechanismKind,
-                    inst: SymmetricInstance) -> list[tuple[Fraction | None, Fraction | None]]:
+                    inst: SymmetricInstance) -> list[tuple[int | None, int | None]]:
     """Per n1 in 0..n, the EUs of an x1-first agent and of an x2-first
-    agent, None where nobody plays that strategy.
+    agent times w·n!, as exact ints, None where nobody plays that strategy;
+    w = n − 2 is the length of ``_lottery_window``.
 
     The counts come from ``_label_tally``, whose engine call runs once per
     (kind, n) in a process.  A sequence with n1 x1-first positions stands
     for n1!·(n−n1)! of the n! orders of a profile with n1 x1-first agents,
     so the x1-first EU is that group's total over the C(n, n1) such rows
-    divided by n1·C(n, n1), and likewise for x2-first.  An agent who
+    divided by players = n1·C(n, n1), and likewise for x2-first; n!/players
+    is the whole number (n1−1)!·(n−n1)! or n1!·(n−n1−1)!.  An agent who
     receives a top good at rank <= 2 scores value + rho(rank), and everyone
-    else the slot lottery over the leftover goods."""
+    else the slot lottery, worth vbar plus the window's mean rho."""
     n = inst.n
-    if kind == MechanismKind.RSD:
-        cont = _lottery_value(inst, 3, n)
-    else:
-        cont = _lottery_value(inst, 2, n - 1)
-    payoff = [inst.good_value(g) + inst.rho.at(r) for g in (0, 1) for r in (1, 2)]
+    w = n - 2
+    lottery = w * inst.vbar + sum(inst.rho.at(j) for j in _lottery_window(kind, n))
+    payoff = [w * (inst.good_value(g) + inst.rho.at(r)) for g in (0, 1) for r in (1, 2)]
+    fact = math.factorial
     eus = []
     for n1, sides in enumerate(_label_tally(kind, n)):
-        group = []
-        for (*won_counts, lost), size in zip(sides, (n1, n - n1)):
-            if size == 0:
-                group.append(None)
-                continue
-            players = size * math.comb(n, n1)
-            group.append(Fraction(sum(c * p for c, p in zip(won_counts, payoff)), players)
-                         + Fraction(lost, players) * cont)
-        eus.append(tuple(group))
+        scales = (fact(n1 - 1) * fact(n - n1) if n1 else None,
+                  fact(n1) * fact(n - n1 - 1) if n1 < n else None)
+        eus.append(tuple(None if scale is None else
+                         (sum(c * p for c, p in zip(won, payoff)) + lost * lottery) * scale
+                         for (*won, lost), scale in zip(sides, scales)))
     return eus
 
 
 def brute_force_equilibria(kind: MechanismKind, inst: SymmetricInstance) -> set[int]:
     """Equilibrium n1 set derived directly from the no-deviation inequalities,
     with the top-goods phase enumerated over all priority-label sequences
-    (equivalently, all tie-break orders)."""
+    (equivalently, all tie-break orders).  Every EU is compared as an exact
+    int, scaled by the same factor."""
     n = inst.n
     if n > BRUTE_FORCE_MAX_N:
         raise SizeLimitError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}")
     if kind == MechanismKind.BOSTON:
-        # a corner deviator is the lone round-1 bidder on x2 and wins it
-        if corner_eu(inst) >= inst.v2 + inst.rho.at(1):
+        # a corner deviator is the lone round-1 bidder on x2 and wins it;
+        # at the corner the n agents share every good and every rank once
+        corner_total = inst.v1 + inst.v2 + (n - 2) * inst.vbar + sum(inst.rho.values)
+        if corner_total >= n * (inst.v2 + inst.rho.at(1)):
             return {n}
     eus = _enum_group_eus(kind, inst)
     u = lambda top, k: eus[k][top - 1]

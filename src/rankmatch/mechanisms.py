@@ -1,20 +1,22 @@
 """Deterministic RSD and Boston engines, their batch forms over many
 tie-break orders at once, randomized wrappers, and exact expectation /
-efficiency oracles by enumeration.
+efficiency oracles: RSD's expected utilities by a DP over (agents served,
+goods taken) states, Boston's and Pareto efficiency by enumeration.
 
 A single ``TieBreakOrder`` drives both mechanisms: position 0 is the agent
 who picks first in RSD and holds tie-break number 1 in Boston.  The scalar
 ``run_rsd`` / ``run_boston`` are the readable reference and serve single
 orders.  The batch engines behind ``batch_mechanism`` run many orders in one
 call, either under one profile shared by every row (``exact_expected_utilities``
-runs the ``all_orders`` array, built in numpy, this way) or under a profile
-per row (``equilibrium.brute_force_equilibria``'s label sequences and
+runs Boston on the ``all_orders`` array, built in numpy, this way) or under a
+profile per row (``equilibrium.brute_force_equilibria``'s label sequences and
 ``check_truthtelling_equilibrium``'s (list, position) rows, each once per
 mechanism and n in a process), so each question is at most one engine call.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -216,19 +218,64 @@ def run_random(kind: MechanismKind, reports: Sequence[RankList],
 def exact_expected_utilities(kind: MechanismKind, reports: Sequence[RankList],
                              market: MarketInstance) -> tuple[Fraction, ...]:
     """Per-agent expected utility in cents, averaged over all n! tie-break
-    orders with exact rational arithmetic."""
+    orders with exact rational arithmetic: RSD by the subset DP of
+    ``_rsd_expected_utilities``, Boston by one batch-engine call over all n!
+    orders."""
     n = market.n
     if n > EXACT_ENUM_MAX_N:
         raise SizeLimitError(
             f"exact enumeration limited to n <= {EXACT_ENUM_MAX_N} (got {n}); "
             "use the simulation module for larger markets")
     _check_inputs(reports, n)
+    if kind == MechanismKind.RSD:
+        return _rsd_expected_utilities(reports, market)
+    return _enumerated_expected_utilities(kind, reports, market)
+
+
+def _enumerated_expected_utilities(kind: MechanismKind, reports: Sequence[RankList],
+                                   market: MarketInstance) -> tuple[Fraction, ...]:
+    """``exact_expected_utilities`` by running the engine on all n! orders."""
+    n = market.n
     orders = all_orders(n)
     pref = np.array([r.order for r in reports], dtype=np.int64)
     goods, ranks = batch_mechanism(kind, pref, orders)
     return tuple(Fraction(utility_total(goods[:, i], ranks[:, i], market.values.rows[i],
                                         market.rho.values), len(orders))
                  for i in range(n))
+
+
+def _rsd_expected_utilities(reports: Sequence[RankList],
+                            market: MarketInstance) -> tuple[Fraction, ...]:
+    """RSD's exact expected utilities by a DP over subsets, for any n.
+
+    Under a uniform order the next picker is a uniform unserved agent, so a
+    state is (agents served, goods taken), weighted by its number of order
+    prefixes.  A state with k served and weight c leads into c·(n−k−1)! of
+    the n! orders through each unserved agent's pick; ``counts[i][r]`` sums
+    these for agent i receiving the good at rank r + 1."""
+    n = market.n
+    lists = [r.order for r in reports]
+    counts = [[0] * n for _ in range(n)]
+    layer = {(0, 0): 1}
+    for k in range(n):
+        tail = math.factorial(n - k - 1)
+        step: dict[tuple[int, int], int] = {}
+        for (served, taken), c in layer.items():
+            weight = c * tail
+            for i, order in enumerate(lists):
+                if served >> i & 1:
+                    continue
+                r = 0
+                while taken >> order[r] & 1:
+                    r += 1
+                counts[i][r] += weight
+                key = (served | 1 << i, taken | 1 << order[r])
+                step[key] = step.get(key, 0) + c
+        layer = step
+    rho = market.rho.values
+    return tuple(Fraction(sum(c * (values[g] + p) for c, g, p in zip(row, order, rho)),
+                          math.factorial(n))
+                 for row, order, values in zip(counts, lists, market.values.rows))
 
 
 def is_pareto_efficient(matching: Matching, reports: Sequence[RankList]) -> bool:

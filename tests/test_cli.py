@@ -501,6 +501,22 @@ def test_reports_that_do_not_fit_the_market_name_both_files(appd_files, tmp_path
                                f"market of {market}\n"), argv
 
 
+def test_order_of_the_wrong_length_names_the_flag_and_file(appd_files, tmp_path, capsys):
+    """An --order that does not order one agent per report is a data error
+    naming --order and the reports file, with or without --market."""
+    rp, mp = appd_files
+    r9 = tmp_path / "r9.json"
+    r9.write_text(json.dumps({"reports": [list(range(9))] * 9}))
+    for reports, order, market in ((r9, "0,1,2", []), (rp, "0,1,2", []),
+                                   (rp, "0,1,2,3,4", ["--market", str(mp)])):
+        argv = ["mechanism", "--kind", "rsd", "--reports", str(reports), "--order", order]
+        code, out, err = run_cli(argv + market, capsys)
+        n = len(json.loads(reports.read_text())["reports"])
+        assert (code, out) == (1, ""), argv
+        assert err == (f"error: --order '{order}' orders {len(order.split(','))} agents, "
+                       f"but {reports} has {n} reports\n"), argv
+
+
 def test_market_goods_default_labels(appd_files, tmp_path, capsys):
     rp, _ = appd_files
     mp = tmp_path / "bare.json"
@@ -885,3 +901,41 @@ def test_market_and_reports_reader_fuzz(tmp_path, capsys, reader):
     else:
         pairs = [(r, m) for m, r in pairs]
         _check_fuzzed(capsys, random.Random(2032), FUZZ_MARKET_CASES, rp, pairs, argvs, mp)
+
+
+def test_order_fuzz(tmp_path, capsys):
+    """Seeded byte and token edits of --order texts through ``mechanism``:
+    exit 0 with strict JSON on stdout, or exit 1 with nothing on stdout and
+    one stderr line naming --order; never a usage error or a traceback.
+    Every order text goes with every reports file, so many mutants that
+    are still permutations have the wrong length."""
+    rng = random.Random(2121)
+    orders, paths = [], []
+    for market, reports in FUZZ_MARKETS:
+        paths.append(tmp_path / f"reports{market.n}.json")
+        paths[-1].write_text(json.dumps({"reports": reports}))
+        order = list(range(market.n))
+        rng.shuffle(order)
+        orders.append(",".join(map(str, order)).encode())
+    cases = [(order, path) for order in orders for path in paths]
+    codes = []
+    for _ in range(FUZZ_CASES):
+        data, path = rng.choice(cases)
+        for _ in range(rng.randint(1, 2)):
+            data = _fuzz_edit(rng, data)
+        text = data.decode("latin-1")
+        argv = ["mechanism", "--kind", rng.choice(["rsd", "boston"]), "--reports", str(path),
+                f"--order={text}"]
+        try:
+            code, out, err = run_cli(argv, capsys)
+        except SystemExit as exc:
+            pytest.fail(f"exit {exc.code} for --order {text!r}")
+        codes.append(code)
+        if code == 0:
+            json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} for {text!r}"))
+            assert err == "", text
+        else:
+            assert code == 1 and out == "", text
+            assert err.startswith("error: ") and "--order" in err, (text, err)
+            assert err.count("\n") == 1, (text, err)
+    assert 0 < codes.count(0) < len(codes)

@@ -15,7 +15,7 @@ from rankmatch.equilibrium import (
     _deviation_table,
     _enum_group_eus,
     _label_tally,
-    _lottery_value,
+    _lottery_window,
     _u_boston,
     _u_sd,
     boston_group_eu,
@@ -160,7 +160,7 @@ def test_brute_force_group_eus_equal_closed_forms():
         for _ in range(30):
             inst = rand_instance(rng, n)
             for kind in MechanismKind:
-                eus = _enum_group_eus(kind, inst)
+                eus = unscaled_group_eus(kind, inst)
                 assert len(eus) == n + 1
                 for n1, (u1, u2) in enumerate(eus):
                     assert (u1 is None) == (n1 == 0) and (u2 is None) == (n1 == n)
@@ -168,6 +168,15 @@ def test_brute_force_group_eus_equal_closed_forms():
                         assert u1 == closed[kind](inst, 1, n1), (kind, inst, n1)
                     if u2 is not None:
                         assert u2 == closed[kind](inst, 2, n1), (kind, inst, n1)
+
+
+def unscaled_group_eus(kind, inst):
+    """``_enum_group_eus`` divided back by w·n!, as exact Fractions."""
+    n = inst.n
+    scale = (n - 2) * math.factorial(n)
+    eus = _enum_group_eus(kind, inst)
+    assert all(isinstance(u, int) for group in eus for u in group if u is not None)
+    return [tuple(None if u is None else Fraction(u, scale) for u in group) for group in eus]
 
 
 def structured_lists(kind, n):
@@ -185,10 +194,8 @@ def reference_enum_group_eus(kind, inst):
     (x1-first) and agent n-1 (x2-first)."""
     n = inst.n
     lists = structured_lists(kind, n)
-    if kind == MechanismKind.RSD:
-        cont = _lottery_value(inst, 3, n)
-    else:
-        cont = _lottery_value(inst, 2, n - 1)
+    window = _lottery_window(kind, n)
+    cont = inst.vbar + inst.rho.mean(window[0], window[-1])
     values = [inst.good_value(g) for g in range(n)]
     orders = all_orders(n)
     fact = len(orders)
@@ -219,7 +226,7 @@ def test_label_sequences_equal_all_orders(n):
                      SymmetricInstance(n, inst.v1 + shift, inst.v2 + shift, inst.vbar + shift,
                                        neg)):
             for kind in MechanismKind:
-                assert _enum_group_eus(kind, case) == reference_enum_group_eus(kind, case), \
+                assert unscaled_group_eus(kind, case) == reference_enum_group_eus(kind, case), \
                     (kind, case)
 
 

@@ -10,6 +10,7 @@ from rankmatch.core import MarketInstance, RankList, SizeLimitError, build_outco
 from rankmatch.mechanisms import (
     MechanismKind,
     TieBreakOrder,
+    _enumerated_expected_utilities,
     all_orders,
     batch_boston,
     batch_rsd,
@@ -143,6 +144,27 @@ def test_exact_matches_brute_average():
                     totals[i] += out.utility[i]
             assert tuple(Fraction(t, math.factorial(n)) for t in totals) == eus, \
                 (kind, market, reports)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rsd_dp_equals_batch_enumeration(n):
+    """RSD's subset DP gives the exact Fractions of the batch engine run on
+    all n! orders: random markets and lists, identical value rows and lists,
+    negative rho entries, and values shifted by 10**15 cents."""
+    rng = random.Random(800 + n)
+    for case in range(4):
+        values = [[rng.randint(0, 3000) for _ in range(n)] for _ in range(n)]
+        rho = sorted((rng.randint(-400, 800) for _ in range(n)), reverse=True)
+        reports = [RankList(tuple(rng.sample(range(n), n))) for _ in range(n)]
+        if case == 1:
+            values, reports = [values[0]] * n, [reports[0]] * n
+        elif case == 2:
+            rho = [r - 1000 for r in rho]
+        elif case == 3:
+            values = [[v + 10**15 for v in row] for row in values]
+        market = MarketInstance.from_cents(values, rho)
+        assert exact_expected_utilities(MechanismKind.RSD, reports, market) == \
+            _enumerated_expected_utilities(MechanismKind.RSD, reports, market), (market, reports)
 
 
 @pytest.mark.parametrize("n", range(9))

@@ -23,6 +23,7 @@ from rankmatch.equilibrium import (
 from rankmatch.mechanisms import (
     MechanismKind,
     TieBreakOrder,
+    _rsd_expected_utilities,
     exact_expected_utilities,
     run_mechanism,
 )
@@ -83,6 +84,22 @@ def test_fixed_agrees_with_exact_enumeration():
         rep = simulate(kind, market, profile, 200_000, seed=9)
         exact = float(sum(exact_expected_utilities(kind, reports, market)))
         assert abs(rep.welfare_mean - exact) <= 4 * rep.welfare_se + 1e-9
+
+
+def test_fixed_rsd_at_n10_agrees_with_subset_dp():
+    """At n = 10, past the n! enumeration's reach, fixed-profile RSD Monte
+    Carlo welfare lies within 4 SE of the subset DP's exact welfare."""
+    rng = random.Random(1010)
+    n = 10
+    values = [[rng.randint(0, 3000) for _ in range(n)] for _ in range(n)]
+    rho = sorted((rng.randint(-200, 800) for _ in range(n)), reverse=True)
+    reports = [RankList(tuple(rng.sample(range(n), n))) for _ in range(n)]
+    market = MarketInstance.from_cents(values, rho)
+    rep = simulate(MechanismKind.RSD, market, StrategyProfile.fixed_reports(reports),
+                   20_000, seed=10)
+    exact = float(sum(_rsd_expected_utilities(reports, market)))
+    assert rep.welfare_se > 0
+    assert abs(rep.welfare_mean - exact) <= 4 * rep.welfare_se
 
 
 def test_structured_matches_closed_form_eu():
