@@ -4,6 +4,9 @@ Subcommands: mechanism | expect | equilibrium | simulate | analyze |
 elicit-decode | selftest.  All output is JSON with sorted keys (plus
 optional CSV side files), byte-identical for identical inputs and seed.
 Exit codes: 0 success, 1 data error, 2 usage error.
+
+Each ``cmd_*`` imports the modules it runs, so ``mechanism`` and
+``elicit-decode`` start without numpy.
 """
 from __future__ import annotations
 
@@ -13,16 +16,8 @@ import json
 import sys
 from fractions import Fraction
 
-from . import analysis, elicitation, equilibrium, simulation, stats
 from .core import (DataFormatError, MarketInstance, RankList, SizeLimitError, cents,
                    reports_from_json_dict)
-from .equilibrium import SymmetricInstance
-from .mechanisms import (
-    MechanismKind,
-    TieBreakOrder,
-    exact_expected_utilities,
-    run_mechanism,
-)
 
 DEFAULT_SEED = 20240901
 
@@ -56,6 +51,8 @@ def _check_fit(reports, reports_path, market, market_path) -> None:
 
 
 def _parse_order(text: str) -> TieBreakOrder:
+    from .mechanisms import TieBreakOrder
+
     try:
         return TieBreakOrder(tuple(int(x) for x in text.split(",")))
     except ValueError as exc:
@@ -67,6 +64,8 @@ def _frac(f) -> dict:
 
 
 def cmd_mechanism(args) -> int:
+    from .mechanisms import MechanismKind, run_mechanism
+
     reports = _load_json(args.reports, reports_from_json_dict)
     if args.market is not None:
         market = _load_json(args.market, MarketInstance.from_json_dict)
@@ -96,6 +95,8 @@ def cmd_mechanism(args) -> int:
 
 
 def cmd_expect(args) -> int:
+    from .mechanisms import MechanismKind, exact_expected_utilities
+
     reports = _load_json(args.reports, reports_from_json_dict)
     market = _load_json(args.market, MarketInstance.from_json_dict)
     _check_fit(reports, args.reports, market, args.market)
@@ -109,6 +110,8 @@ def cmd_expect(args) -> int:
 
 def _equilibrium_report(kind: MechanismKind, inst: SymmetricInstance,
                         brute: bool) -> dict:
+    from . import equilibrium
+
     doc: dict = {}
     sol = equilibrium.solve_equilibrium(kind, inst)
     doc["n1_set"] = list(sol.n1_candidates)
@@ -127,6 +130,9 @@ def _equilibrium_report(kind: MechanismKind, inst: SymmetricInstance,
 
 
 def cmd_equilibrium(args) -> int:
+    from .equilibrium import SymmetricInstance
+    from .mechanisms import MechanismKind
+
     inst = _load_json(args.instance, SymmetricInstance.from_json_dict)
     doc: dict = {"n": inst.n}
     kinds = list(MechanismKind) if args.kind == "both" else [MechanismKind(args.kind)]
@@ -140,6 +146,10 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulation
+    from .equilibrium import SymmetricInstance
+    from .mechanisms import MechanismKind
+
     market = _load_json(args.market, lambda doc: (
         MarketInstance if isinstance(doc, dict) and "values" in doc
         else SymmetricInstance).from_json_dict(doc))
@@ -166,6 +176,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis, stats
+
     tolerance = cents(args.tolerance)
     if tolerance < 0:
         raise DataFormatError(f"tolerance must be >= 0, got {tolerance}")
@@ -214,6 +226,8 @@ def _write_tables(doc: dict, directory: str) -> None:
 
 
 def cmd_elicit_decode(args) -> int:
+    from . import elicitation
+
     resp = elicitation.MplResponse(args.screen1, args.screen2)
     value = elicitation.decode_mpl(resp)
     _emit({"screen1_row": args.screen1, "screen2_row": args.screen2,
@@ -222,6 +236,9 @@ def cmd_elicit_decode(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import elicitation, stats
+    from .mechanisms import MechanismKind, TieBreakOrder, exact_expected_utilities, run_mechanism
+
     checks: list[tuple[str, bool]] = []
 
     # small-market welfare: RSD truthful vs Boston equilibrium reports

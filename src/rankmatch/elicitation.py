@@ -112,18 +112,24 @@ def load_responses(path) -> list[tuple[str, MplResponse | LotteryResponse]]:
 
     Header: subject_id,task_id,screen1_row,screen2_row,switch_row with
     task_id one of mpl / holt_laury / loss_aversion; MPL rows fill the two
-    screen columns (switch_row blank), lottery rows the reverse.  Returns
-    (subject_id, response) pairs; malformed rows, rows of another width
-    included, raise DataFormatError with a file:row: prefix (see
-    ``core.csv_rows``).
+    screen columns and leave switch_row blank, lottery rows the reverse.
+    Returns (subject_id, response) pairs; malformed rows, rows of another
+    width and a filled cell that the row's task leaves blank included, raise
+    DataFormatError with a file:row: prefix (see ``core.csv_rows``).
     """
     out: list[tuple[str, MplResponse | LotteryResponse]] = []
     for lineno, (subject, task, screen1, screen2, switch) in csv_rows(path, RESPONSE_COLUMNS):
         try:
             if task == "mpl":
                 resp: MplResponse | LotteryResponse = MplResponse(int(screen1), int(screen2))
+                filled = "switch_row" if switch else ""
             else:
                 resp = LotteryResponse(LotteryTask(task), int(switch))
+                filled = "screen1_row" if screen1 else "screen2_row" if screen2 else ""
+            if filled:
+                cell = {"screen1_row": screen1, "screen2_row": screen2,
+                        "switch_row": switch}[filled]
+                raise ValueError(f"{filled} must be blank when task_id is {task}, got {cell!r}")
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
         out.append((subject, resp))

@@ -41,7 +41,8 @@ import numpy as np
 
 from .core import (DataFormatError, MarketInstance, RhoSchedule, SizeLimitError, whole_cents,
                    whole_number)
-from .mechanisms import MechanismKind, all_orders, batch_mechanism
+from .batch import all_orders, batch_mechanism
+from .mechanisms import MechanismKind
 
 BRUTE_FORCE_MAX_N = 6
 TRUTHTELLING_MAX_N = 6

@@ -54,7 +54,8 @@ import numpy as np
 from . import prng
 from .core import MarketInstance, RankList
 from .equilibrium import SymmetricInstance
-from .mechanisms import MechanismKind, TieBreakOrder, batch_mechanism, run_mechanism
+from .batch import batch_mechanism
+from .mechanisms import MechanismKind, TieBreakOrder, run_mechanism
 
 BLOCK_SIZE = 1 << 16
 # cells (rows x agents) of post-draw work per chunk: the engine, gathers,

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -20,6 +21,13 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def src_env(**extra):
+    """The environment for a fresh interpreter that imports this rankmatch."""
+    src = os.path.dirname(os.path.dirname(rankmatch.__file__))
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture
@@ -596,12 +604,67 @@ def test_no_subcommand_needs_scipy(appd_files, tmp_path):
         assert "scipy" not in {{name.partition(".")[0] for name in sys.modules
                                if sys.modules[name] is not None}}
     """)
-    src = os.path.dirname(os.path.dirname(rankmatch.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env)
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_one_order_subcommands_need_no_numpy(appd_files, capsys):
+    """A fresh interpreter in which ``import numpy`` fails: ``import
+    rankmatch.cli`` loads neither numpy nor a module of the package that uses
+    it, and ``mechanism`` (with and without ``--market``), ``elicit-decode``
+    and ``expect --kind rsd`` exit 0 and write the bytes of a run with numpy.
+    Run out of process, because this test module's own imports load numpy."""
+    rp, mp = appd_files
+    mechanism = ["mechanism", "--kind", "boston", "--reports", str(rp), "--order", "1,0,2,3"]
+    runs = [mechanism, mechanism + ["--market", str(mp)],
+            ["elicit-decode", "--screen1", "16", "--screen2", "28"],
+            ["expect", "--kind", "rsd", "--reports", str(rp), "--market", str(mp)]]
+    script = textwrap.dedent(f"""
+        import sys
+        sys.modules["numpy"] = None  # any import of numpy now raises
+        import rankmatch.cli
+        numpy_users = {{"numpy", "rankmatch.batch", "rankmatch.analysis", "rankmatch.simulation",
+                       "rankmatch.equilibrium", "rankmatch.stats", "rankmatch.prng"}}
+        assert not numpy_users & {{name for name, module in sys.modules.items() if module}}
+        for argv in {runs!r}:
+            assert rankmatch.cli.main(argv) == 0, argv
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    want = []
+    for argv in runs:
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0, argv
+        want.append(out)
+    assert proc.stdout == "".join(want).encode()
+
+
+def test_package_exports_load_lazily():
+    """Every name the package exported when it imported its modules eagerly
+    resolves from ``rankmatch`` to its module's object and is in
+    ``__all__``; any other name raises ``AttributeError``."""
+    exports = {
+        "core": ["DataFormatError", "Good", "MarketInstance", "Matching", "Outcome",
+                 "RankList", "RhoSchedule", "SizeLimitError", "ValueMatrix", "cents",
+                 "dollars"],
+        "mechanisms": ["MechanismKind", "TieBreakOrder", "exact_expected_utilities",
+                       "is_pareto_efficient", "run_boston", "run_mechanism", "run_random",
+                       "run_rsd"],
+        "equilibrium": ["EquilibriumSolution", "SymmetricInstance", "brute_force_equilibria",
+                        "check_truthtelling_equilibrium", "equilibrium_welfare",
+                        "solve_equilibrium", "symmetric_params"],
+        "simulation": ["SimReport", "StrategyProfile", "rank_distribution", "simulate"],
+    }
+    for module, names in exports.items():
+        home = importlib.import_module(f"rankmatch.{module}")
+        for name in names:
+            assert getattr(rankmatch, name) is getattr(home, name), name
+    assert sorted(rankmatch.__all__) == sorted(sum(exports.values(), []))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rankmatch.no_such_name
+    from rankmatch import simulate, stats
+    assert simulate is rankmatch.simulation.simulate and stats.__name__ == "rankmatch.stats"
 
 
 def test_thread_pool_is_imported_only_for_threads(appd_files, tmp_path):
@@ -622,11 +685,8 @@ def test_thread_pool_is_imported_only_for_threads(appd_files, tmp_path):
         assert cli.main(args + ["--threads", "2", "--out", {outs[1]!r}]) == 0
         assert ("concurrent.futures" in sys.modules) == ((os.cpu_count() or 1) > 1)
     """)
-    src = os.path.dirname(os.path.dirname(rankmatch.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env)
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
     with open(outs[0], "rb") as one, open(outs[1], "rb") as two:
         assert one.read() == two.read()
@@ -645,7 +705,6 @@ def test_inputs_are_read_as_utf8_under_any_locale(appd_files, tmp_path):
     responses = tmp_path / "responses.csv"
     responses.write_text("subject_id,task_id,screen1_row,screen2_row,switch_row\n"
                          "s\u00e9,mpl,16,28,\ns\u00e9,holt_laury,,,12\n", encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(rankmatch.__file__))
     results = {}
     for utf8 in ("0", "1"):
         session = str(tmp_path / f"session{utf8}.csv")
@@ -663,8 +722,7 @@ def test_inputs_are_read_as_utf8_under_any_locale(appd_files, tmp_path):
                               in elicitation.load_responses({str(responses)!r})]))
             print(codecs.lookup(locale.getpreferredencoding(False)).name)
         """)
-        env = dict(os.environ, LC_ALL="C", PYTHONUTF8=utf8, PYTHONCOERCECLOCALE="0",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = src_env(LC_ALL="C", PYTHONUTF8=utf8, PYTHONCOERCECLOCALE="0")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env)
         assert proc.returncode == 0, proc.stderr
@@ -761,9 +819,7 @@ def test_parser_is_built_once_and_reused(appd_files, tmp_path, capsys, monkeypat
     assert len(built) == 1
     assert build_parser() is not build_parser()
 
-    src = os.path.dirname(os.path.dirname(rankmatch.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = src_env()
     # defaults such as equilibrium's --kind must not carry over from earlier calls
     for name in ("equilibrium", "analyze"):
         fresh = tmp_path / f"fresh-{name}.json"

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from rankmatch.core import DataFormatError
@@ -133,6 +136,20 @@ def test_load_responses_counts_blank_rows(tmp_path):
         load_responses(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("s3,mpl,16,28,7", "switch_row must be blank when task_id is mpl, got '7'"),
+    ("s7,mpl,16,28,x", "switch_row must be blank when task_id is mpl, got 'x'"),
+    ("s1,holt_laury,3,,30", "screen1_row must be blank when task_id is holt_laury, got '3'"),
+    ("s2,loss_aversion,,28,10",
+     "screen2_row must be blank when task_id is loss_aversion, got '28'"),
+])
+def test_load_responses_rejects_cells_the_task_leaves_blank(tmp_path, row, message):
+    path = tmp_path / "filled.csv"
+    path.write_text(HEADER + "s1,mpl,16,28,\n" + row + "\n")
+    with pytest.raises(DataFormatError, match=re.escape(f"filled.csv:3: {message}")):
+        load_responses(path)
+
+
 def test_load_responses_rejects_wide_rows(tmp_path):
     path = tmp_path / "wide.csv"
     path.write_text(HEADER + "s1,mpl,16,28,\ns1,holt_laury,,,30,7\n")
@@ -152,6 +169,70 @@ def test_load_responses_undecodable_names_file(tmp_path):
     path.write_bytes(HEADER.encode() + b"s1,mpl,16,28,\n\xff,mpl,16,28,\n")
     with pytest.raises(DataFormatError, match=r"bytes\.csv: 'utf-8' codec can't decode"):
         load_responses(path)
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz: byte and token mutants of a valid responses file
+# ---------------------------------------------------------------------------
+
+FUZZ_MUTANTS = 6000
+FUZZ_TOKENS = (b"", b"0", b"1", b"50", b"51", b"-1", b"+7", b" 16", b"1_6", b"2.5", b"x",
+               b"mpl", b"holt_laury", b"loss_aversion", b'"7"', b'"a,b"', b'"', b"\xe9",
+               "\u00e9".encode(), "\u0663".encode(), b"\x00", b"9" * 5000, b",", b"\r\n")
+FUZZ_BYTES = b',\r\n" -+.0123456789x'
+FUZZ_CELL = rb"[^,\r\n]+"
+
+
+def _fuzz_edit(rng, data):
+    """One random edit: a cell replaced from ``FUZZ_TOKENS``, or a byte
+    deleted, replaced or inserted."""
+    cells = list(re.finditer(FUZZ_CELL, data))
+    if rng.random() < 0.6:
+        m = rng.choice(cells)
+        return data[:m.start()] + rng.choice(FUZZ_TOKENS) + data[m.end():]
+    i = rng.randrange(len(data) + 1)
+    byte = bytes([rng.choice(FUZZ_BYTES) if rng.random() < 0.9 else rng.randrange(256)])
+    op = rng.randrange(3)  # delete, replace, insert
+    return data[:i] + (byte if op else b"") + data[i + (op != 2):]
+
+
+def test_fuzzed_responses(tmp_path):
+    """Mutants of a valid responses file, with CRLF and LF line ends, either
+    load or raise ``DataFormatError`` naming the file; when the header is
+    intact and the bytes decode, the error names the row as well."""
+    rng = random.Random(1505)
+    rows = []
+    for i in range(30):
+        task = rng.choice(("mpl", "holt_laury", "loss_aversion"))
+        cells = ([rng.randint(0, 50), rng.randint(1, 50), ""] if task == "mpl"
+                 else ["", "", rng.randint(1, 50)])
+        rows.append(",".join(map(str, [f"s{i}", task, *cells])))
+    lf = (HEADER + "\n".join(rows) + "\n").encode()
+    bases = (lf, lf.replace(b"\n", b"\r\n"))
+    path = tmp_path / "responses.csv"
+    path.write_bytes(lf)
+    assert len(load_responses(path)) == len(rows)
+    row_fault = re.compile(re.escape(str(path)) + r":[0-9]+: ")
+    seen = set()
+    for i in range(FUZZ_MUTANTS):
+        data = bases[i % 2]
+        for _ in range(rng.randint(1, 2)):
+            data = _fuzz_edit(rng, data)
+        path.write_bytes(data)
+        try:
+            load_responses(path)
+            seen.add("loaded")
+        except DataFormatError as exc:
+            message = str(exc)
+            assert message.startswith(f"{path}:"), (data, message)
+            try:
+                intact = data.decode().splitlines()[0] == HEADER.strip()
+            except (UnicodeDecodeError, IndexError):
+                intact = False
+            if intact:
+                assert row_fault.match(message), (data, message)
+            seen.add("row fault" if row_fault.match(message) else "file fault")
+    assert seen == {"loaded", "row fault", "file fault"}
 
 
 def test_lottery_validation():

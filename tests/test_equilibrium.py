@@ -28,8 +28,9 @@ from rankmatch.equilibrium import (
     solve_equilibrium,
     symmetric_params,
 )
-from rankmatch.mechanisms import (MechanismKind, TieBreakOrder, all_orders, batch_mechanism,
-                                  exact_expected_utilities, run_mechanism, utility_total)
+from rankmatch.batch import all_orders, batch_mechanism, utility_total
+from rankmatch.mechanisms import (MechanismKind, TieBreakOrder, exact_expected_utilities,
+                                  run_mechanism)
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 E1 = SymmetricInstance(5, 2824, 2256, 700, RhoSchedule((800, 200, 0, 0, 0)))

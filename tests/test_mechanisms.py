@@ -6,14 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rankmatch.core import MarketInstance, RankList, SizeLimitError, build_outcome
+from rankmatch.core import MarketInstance, Matching, RankList, SizeLimitError, build_outcome
+from rankmatch.batch import all_orders, batch_boston, batch_rsd, enumerated_expected_utilities
 from rankmatch.mechanisms import (
     MechanismKind,
     TieBreakOrder,
-    _enumerated_expected_utilities,
-    all_orders,
-    batch_boston,
-    batch_rsd,
     exact_expected_utilities,
     is_pareto_efficient,
     run_boston,
@@ -109,9 +106,52 @@ def test_boston_inefficient_for_true_preferences():
 
 def test_pareto_detects_improvement():
     reports = [RankList((0, 1)), RankList((0, 1))]
-    from rankmatch.core import Matching
     assert not is_pareto_efficient(Matching((1, 0)), [RankList((0, 1)), RankList((1, 0))])
     assert is_pareto_efficient(Matching((0, 1)), reports)
+
+
+def enumerated_pareto_efficient(matching, reports):
+    """The definition, over all n! matchings: no other one makes some agent
+    strictly better off and none worse."""
+    n = len(reports)
+    ranks = [reports[i].rank_of(matching.good_of(i)) for i in range(n)]
+    for alt in itertools.permutations(range(n)):
+        alt_ranks = [reports[i].rank_of(alt[i]) for i in range(n)]
+        if alt_ranks != ranks and all(a <= r for a, r in zip(alt_ranks, ranks)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pareto_cycle_test_equals_enumeration(n):
+    """The cycle test agrees with the n! enumeration on seeded random
+    matchings, RSD and Boston outcomes, under random and identical lists."""
+    rng = random.Random(1998 + n)
+    verdicts = set()
+    for case in range(40 if n < 7 else 12):
+        reports = [RankList(tuple(rng.sample(range(n), n))) for _ in range(n)]
+        if case % 4 == 0:
+            reports = [reports[0]] * n
+        order = TieBreakOrder(tuple(rng.sample(range(n), n)))
+        for matching in (Matching(tuple(rng.sample(range(n), n))), run_rsd(reports, order),
+                         run_boston(reports, order)):
+            want = enumerated_pareto_efficient(matching, reports)
+            assert is_pareto_efficient(matching, reports) == want, (matching, reports)
+            verdicts.add(want)
+    assert verdicts == ({True} if n == 1 else {True, False})
+
+
+def test_pareto_beyond_enumeration_size():
+    """n = 12, past the old n! limit: an RSD outcome is efficient, and a
+    matching in which two agents each hold the other's top good is not."""
+    n = 12
+    rng = random.Random(12)
+    reports = [RankList(tuple(rng.sample(range(n), n))) for _ in range(n)]
+    matching = run_rsd(reports, TieBreakOrder(tuple(range(n))))
+    assert is_pareto_efficient(matching, reports)
+    envy = [RankList((1, 0) + tuple(range(2, n))), RankList((0, 1) + tuple(range(2, n)))]
+    envy += [RankList(tuple(range(n)))] * (n - 2)
+    assert not is_pareto_efficient(Matching((0, 1) + tuple(range(2, n))), envy)
 
 
 def _exact_cases():
@@ -164,7 +204,7 @@ def test_rsd_dp_equals_batch_enumeration(n):
             values = [[v + 10**15 for v in row] for row in values]
         market = MarketInstance.from_cents(values, rho)
         assert exact_expected_utilities(MechanismKind.RSD, reports, market) == \
-            _enumerated_expected_utilities(MechanismKind.RSD, reports, market), (market, reports)
+            enumerated_expected_utilities(MechanismKind.RSD, reports, market), (market, reports)
 
 
 @pytest.mark.parametrize("n", range(9))
