@@ -107,31 +107,52 @@ def loss_aversion_loss(row: int) -> int:
     return 2000 - 40 * (row - 1)
 
 
+def _row_cell(cell: str, column: str) -> int:
+    """A row-number cell: ASCII digits only, so no sign, space, underscore
+    or other script's digits that ``int`` would take."""
+    if not (cell.isascii() and cell.isdigit()):
+        raise ValueError(f"{column} must be a row number in ASCII digits, got {cell!r}")
+    return int(cell)
+
+
+def _parse_response(task: str, screen1: str, screen2: str,
+                    switch: str) -> MplResponse | LotteryResponse:
+    """One response from a row's four response cells; raises ValueError."""
+    if task == "mpl":
+        resp: MplResponse | LotteryResponse = MplResponse(
+            _row_cell(screen1, "screen1_row"), _row_cell(screen2, "screen2_row"))
+        filled = "switch_row" if switch else ""
+    else:
+        resp = LotteryResponse(LotteryTask(task), _row_cell(switch, "switch_row"))
+        filled = "screen1_row" if screen1 else "screen2_row" if screen2 else ""
+    if filled:
+        cell = {"screen1_row": screen1, "screen2_row": screen2, "switch_row": switch}[filled]
+        raise ValueError(f"{filled} must be blank when task_id is {task}, got {cell!r}")
+    return resp
+
+
 def load_responses(path) -> list[tuple[str, MplResponse | LotteryResponse]]:
     """Read raw elicitation responses from CSV.
 
     Header: subject_id,task_id,screen1_row,screen2_row,switch_row with
     task_id one of mpl / holt_laury / loss_aversion; MPL rows fill the two
-    screen columns and leave switch_row blank, lottery rows the reverse.
-    Returns (subject_id, response) pairs; malformed rows, rows of another
-    width and a filled cell that the row's task leaves blank included, raise
-    DataFormatError with a file:row: prefix (see ``core.csv_rows``).
+    screen columns with row numbers in ASCII digits and leave switch_row
+    blank, lottery rows the reverse.  Returns (subject_id, response) pairs;
+    rows with the same four response cells share one response object, parsed
+    once.  Malformed rows, rows of another width and a filled cell that the
+    row's task leaves blank included, raise DataFormatError with a file:row:
+    prefix (see ``core.csv_rows``).
     """
+    parsed: dict[tuple[str, ...], MplResponse | LotteryResponse] = {}
     out: list[tuple[str, MplResponse | LotteryResponse]] = []
     for lineno, (subject, task, screen1, screen2, switch) in csv_rows(path, RESPONSE_COLUMNS):
-        try:
-            if task == "mpl":
-                resp: MplResponse | LotteryResponse = MplResponse(int(screen1), int(screen2))
-                filled = "switch_row" if switch else ""
-            else:
-                resp = LotteryResponse(LotteryTask(task), int(switch))
-                filled = "screen1_row" if screen1 else "screen2_row" if screen2 else ""
-            if filled:
-                cell = {"screen1_row": screen1, "screen2_row": screen2,
-                        "switch_row": switch}[filled]
-                raise ValueError(f"{filled} must be blank when task_id is {task}, got {cell!r}")
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        cells = (task, screen1, screen2, switch)
+        resp = parsed.get(cells)
+        if resp is None:
+            try:
+                resp = parsed[cells] = _parse_response(*cells)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
         out.append((subject, resp))
     return out
 

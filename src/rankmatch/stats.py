@@ -10,6 +10,11 @@ Both exact branches share one routine: the permutation null of the JT
 statistic, counted over tie blocks instead of enumerated.  Rank-sum is JT
 on two groups, so its exact p-value reads the same counts.
 
+Each test pools its samples into one numpy array that orders and ties the
+values as Python does (``_pooled``, which also screens for NaN) and takes
+from it the JT count, by ``np.sort`` and ``np.searchsorted``, and the tie
+sizes, by ``np.unique``.
+
 The normal tails come from ``math.erfc`` and the Student-t tail of the OLS
 p-values from the regularized incomplete beta function, evaluated by its
 continued fraction, so the module needs numpy and ``math`` alone.
@@ -17,7 +22,6 @@ continued fraction, so the module needs numpy and ``math`` alone.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -25,17 +29,43 @@ from typing import Callable, Sequence
 import numpy as np
 
 EXACT_MAX_N = 12
+# from 2**53 on, not every int converts to float64 exactly
+_FLOAT_EXACT_INTS = 2.0 ** 53
 
 
-def _tie_counts(pooled: Sequence[float]) -> list[int]:
-    return [c for c in Counter(pooled).values() if c > 1]
+def _pooled(groups: Sequence[Sequence[float]]) -> np.ndarray:
+    """The groups' values end to end, as one array whose sort and search
+    order and tie them as Python's comparisons do.
 
-
-def _check_no_nan(pooled: Sequence[float]) -> None:
-    # NaN compares false with everything, so ranks and counts would be
-    # silently wrong
-    if any(math.isnan(v) for v in pooled):
+    int64 when numpy reads the values as integers that fit it (bools
+    included); float64 when it reads them as floats and every value
+    converts exactly (ints from 2**53 on are checked one by one); otherwise
+    the values themselves as Python objects: ints past int64, ints that a
+    float64 cannot hold beside floats, ``Fraction``, ``Decimal``.  Raises
+    on NaN, which compares false with everything, so ranks and counts
+    would be silently wrong."""
+    values = [v for g in groups for v in g]
+    x = np.array(values)
+    if np.can_cast(x.dtype, np.int64):
+        return x.astype(np.int64, copy=False)
+    if x.dtype.kind == "f" and x.dtype.itemsize <= 8:
+        x = x.astype(np.float64, copy=False)
+        if np.isnan(x).any():
+            raise ValueError("samples contain NaN")
+        big = np.flatnonzero(np.abs(x) >= _FLOAT_EXACT_INTS)
+        if all(values[i] == v for i, v in zip(big.tolist(), x[big].tolist())):
+            return x
+    if any(v != v for v in values):
         raise ValueError("samples contain NaN")
+    x = np.empty(len(values), dtype=object)
+    x[:] = values
+    return x
+
+
+def _tie_counts(pooled: np.ndarray) -> list[int]:
+    """Sizes of the tie blocks of more than one value."""
+    counts = np.unique(pooled, return_counts=True)[1]
+    return counts[counts > 1].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +144,24 @@ def _t_two_sided(t: float, df: float) -> float:
 # Jonckheere-Terpstra
 # ---------------------------------------------------------------------------
 
-def _jt_statistic(groups: Sequence[Sequence[float]]) -> float:
+def _jt_statistic(groups: Sequence[Sequence[float]],
+                  pooled: np.ndarray | None = None) -> float:
     """Sum over ordered group pairs of Mann-Whitney counts, ties as 1/2.
 
-    Each value is counted against the sorted union of all earlier groups at
-    once: ``bisect_left`` finds the values below it and ``bisect_right``
-    those below or tied, so their sum is its doubled count."""
+    Each later group is counted against the sorted values of all earlier
+    groups at once: a left ``searchsorted`` finds, for each of its values,
+    the earlier values below it and a right one those below or tied, so
+    their sum is its doubled count.  ``pooled`` is ``_pooled(groups)``,
+    built here when not given."""
+    x = _pooled(groups) if pooled is None else pooled
     doubled = 0
-    earlier: list = []
-    for g in groups:
-        for b in g:
-            doubled += bisect_left(earlier, b) + bisect_right(earlier, b)
-        earlier.extend(g)
-        earlier.sort()
+    end = len(groups[0])
+    for g in groups[1:]:
+        earlier = np.sort(x[:end])
+        later = np.sort(x[end:end + len(g)])
+        doubled += int(np.searchsorted(earlier, later, "left").sum()
+                       + np.searchsorted(earlier, later, "right").sum())
+        end += len(g)
     return doubled / 2
 
 
@@ -175,10 +210,11 @@ def _splits(t: int, room: tuple[int, ...]):
             yield (d,) + rest
 
 
-def _jt_moments(sizes: Sequence[int], pooled: Sequence[float]) -> tuple[float, float]:
+def _jt_moments(sizes: Sequence[int], ties: Sequence[int]) -> tuple[float, float]:
+    """Null mean and tie-corrected variance of the JT statistic for groups
+    of the given sizes and tie blocks of the given sizes."""
     n = sum(sizes)
     mean = (n * n - sum(s * s for s in sizes)) / 4.0
-    ties = _tie_counts(pooled)
     t1 = (n * (n - 1) * (2 * n + 5)
           - sum(s * (s - 1) * (2 * s + 5) for s in sizes)
           - sum(t * (t - 1) * (2 * t + 5) for t in ties)) / 72.0
@@ -207,17 +243,16 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]],
     groups = [list(g) for g in groups]
     if len(groups) < 2 or any(not g for g in groups):
         raise ValueError("need at least 2 non-empty groups")
-    pooled = [v for g in groups for v in g]
-    _check_no_nan(pooled)
+    pooled = _pooled(groups)
     n = len(pooled)
-    stat = _jt_statistic(groups)
+    stat = _jt_statistic(groups, pooled)
     if method == "exact" or (method == "auto" and n <= EXACT_MAX_N):
         if alternative == "decreasing":
             return stat, _exact_p(groups, lambda s: s <= 2 * stat)
         return stat, _exact_p(groups, lambda s: s >= 2 * stat)
     if method not in ("auto", "approx"):
         raise ValueError(f"unknown method {method!r}")
-    mean, var = _jt_moments([len(g) for g in groups], pooled)
+    mean, var = _jt_moments([len(g) for g in groups], _tie_counts(pooled))
     if var <= 0:  # all pooled values identical: no evidence either way
         return stat, 1.0
     sd = math.sqrt(var)
@@ -238,13 +273,13 @@ def wilcoxon_ranksum(a: Sequence[float], b: Sequence[float],
     a, b = list(a), list(b)
     if not a or not b:
         raise ValueError("both samples must be non-empty")
-    _check_no_nan(a + b)
+    pooled = _pooled([a, b])
     na, nb = len(a), len(b)
     n = na + nb
     # the rank sum of a is na*(na+1)/2 + na*nb - JT([a, b]), so its distance
     # from the mean is |2*JT - na*nb| / 2; every term is a multiple of 1/2,
     # so the float sum is exact
-    jt = _jt_statistic([a, b])
+    jt = _jt_statistic([a, b], pooled)
     stat = na * (na + 1) / 2 + na * nb - jt
 
     if method == "exact" or (method == "auto" and n <= EXACT_MAX_N):
@@ -254,7 +289,7 @@ def wilcoxon_ranksum(a: Sequence[float], b: Sequence[float],
         raise ValueError(f"unknown method {method!r}")
 
     mean = na * (n + 1) / 2.0
-    ties = _tie_counts(a + b)
+    ties = _tie_counts(pooled)
     var = na * nb / 12.0 * ((n + 1) - sum(t ** 3 - t for t in ties) / (n * (n - 1.0)))
     if var <= 0:
         return stat, 1.0

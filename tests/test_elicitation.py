@@ -150,6 +150,41 @@ def test_load_responses_rejects_cells_the_task_leaves_blank(tmp_path, row, messa
         load_responses(path)
 
 
+@pytest.mark.parametrize("row, column, cell", [
+    ("s2,mpl,1_6,28,", "screen1_row", "1_6"),
+    ("s2,mpl,16, 28,", "screen2_row", " 28"),
+    ("s2,holt_laury,,,\u0663\u0660", "switch_row", "\u0663\u0660"),
+    ("s2,loss_aversion,,,+5", "switch_row", "+5"),
+    ("s2,mpl,,28,", "screen1_row", ""),
+])
+def test_load_responses_takes_ascii_digits_only(tmp_path, row, column, cell):
+    path = tmp_path / "digits.csv"
+    path.write_text(HEADER + "s1,mpl,16,28,\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"digits.csv:3: {column} must be a row number in ASCII digits, got {cell!r}")):
+        load_responses(path)
+
+
+def test_load_responses_shares_repeated_cells(tmp_path):
+    # rows with the same response cells share one parsed response; each row
+    # keeps its own subject, and a bad row is reported at its first line
+    # even when a later row repeats its cells
+    path = tmp_path / "repeats.csv"
+    path.write_text(HEADER + "s1,mpl,16,28,\ns2,holt_laury,,,30\ns3,mpl,16,28,\n"
+                    "s4,holt_laury,,,30\ns5,mpl,016,28,\n")
+    rows = load_responses(path)
+    assert rows == [("s1", MplResponse(16, 28)),
+                    ("s2", LotteryResponse(LotteryTask.HOLT_LAURY, 30)),
+                    ("s3", MplResponse(16, 28)),
+                    ("s4", LotteryResponse(LotteryTask.HOLT_LAURY, 30)),
+                    ("s5", MplResponse(16, 28))]
+    assert rows[0][1] is rows[2][1] and rows[1][1] is rows[3][1]
+    bad = tmp_path / "bad.csv"
+    bad.write_text(HEADER + "s1,mpl,16,28,\ns2,mpl,16,99,\ns3,mpl,16,28,\ns4,mpl,16,99,\n")
+    with pytest.raises(DataFormatError, match=r"bad\.csv:3: screen2_row must be in 1\.\.50"):
+        load_responses(bad)
+
+
 def test_load_responses_rejects_wide_rows(tmp_path):
     path = tmp_path / "wide.csv"
     path.write_text(HEADER + "s1,mpl,16,28,\ns1,holt_laury,,,30,7\n")

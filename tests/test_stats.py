@@ -1,13 +1,17 @@
 import itertools
 import math
 import random
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from rankmatch.stats import (_jt_moments, _jt_statistic, _norm_cdf, _norm_sf, _stars,
-                             _t_two_sided, jonckheere_terpstra, ols_fit, wilcoxon_ranksum)
+from rankmatch.stats import (_exact_p, _jt_moments, _jt_statistic, _norm_cdf, _norm_sf,
+                             _stars, _t_two_sided, jonckheere_terpstra, ols_fit,
+                             wilcoxon_ranksum)
 
 
 def test_jt_exact_fixture():
@@ -159,7 +163,7 @@ def test_approx_p_values_match_oracles():
         groups = [[rng.randint(0, 6) for _ in range(rng.randint(4, 9))]
                   for _ in range(rng.randint(2, 4))]
         pooled = [v for g in groups for v in g]
-        mean, var = _jt_moments([len(g) for g in groups], pooled)
+        mean, var = _jt_moments([len(g) for g in groups], _counter_tie_counts(pooled))
         stat, p = jonckheere_terpstra(groups, "decreasing", method="approx")
         assert p == _norm_cdf((stat - mean + 0.5) / math.sqrt(var))
         stat, p = jonckheere_terpstra(groups, "increasing", method="approx")
@@ -217,6 +221,108 @@ def test_jt_statistic_matches_pair_loop():
         groups = [[rng.randint(0, top) / rng.choice([1, 2]) for _ in range(rng.randint(1, 12))]
                   for _ in range(k)]
         assert _jt_statistic(groups) == _jt(groups), groups
+
+
+def _bisect_jt_statistic(groups):
+    """Reference JT count: each value against the sorted union of all
+    earlier groups, by ``bisect_left`` (values below) plus ``bisect_right``
+    (below or tied), on the values themselves."""
+    doubled = 0
+    earlier = []
+    for g in groups:
+        for b in g:
+            doubled += bisect_left(earlier, b) + bisect_right(earlier, b)
+        earlier.extend(g)
+        earlier.sort()
+    return doubled / 2
+
+
+def _counter_tie_counts(pooled):
+    """Reference tie sizes: the values' ``Counter`` blocks of more than one."""
+    return [c for c in Counter(pooled).values() if c > 1]
+
+
+def _reference_jt(groups, alternative, method):
+    """(statistic, p) of ``jonckheere_terpstra`` from the reference count
+    and tie sizes; the exact null and the moments are the module's own."""
+    stat = _bisect_jt_statistic(groups)
+    if method == "exact":
+        if alternative == "decreasing":
+            return stat, _exact_p(groups, lambda s: s <= 2 * stat)
+        return stat, _exact_p(groups, lambda s: s >= 2 * stat)
+    pooled = [v for g in groups for v in g]
+    mean, var = _jt_moments([len(g) for g in groups], _counter_tie_counts(pooled))
+    if var <= 0:
+        return stat, 1.0
+    if alternative == "decreasing":
+        return stat, _norm_cdf((stat - mean + 0.5) / math.sqrt(var))
+    return stat, _norm_sf((stat - mean - 0.5) / math.sqrt(var))
+
+
+def _reference_ranksum(a, b, method):
+    """(statistic, p) of ``wilcoxon_ranksum`` from the reference count and
+    tie sizes."""
+    na, nb = len(a), len(b)
+    n = na + nb
+    jt = _bisect_jt_statistic([a, b])
+    stat = na * (na + 1) / 2 + na * nb - jt
+    if method == "exact":
+        dev = abs(2 * jt - na * nb)
+        return stat, _exact_p([a, b], lambda s: abs(s - na * nb) >= dev)
+    ties = _counter_tie_counts(a + b)
+    var = na * nb / 12.0 * ((n + 1) - sum(t ** 3 - t for t in ties) / (n * (n - 1.0)))
+    if var <= 0:
+        return stat, 1.0
+    z = (abs(stat - na * (n + 1) / 2.0) - 0.5) / math.sqrt(var)
+    return stat, min(1.0, 2.0 * _norm_sf(z))
+
+
+# values each design draws from; numpy scalars stay apart from values past
+# 2**53, where numpy's scalar comparisons round to float64 and Python's do not
+ORACLE_VALUES = {
+    "ints": [-3, -1, 0, 1, 2, 5, True, False],
+    "floats": [-1.5, -0.25, 0.0, 0.5, 0.75, 2.0, 1e-300, 3e300],
+    "signed_zeros_and_infs": [0.0, -0.0, 0, math.inf, -math.inf, 1.5, -2],
+    "around_2_53": [2 ** 53 + 1, float(2 ** 53), 2 ** 53, 2 ** 53 - 1, float(2 ** 53 + 2),
+                    2 ** 53 + 3, 0.5],
+    "past_int64": [2 ** 63, 2 ** 63 + 1, -2 ** 63 - 1, 2 ** 64, 10 ** 30, 10 ** 30 + 1, -1, 0],
+    "past_int64_with_floats": [2 ** 63, 2 ** 64 + 1, -2 ** 63 - 1, 1.5, float(2 ** 64),
+                               -math.inf, 0],
+    "fractions": [Fraction(1, 3), Fraction(1, 2), 0.5, 1, Fraction(2, 3), Fraction(-7, 3),
+                  0.25, Fraction(10 ** 20, 3)],
+    "numpy_scalars": [np.int64(2), np.int32(-1), np.float64(0.5), np.float32(0.75), 2, 0.5,
+                      np.int64(0), np.float64(-np.inf), np.uint8(7), 0.75],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_VALUES))
+def test_rank_tests_match_bisect_reference(kind):
+    # the sort-and-search count and the np.unique tie sizes against the
+    # bisect and Counter references on the values themselves: every
+    # (statistic, p) equal, for both alternatives and both methods
+    rng = random.Random(f"rank-oracle-{kind}")
+    pool = ORACLE_VALUES[kind]
+    for _ in range(30):
+        k = rng.randint(2, 4)
+        groups = [[rng.choice(pool) for _ in range(rng.randint(1, 4))] for _ in range(k)]
+        for method in ("exact", "approx"):
+            for alternative in ("decreasing", "increasing"):
+                assert jonckheere_terpstra(groups, alternative, method) == _reference_jt(
+                    groups, alternative, method), (groups, alternative, method)
+            a, b = groups[0], [v for g in groups[1:] for v in g]
+            assert wilcoxon_ranksum(a, b, method) == _reference_ranksum(a, b, method), (
+                a, b, method)
+
+
+def test_rank_tests_take_ints_past_float_range():
+    # 10**400 has no float, so a float NaN screen would overflow on it; as
+    # the largest value it ranks as 10**6 does
+    small = wilcoxon_ranksum([10 ** 6, 1, 2], list(range(3, 13)), method="approx")
+    assert wilcoxon_ranksum([10 ** 400, 1, 2], list(range(3, 13)), method="approx") == small
+    groups = [[10 ** 6, 5], [1, 2, 3], list(range(6, 16))]
+    for alternative in ("decreasing", "increasing"):
+        assert jonckheere_terpstra([[10 ** 400, 5]] + groups[1:], alternative, "approx") == (
+            jonckheere_terpstra(groups, alternative, "approx"))
 
 
 @pytest.mark.parametrize("call", [
