@@ -221,6 +221,19 @@ class SessionTable:
 Session = Union[SessionTable, Sequence[SubjectRecord]]
 
 
+def _ints(row: list[str], lo: int, hi: int) -> tuple[int, ...]:
+    """``int`` of cells lo..hi−1 of a session row; a ValueError names the column."""
+    try:
+        return tuple(map(int, row[lo:hi]))
+    except ValueError:
+        for column, cell in zip(CSV_COLUMNS[lo:hi], row[lo:hi]):
+            try:
+                int(cell)
+            except ValueError as exc:
+                raise ValueError(f"{column}: {exc}") from None
+        raise
+
+
 def load_session(path) -> list[SubjectRecord]:
     """Read a session CSV; raises DataFormatError naming the offending row."""
     records = []
@@ -233,10 +246,10 @@ def load_session(path) -> list[SubjectRecord]:
             key = tuple(row[8:13])
             report = reports.get(key)
             if report is None:
-                report = reports[key] = RankList(tuple(map(int, key)))
+                report = reports[key] = RankList(_ints(row, 8, 13))
             rec = SubjectRecord(
                 row[0], treatment, row[2], values, report,
-                int(row[13]), cents(row[14]), *map(int, row[15:]))
+                *_ints(row, 13, 14), cents(row[14]), *_ints(row, 15, 21))
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
         records.append(rec)

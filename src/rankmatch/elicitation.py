@@ -112,7 +112,10 @@ def _row_cell(cell: str, column: str) -> int:
     or other script's digits that ``int`` would take."""
     if not (cell.isascii() and cell.isdigit()):
         raise ValueError(f"{column} must be a row number in ASCII digits, got {cell!r}")
-    return int(cell)
+    try:
+        return int(cell)
+    except ValueError as exc:  # more digits than int() converts
+        raise ValueError(f"{column}: {exc}") from None
 
 
 def _parse_response(task: str, screen1: str, screen2: str,

@@ -25,10 +25,9 @@ once per (mechanism, n) in a process.  Each instance prices them as exact
 ints, every group EU times w·n! (w = n − 2 slots in the lottery window),
 and compares those.
 
-``check_truthtelling_equilibrium`` prices a cached table likewise: facing n-1
-truthful agents, a deviator's good depends only on its list and position, so
-one engine call per (mechanism, n) over the n!·n such rows counts its outcomes.
-A test patching the engine must first clear ``_label_tally`` and ``_deviation_table``.
+``check_truthtelling_equilibrium`` compares the truthful report with the
+few deviations that can beat it, in closed form with no engine; the tests
+check it against a batch-engine table over all n! deviation lists.
 """
 from __future__ import annotations
 
@@ -37,11 +36,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .core import (DataFormatError, MarketInstance, RhoSchedule, SizeLimitError, whole_cents,
                    whole_number)
-from .batch import all_orders, batch_mechanism
 from .mechanisms import MechanismKind
 
 BRUTE_FORCE_MAX_N = 6
@@ -244,6 +240,9 @@ def _label_tally(kind: MechanismKind, n: int) -> tuple[tuple[tuple[int, ...], ..
     side 1 being the x2-first list.  One engine call: row b holds the
     x2-first list at priority position p when bit p of b is set, under the
     identity order."""
+    import numpy as np
+    from .batch import batch_mechanism
+
     tail = tuple(range(2, n))
     if kind == MechanismKind.RSD:
         lists = ((0, 1) + tail, (1, 0) + tail)
@@ -319,38 +318,34 @@ def brute_force_equilibria(kind: MechanismKind, inst: SymmetricInstance) -> set[
 
 
 # ---------------------------------------------------------------------------
-# truth-telling equilibrium check (exact, real engines)
+# truth-telling equilibrium check (exact, closed form)
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _deviation_table(kind: MechanismKind, n: int) -> tuple[tuple[int, ...], tuple]:
-    """(truthful row, undominated rows over all n! lists) of agent 0's
-    outcome counts at the n priority positions, the others truthful: wins
-    of x1, of x2 and of a tail good, then receipts of ranks 1..n.  As v1 >
-    v2 > vbar and rho is non-increasing, a total grows with the cumulative
-    counts, so a row that another matches or beats in each is dropped."""
-    devs = all_orders(n)  # row 0 is the truthful list
-    pref = np.broadcast_to(np.arange(n), (len(devs) * n, n, n)).copy()
-    pref[:, 0] = np.repeat(devs, n, axis=0)  # row d·n + p: list d at position p
-    orders = np.tile([np.insert(np.arange(1, n), p, 0) for p in range(n)], (len(devs), 1))
-    goods, ranks = batch_mechanism(kind, pref, orders)
-    base = np.arange(len(pref)) // n * (n + 3)
-    cells = np.concatenate((base + np.minimum(goods[:, 0], 2), base + ranks[:, 0] + 2))
-    counts = np.bincount(cells, minlength=len(devs) * (n + 3)).reshape(len(devs), n + 3)
-    distinct = np.unique(counts, axis=0)
-    cum = np.hstack((distinct[:, :3].cumsum(1), distinct[:, 3:].cumsum(1)))
-    undominated = (cum[:, None] <= cum).all(2).sum(1) == 1
-    return tuple(counts[0].tolist()), tuple(map(tuple, distinct[undominated].tolist()))
+def _truthtelling_totals(kind: MechanismKind, inst: SymmetricInstance) -> tuple[int, ...]:
+    """n times the EU of the truthful report, then of each deviation that can
+    beat it, as exact ints.  The n − 1 others report the same truthful list
+    (x1, x2, tail), which gives priority position p good p at rank p + 1.
+    Under RSD, a deviator at p finds the first p goods of that list taken.
+    Under Boston, everyone else bids x1 in round 1, so a deviator who bids x2
+    first always gets it; they bid good k − 1 in round k, so the last tail
+    good is free in rounds 2 and 3.  With v1 > v2 > vbar and rho
+    non-increasing, any list does no better at each p than one of these."""
+    n, v1, v2, vbar = inst.n, inst.v1, inst.v2, inst.vbar
+    rho1, rho2, rho3 = inst.rho.values[:3]
+    totals = (v1 + v2 + (n - 2) * vbar + sum(inst.rho.values),
+              v1 + (n - 1) * (vbar + rho2) + rho1,  # x1 (p = 0), then the last tail good
+              v1 + v2 + (n - 2) * (vbar + rho3) + rho1 + rho2)  # x1, x2 (p = 1), last tail
+    if kind == MechanismKind.RSD:  # the last tail good; x2 (p <= 1), then the last tail good
+        return totals + (n * (vbar + rho1), 2 * (v2 + rho1) + (n - 2) * (vbar + rho2))
+    return totals + (n * (v2 + rho1),)  # x2
 
 
 def check_truthtelling_equilibrium(kind: MechanismKind, inst: SymmetricInstance) -> bool:
     """True iff no unilateral deviation from all-truthful raises exact EU."""
     if inst.n > TRUTHTELLING_MAX_N:
         raise SizeLimitError(f"truth-telling check limited to n <= {TRUTHTELLING_MAX_N}")
-    truthful, deviations = _deviation_table(kind, inst.n)
-    payoff = (inst.v1, inst.v2, inst.vbar) + inst.rho.values
-    totals = [sum(c * p for c, p in zip(row, payoff)) for row in (truthful, *deviations)]
-    return max(totals) == totals[0]  # each total is n times the EU
+    totals = _truthtelling_totals(kind, inst)
+    return max(totals) == totals[0]
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -392,13 +393,24 @@ def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
                 r_sum, r_sumsq, tally.sum(axis=0), agent_u)
 
 
-def _block_sizes(replications: int) -> list[int]:
+def _block_sizes(replications: int) -> Iterator[int]:
+    """The block sizes in index order, made lazily."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    sizes = [BLOCK_SIZE] * (replications // BLOCK_SIZE)
-    if replications % BLOCK_SIZE:
-        sizes.append(replications % BLOCK_SIZE)
-    return sizes
+    return (min(BLOCK_SIZE, left) for left in range(replications, 0, -BLOCK_SIZE))
+
+
+def _in_index_order(pool, block_fn: Callable, sizes: Iterator[int], ahead: int) -> Iterator:
+    """``block_fn(size, index)`` of each block, run on ``pool`` and yielded in
+    index order, with at most ``ahead`` blocks submitted and not yet merged,
+    so memory does not grow with the block count as under ``pool.map``."""
+    pending: deque = deque()
+    for b, size in enumerate(sizes):
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+        pending.append(pool.submit(block_fn, size, b))
+    while pending:
+        yield pending.popleft().result()
 
 
 def _fixed_setup(market, profile: StrategyProfile) -> tuple[MarketInstance, np.ndarray]:
@@ -454,15 +466,16 @@ def simulate(kind: MechanismKind, market, profile: StrategyProfile,
         block_fn = lambda reps, b: _fixed_block(kind, mkt, profile.fixed, pref,
                                                 reps, seed, b)
 
-    workers = min(threads, os.cpu_count() or 1, len(sizes))
+    workers = min(threads, os.cpu_count() or 1, -(-replications // BLOCK_SIZE))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(block_fn, sizes, range(len(sizes))))
-    else:
-        results = map(block_fn, sizes, range(len(sizes)))
-    return _report(kind, replications, seed, n, profile, results)
+            # two blocks per worker: one running, one queued while the caller merges
+            return _report(kind, replications, seed, n, profile,
+                           _in_index_order(pool, block_fn, sizes, 2 * workers))
+    return _report(kind, replications, seed, n, profile,
+                   (block_fn(size, b) for b, size in enumerate(sizes)))
 
 
 def rank_distribution(kind: MechanismKind, market, profile: StrategyProfile,
@@ -485,6 +498,6 @@ def write_replication_csv(kind: MechanismKind, market, profile: StrategyProfile,
     mkt, pref = _fixed_setup(market, profile)
     with open(path, "w", newline="") as fh:
         fh.write("rep,agent,good,rank,utility_cents\r\n")
-        results = [_fixed_block(kind, mkt, profile.fixed, pref, size, seed, block, fh.write)
-                   for block, size in enumerate(sizes)]
-    return _report(kind, replications, seed, mkt.n, profile, results)
+        return _report(kind, replications, seed, mkt.n, profile,
+                       (_fixed_block(kind, mkt, profile.fixed, pref, size, seed, block, fh.write)
+                        for block, size in enumerate(sizes)))

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from rankmatch.analysis import (
+    CSV_COLUMNS,
     GOOD_NAMES,
     PLANTED_PHASE1,
     TRUTH_SCOPES,
@@ -13,6 +14,7 @@ from rankmatch.analysis import (
     classify_truthful,
     generate_session,
     load_session,
+    load_session_table,
     net_value_design,
     nv_rank_summary,
     save_session,
@@ -248,6 +250,25 @@ def test_load_session_errors(tmp_path):
             with pytest.raises(DataFormatError) as info:
                 load_session(recs_path)
             assert str(info.value) == f"{recs_path}:4: {err}"
+
+
+def test_load_session_names_the_bad_integer_column(tmp_path):
+    """A cell of an integer column that ``int`` rejects, as not a number or
+    as more digits than it converts, fails with the file, row and column,
+    from both readers."""
+    path = tmp_path / "bad.csv"
+    save_session(generate_session(1, RHO, 0.0, seed=1), path)
+    lines = path.read_text().splitlines()
+    for column in CSV_COLUMNS[8:14] + CSV_COLUMNS[15:]:  # every integer column
+        for cell, message in (("x", "invalid literal for int() with base 10: 'x'"),
+                              ("9" * 5000, "Exceeds the limit (4300 digits)")):
+            row = lines[2].split(",")
+            row[CSV_COLUMNS.index(column)] = cell
+            path.write_text("\n".join(lines[:2] + [",".join(row)] + lines[3:]) + "\n")
+            for load in (load_session, load_session_table):
+                with pytest.raises(DataFormatError) as info:
+                    load(path)
+                assert str(info.value).startswith(f"{path}:3: {column}: {message}"), column
 
 
 def test_analyze_session_shape():

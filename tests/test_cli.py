@@ -609,23 +609,28 @@ def test_no_subcommand_needs_scipy(appd_files, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_one_order_subcommands_need_no_numpy(appd_files, capsys):
+def test_one_order_subcommands_need_no_numpy(appd_files, capsys, tmp_path):
     """A fresh interpreter in which ``import numpy`` fails: ``import
     rankmatch.cli`` loads neither numpy nor a module of the package that uses
-    it, and ``mechanism`` (with and without ``--market``), ``elicit-decode``
-    and ``expect --kind rsd`` exit 0 and write the bytes of a run with numpy.
-    Run out of process, because this test module's own imports load numpy."""
+    it, and ``mechanism`` (with and without ``--market``), ``elicit-decode``,
+    ``expect --kind rsd`` and ``equilibrium`` without ``--brute-force`` exit 0
+    and write the bytes of a run with numpy.  Run out of process, because
+    this test module's own imports load numpy."""
     rp, mp = appd_files
+    e1 = tmp_path / "e1.json"
+    e1.write_text(json.dumps({"n": 5, "v1": 2824, "v2": 2256, "vbar": 700,
+                              "rho": [800, 200, 0, 0, 0]}))
     mechanism = ["mechanism", "--kind", "boston", "--reports", str(rp), "--order", "1,0,2,3"]
     runs = [mechanism, mechanism + ["--market", str(mp)],
             ["elicit-decode", "--screen1", "16", "--screen2", "28"],
-            ["expect", "--kind", "rsd", "--reports", str(rp), "--market", str(mp)]]
+            ["expect", "--kind", "rsd", "--reports", str(rp), "--market", str(mp)],
+            ["equilibrium", "--instance", str(e1)]]
     script = textwrap.dedent(f"""
         import sys
         sys.modules["numpy"] = None  # any import of numpy now raises
         import rankmatch.cli
         numpy_users = {{"numpy", "rankmatch.batch", "rankmatch.analysis", "rankmatch.simulation",
-                       "rankmatch.equilibrium", "rankmatch.stats", "rankmatch.prng"}}
+                       "rankmatch.stats", "rankmatch.prng"}}
         assert not numpy_users & {{name for name, module in sys.modules.items() if module}}
         for argv in {runs!r}:
             assert rankmatch.cli.main(argv) == 0, argv

@@ -165,6 +165,14 @@ def test_load_responses_takes_ascii_digits_only(tmp_path, row, column, cell):
         load_responses(path)
 
 
+def test_load_responses_names_the_column_of_a_long_row_number(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text(HEADER + "s1,mpl,16,28,\ns2,mpl,16," + "2" * 5000 + ",\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=re.escape(
+            "long.csv:3: screen2_row: Exceeds the limit (4300 digits)")):
+        load_responses(path)
+
+
 def test_load_responses_shares_repeated_cells(tmp_path):
     # rows with the same response cells share one parsed response; each row
     # keeps its own subject, and a bad row is reported at its first line

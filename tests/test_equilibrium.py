@@ -8,14 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankmatch import cli, equilibrium
+from rankmatch import batch, cli, mechanisms
 from rankmatch.core import RankList, RhoSchedule, SizeLimitError
 from rankmatch.equilibrium import (
     SymmetricInstance,
-    _deviation_table,
     _enum_group_eus,
     _label_tally,
     _lottery_window,
+    _truthtelling_totals,
     _u_boston,
     _u_sd,
     boston_group_eu,
@@ -260,7 +260,7 @@ def test_label_tally_runs_engine_once_per_kind_and_n(monkeypatch):
     def counting(kind, pref, orders):
         calls.append((kind, len(orders)))
         return batch_mechanism(kind, pref, orders)
-    monkeypatch.setattr(equilibrium, "batch_mechanism", counting)
+    monkeypatch.setattr(batch, "batch_mechanism", counting)
     other = SymmetricInstance(5, 3100, 2000, 50, RhoSchedule((700, 300, 10, 0, -40)))
     for kind in MechanismKind:
         for inst in (E1, other, E1):
@@ -362,14 +362,30 @@ def test_truthtelling_boston_implies_rsd():
     assert seen_boston >= 1
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def deviation_table(kind, n):
+    """(truthful row, distinct rows over all n! lists) of agent 0's outcome
+    counts at the n priority positions, the others truthful, from one
+    per-row batch-engine call over the n!·n (list, position) rows: wins of
+    x1, of x2 and of a tail good, then receipts of ranks 1..n."""
+    devs = all_orders(n)  # row 0 is the truthful list
+    pref = np.broadcast_to(np.arange(n), (len(devs) * n, n, n)).copy()
+    pref[:, 0] = np.repeat(devs, n, axis=0)  # row d·n + p: list d at position p
+    orders = np.tile([np.insert(np.arange(1, n), p, 0) for p in range(n)], (len(devs), 1))
+    goods, ranks = batch_mechanism(kind, pref, orders)
+    base = np.arange(len(pref)) // n * (n + 3)
+    cells = np.concatenate((base + np.minimum(goods[:, 0], 2), base + ranks[:, 0] + 2))
+    counts = np.bincount(cells, minlength=len(devs) * (n + 3)).reshape(len(devs), n + 3)
+    return tuple(counts[0].tolist()), [tuple(row) for row in np.unique(counts, axis=0).tolist()]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_deviation_table_equals_scalar_deviation_eu(n):
-    """Built cold, the table's truthful row prices to n times the scalar
-    truthful EU, each kept row to n times the scalar EU of some deviation,
-    and the best kept row to n times the best scalar EU over all n!
-    deviations: on a random instance, with its rho shifted negative, with
+    """The closed-form totals against the engine table over all n! lists:
+    the truthful total prices the table's truthful row, each deviation total
+    prices some row, and the largest total prices the best row; at n <= 6
+    the priced rows are also n times the scalar EUs of all n! deviations.
+    On a random instance, with its rho shifted negative, with
     rho(1) == rho(2), and with values shifted by 10**15 cents."""
-    _deviation_table.cache_clear()
     rng = random.Random(90 + n)
     inst = rand_instance(rng, n, strict_top=True)
     neg = RhoSchedule(tuple(r - 1000 for r in inst.rho.values))
@@ -381,22 +397,21 @@ def test_deviation_table_equals_scalar_deviation_eu(n):
              SymmetricInstance(n, inst.v1 + shift, inst.v2 + shift, inst.vbar + shift, neg))
     perms = [RankList(p) for p in itertools.permutations(range(n))]
     for kind in MechanismKind:
-        truthful, rows = _deviation_table(kind, n)
-        assert all(sum(row[:3]) == sum(row[3:]) == n for row in (truthful, *rows))
-        assert len(set(rows)) == len(rows)
-        # no kept row is matched or beaten by another in every cumulative count
-        cum = [list(itertools.accumulate(row[:3])) + list(itertools.accumulate(row[3:]))
-               for row in rows]
-        assert not any(a != b and all(x <= y for x, y in zip(a, b)) for a in cum for b in cum)
+        truthful, rows = deviation_table(kind, n)
+        assert all(sum(row[:3]) == sum(row[3:]) == n for row in rows)
         for case in cases:
-            scalar = {n * _deviation_eu(kind, dev, case) for dev in perms}
-            kept = {priced(row, case) for row in rows}
-            assert kept <= scalar and max(kept) == max(scalar), (kind, case)
-            assert priced(truthful, case) == n * _deviation_eu(kind, perms[0], case), (kind, case)
+            totals = _truthtelling_totals(kind, case)
+            assert all(isinstance(t, int) for t in totals)
+            table = {priced(row, case) for row in rows}
+            assert totals[0] == priced(truthful, case), (kind, case)
+            assert set(totals) <= table and max(totals) == max(table), (kind, case)
+            if n <= 6:
+                assert table == {n * _deviation_eu(kind, dev, case) for dev in perms}, \
+                    (kind, case)
 
 
 def test_truthtelling_equals_scalar_loop():
-    """The priced table gives the scalar loop's verdict on 300 seeded
+    """The closed form gives the scalar loop's verdict on 300 seeded
     instances, n = 3..6, most with negative rho entries, rho scaled down
     and half with a flat tail (so truth-telling often holds), a fifth with
     rho(1) == rho(2) and a seventh with v1 far above v2; both verdicts occur
@@ -421,29 +436,53 @@ def test_truthtelling_equals_scalar_loop():
     assert len(verdicts) == 2 * 4 * 2
 
 
-def test_truthtelling_runs_engine_once_per_kind_and_n(monkeypatch):
-    _deviation_table.cache_clear()
-    calls = []
-
-    def counting(kind, pref, orders):
-        calls.append((kind, len(orders)))
-        return batch_mechanism(kind, pref, orders)
-    monkeypatch.setattr(equilibrium, "batch_mechanism", counting)
+def test_truthtelling_runs_no_engine(monkeypatch):
+    """The verdicts equal the scalar loop's with every engine, batch and
+    scalar, raising."""
     other = SymmetricInstance(5, 3100, 2000, 50, RhoSchedule((700, 300, 10, 0, -40)))
-    for kind in MechanismKind:
-        for inst in (E1, other, E1):
-            assert check_truthtelling_equilibrium(kind, inst) == \
-                reference_truthtelling(kind, inst)
-    assert calls == [(MechanismKind.RSD, 5 * 120), (MechanismKind.BOSTON, 5 * 120)]
+    truthful = SymmetricInstance(5, 100000, 300, 200, RhoSchedule((50, 40, 30, 30, 30)))
+    want = {(kind, inst): reference_truthtelling(kind, inst)
+            for kind in MechanismKind for inst in (E1, other, truthful)}
+    assert set(want.values()) == {True, False}
+
+    def engine(*args):
+        raise AssertionError("engine called")
+    monkeypatch.setattr(batch, "batch_mechanism", engine)
+    for name in ("run_mechanism", "run_rsd", "run_boston"):
+        monkeypatch.setattr(mechanisms, name, engine)
+    for (kind, inst), verdict in want.items():
+        assert check_truthtelling_equilibrium(kind, inst) == verdict
 
 
 def test_truthtelling_size_limit_before_the_engine(monkeypatch):
-    _deviation_table.cache_clear()
-
     def engine(kind, pref, orders):
         raise AssertionError("engine called")
-    monkeypatch.setattr(equilibrium, "batch_mechanism", engine)
+    monkeypatch.setattr(batch, "batch_mechanism", engine)
     inst = SymmetricInstance(7, 30, 20, 10, RhoSchedule((5, 4, 3, 2, 1, 0, 0)))
     for kind in MechanismKind:
         with pytest.raises(SizeLimitError, match="truth-telling check limited to n <= 6"):
             check_truthtelling_equilibrium(kind, inst)
+
+
+# Truth-telling verdicts pinned from the scalar per-deviation loop: the
+# Section 2.2 instance, the golden equilibrium input of each n, that input
+# with a flat rho tail, and a top good far above the rest.
+TRUTHTELLING_PINNED = [
+    (3, (100, 80, 0, [10, 0, 0]), (True, False)),
+    (3, (1900, 1750, 150, [640, 310, -220]), (False, False)),
+    (3, (1900, 1750, 150, [64, 31, -22]), (True, False)),
+    (4, (1700, 1480, 95, [905, 410, -35, -290]), (False, False)),
+    (4, (1700, 1480, 95, [90, 41, -35, -35]), (True, False)),
+    (5, (2400, 2301, 390, [610, 60, 60, -10, -140]), (False, False)),
+    (5, (2400, 2301, 390, [61, 6, 6, 6, 6]), (True, False)),
+    (6, (3300, 2875, 1260, [900, 250, 120, 0, -75, -300]), (False, False)),
+    (6, (3300, 2875, 1260, [90, 25, 12, 12, 12, 12]), (True, False)),
+] + [(n, (100000, 300, 200, [50, 40] + [30] * (n - 2)), (True, True)) for n in (3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("n, inst, want", TRUTHTELLING_PINNED)
+def test_truthtelling_pinned_verdicts(n, inst, want):
+    v1, v2, vbar, rho = inst
+    inst = SymmetricInstance(n, v1, v2, vbar, RhoSchedule(tuple(rho)))
+    assert tuple(check_truthtelling_equilibrium(kind, inst)
+                 for kind in (MechanismKind.RSD, MechanismKind.BOSTON)) == want

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -218,6 +220,41 @@ def test_determinism_across_threads_and_runs():
     assert r1 == r2 == r3
     r4 = simulate(MechanismKind.BOSTON, E1, profile, 150_000, seed=6)
     assert r4 != r1
+
+
+def test_pool_bounds_blocks_in_flight(monkeypatch):
+    """A stub block over 2 000 one-replication blocks, on 4 workers and more
+    threads than cores: at most two blocks per worker are started and not
+    yet merged at any block start, and the blocks merge in index order."""
+    monkeypatch.setattr(simulation, "BLOCK_SIZE", 1)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 4)
+    lock = threading.Lock()
+    started, merged, in_flight = [0], [], []
+
+    def block(kind, inst, tops, reps, seed, b):
+        with lock:
+            started[0] += 1
+            in_flight.append(started[0] - len(merged))
+        return simulation._Acc(reps, b, b * b, 0, 0, np.zeros(inst.n, dtype=np.int64),
+                               [0] * inst.n)
+
+    add = simulation._Acc.add
+
+    def merge(acc, other):
+        with lock:
+            merged.append(other.w_sum)
+        add(acc, other)
+    monkeypatch.setattr(simulation, "_structured_block", block)
+    monkeypatch.setattr(simulation._Acc, "add", merge)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        simulate(MechanismKind.RSD, E1, StrategyProfile.structured_n1(5, 3), 2_000,
+                 seed=1, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert merged == list(range(2_000))
+    assert len(in_flight) == 2_000 and max(in_flight) <= 2 * 4
 
 
 def test_histogram_sums():
