@@ -1,11 +1,14 @@
 """The RSD and Boston engines of ``mechanisms`` over many tie-break orders
-in one numpy call, under one profile shared by every row or a profile per
-row, and Boston's exact expected utilities by one such call over all n!
-orders.  ``simulation`` and ``equilibrium`` run their engine work here; kept
-apart from ``mechanisms`` so that the scalar engines import without numpy.
+of one shared profile in one numpy call, and the exact enumeration by
+distinct label sequences that Boston's ``expect`` and the brute force of
+``equilibrium`` share.  All engine work of ``simulation`` and ``equilibrium``
+runs here, apart from ``mechanisms``, whose scalar engines need no numpy.
 """
 from __future__ import annotations
 
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,40 +24,42 @@ def batch_mechanism(kind: MechanismKind, pref: np.ndarray,
     return engine(pref, orders)
 
 
-def all_orders(n: int) -> np.ndarray:
-    """Every tie-break order of n agents, as an (n! x n) int64 array in the
-    row order of ``itertools.permutations`` (n = 0: the one empty order).
-    The orders of k agents are, per first agent f, those of k - 1 agents
-    with every id >= f raised by one."""
+def label_orders(sizes: Sequence[int]) -> np.ndarray:
+    """One tie-break order per distinct label sequence of groups of
+    ``sizes`` agents, group g holding the next sizes[g] ids: an
+    (n!/∏m_g! x n) int64 array, each group's agents in id order.  Each group
+    takes every combination of positions in turn, so n! is never walked."""
     orders = np.zeros((1, 0), dtype=np.int64)
-    for k in range(1, n + 1):
-        first = np.repeat(np.arange(k), len(orders))[:, None]
-        rest = np.tile(orders, (k, 1))
-        rest += rest >= first
-        orders = np.hstack((first, rest))
+    for m in sizes:
+        k = orders.shape[1]
+        picked = np.array(list(itertools.combinations(range(k + m), m)), dtype=np.intp)
+        mine = (picked[:, :, None] == np.arange(k + m)).any(axis=1)
+        grown = np.empty((len(picked), k + m, len(orders)), dtype=np.int64)
+        grown[mine] = np.tile(np.arange(k, k + m), len(picked))[:, None]
+        grown[~mine] = np.tile(orders.T, (len(picked), 1))
+        orders = grown.transpose(0, 2, 1).reshape(len(picked) * len(orders), k + m)
     return orders
 
 
-def utility_total(goods: np.ndarray, ranks: np.ndarray, values: Sequence[int],
-                  rho: Sequence[int]) -> int:
-    """Sum of values[good] + rho[rank - 1] over 1-D arrays of received goods
-    and ranks, as an exact Python int."""
-    good_counts = np.bincount(goods, minlength=len(values)).tolist()
-    rank_counts = np.bincount(ranks - 1, minlength=len(rho)).tolist()
-    return (sum(c * v for c, v in zip(good_counts, values))
-            + sum(c * r for c, r in zip(rank_counts, rho)))
+def label_goods(kind: MechanismKind, lists: Sequence[Sequence[int]],
+                sizes: Sequence[int]) -> np.ndarray:
+    """(groups x n) int64 counts of the goods that group g's sizes[g] agents,
+    all reporting lists[g], receive over every distinct label sequence: one
+    engine call over the ``label_orders`` rows on the shared table."""
+    pref = np.repeat(np.array(lists, dtype=np.int64), sizes, axis=0)
+    goods, _ = batch_mechanism(kind, pref, label_orders(sizes))
+    n = len(pref)
+    cells = np.repeat(np.arange(len(sizes)) * n, sizes) + goods
+    return np.bincount(cells.ravel(), minlength=len(sizes) * n).reshape(len(sizes), n)
 
 
 def batch_rsd(pref: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``run_rsd`` for every row of ``orders`` at once.
 
-    Each row of the (reps x n) ``orders`` is a tie-break order.  ``pref`` is
-    either one (n x n) table shared by every row, ``pref[i]`` being agent i's
-    rank list (good ids, best first), or a (reps x n x n) stack of such
-    tables, one per row.  Returns (reps x n) arrays of the good assigned to
-    each agent and its 1-based rank in their list.  A shared table is
-    indexed as such: broadcast through the per-row indexing it runs about
-    10 % slower here and 50 % slower in ``batch_boston``.
+    Each row of the (reps x n) ``orders`` is a tie-break order, and
+    ``pref[i]`` of the (n x n) table is agent i's rank list (good ids, best
+    first).  Returns (reps x n) arrays of the good assigned to each agent
+    and its 1-based rank in their list.
     """
     reps, n = orders.shape
     rows = np.arange(reps)
@@ -62,7 +67,7 @@ def batch_rsd(pref: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndar
     taken = np.zeros(reps * n, dtype=bool)
     rank_at = np.empty((n, reps), dtype=np.int64)  # by priority position
     for t in range(n):
-        lists = pref[orders[:, t]] if pref.ndim == 2 else pref[rows, orders[:, t]]
+        lists = pref[orders[:, t]]
         # first position in the picker's list whose good is still free
         pos = np.argmin(taken[cell[:, None] + lists], axis=1)
         taken[cell + lists[rows, pos]] = True
@@ -84,10 +89,7 @@ def batch_boston(pref: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.n
     rank_at = np.zeros((n, reps), dtype=np.int64)  # 0 while unassigned
     for k in range(n):
         # cell in the taken table of each bidder's k-th choice, by position
-        if pref.ndim == 2:
-            bids = pref[:, k][by_position] + cell
-        else:
-            bids = np.take_along_axis(pref[:, :, k], orders, axis=1).T + cell
+        bids = pref[:, k][by_position] + cell
         for p in range(n):
             slot = bids[p]
             win = (rank_at[p] == 0) & ~taken[slot]
@@ -101,19 +103,19 @@ def _by_agent(pref: np.ndarray, orders: np.ndarray,
     """(goods, ranks) by agent from ranks held by priority position."""
     ranks = np.empty(orders.shape, dtype=np.int64)
     np.put_along_axis(ranks, orders, rank_at.T, axis=1)
-    if pref.ndim == 2:
-        return pref[np.arange(len(pref)), ranks - 1], ranks
-    return np.take_along_axis(pref, ranks[:, :, None] - 1, axis=2)[:, :, 0], ranks
+    return pref[np.arange(len(pref)), ranks - 1], ranks
 
 
 def enumerated_expected_utilities(kind: MechanismKind, reports: Sequence[RankList],
                                   market: MarketInstance) -> tuple[Fraction, ...]:
-    """``mechanisms.exact_expected_utilities`` by running the engine on all
-    n! orders: Boston's path there, and the tests' reference for RSD's DP."""
-    n = market.n
-    orders = all_orders(n)
-    pref = np.array([r.order for r in reports], dtype=np.int64)
-    goods, ranks = batch_mechanism(kind, pref, orders)
-    return tuple(Fraction(utility_total(goods[:, i], ranks[:, i], market.values.rows[i],
-                                        market.rho.values), len(orders))
-                 for i in range(n))
+    """``mechanisms.exact_expected_utilities`` by one engine call over the
+    reports' distinct label sequences: Boston's path there, and the tests'
+    reference for RSD's DP.  Agent i of a group of m equal lists holds each
+    group position in 1/m of the ∏m_g! orders a sequence stands for, so its
+    EU is ∏m_g!/(m·n!) times the group's good counts priced with i's values."""
+    sizes = Counter(r.order for r in reports)  # agents per distinct list
+    counts = dict(zip(sizes, label_goods(kind, list(sizes), list(sizes.values())).tolist()))
+    scale = Fraction(math.prod(map(math.factorial, sizes.values())), math.factorial(market.n))
+    return tuple(scale / sizes[r.order] * sum(counts[r.order][g] * (values[g] + p)
+                                              for g, p in zip(r.order, market.rho.values))
+                 for r, values in zip(reports, market.values.rows))

@@ -15,9 +15,14 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import (DataFormatError, MarketInstance, RankList, SizeLimitError, cents,
                    reports_from_json_dict)
+
+if TYPE_CHECKING:
+    from .equilibrium import SymmetricInstance
+    from .mechanisms import MechanismKind, TieBreakOrder
 
 DEFAULT_SEED = 20240901
 

@@ -17,17 +17,17 @@ same conditions from first principles so the interval algebra is
 independently checked: it runs the real batch engine on the structured
 lists for the top-goods phase, and scores the leftover goods with the same
 slot lottery.  Agents with the same list are interchangeable in both
-engines, so the outcome of a tie-break order depends only on which list
-sits at each priority position; the engine runs those 2**n label
-sequences, which together weigh exactly as all n! orders of every n1.
-Their outcome counts depend on no instance value, so the engine runs
-once per (mechanism, n) in a process.  Each instance prices them as exact
-ints, every group EU times w·n! (w = n − 2 slots in the lottery window),
-and compares those.
+engines, so the C(n, n1) label sequences of each n1 (which list sits at
+each priority position) weigh exactly as its n! orders; the engine runs
+them, 2**n rows over all n1, through ``batch.label_goods``, the enumeration
+``expect`` also uses.  Their outcome counts depend on no instance value,
+so the engine runs n + 1 times per (mechanism, n) in a process.  Each
+instance prices them as exact ints, every group EU times w·n! (w = n − 2
+slots in the lottery window), and compares those.
 
 ``check_truthtelling_equilibrium`` compares the truthful report with the
-few deviations that can beat it, in closed form with no engine; the tests
-check it against a batch-engine table over all n! deviation lists.
+few deviations that can beat it, in closed form with no engine at any n;
+the tests check it against a scalar-engine table over all n! lists.
 """
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ from .core import (DataFormatError, MarketInstance, RhoSchedule, SizeLimitError,
 from .mechanisms import MechanismKind
 
 BRUTE_FORCE_MAX_N = 6
-TRUTHTELLING_MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -237,28 +236,24 @@ def _lottery_window(kind: MechanismKind, n: int) -> range:
 @functools.cache
 def _label_tally(kind: MechanismKind, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Outcome counts [n1][side][outcome] over all 2**n label sequences,
-    side 1 being the x2-first list.  One engine call: row b holds the
-    x2-first list at priority position p when bit p of b is set, under the
-    identity order."""
-    import numpy as np
-    from .batch import batch_mechanism
+    side 1 being the x2-first list, from one ``batch.label_goods`` call per
+    n1.  A side's list fixes each good's rank, so a good's outcome is
+    2·good + rank − 1 for a top good at rank <= 2, else 4 (the lottery)."""
+    from .batch import label_goods
 
     tail = tuple(range(2, n))
     if kind == MechanismKind.RSD:
         lists = ((0, 1) + tail, (1, 0) + tail)
     else:
         lists = ((0,) + tail + (1,), (1,) + tail + (0,))
-    label = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1  # 1 = x2-first
-    orders = np.broadcast_to(np.arange(n), label.shape)
-    goods, ranks = batch_mechanism(kind, np.array(lists, dtype=np.int64)[label], orders)
-    # tally (n1, label, outcome): outcome 2·good + rank − 1 for a top good
-    # won at rank <= 2, and 4 for the lottery
-    won = (goods < 2) & (ranks <= 2)
-    outcome = np.where(won, 2 * goods + ranks - 1, 4)
-    row_n1 = n - label.sum(axis=1, keepdims=True)
-    tally = np.bincount(((2 * row_n1 + label) * 5 + outcome).ravel(),
-                        minlength=(n + 1) * 10).reshape(n + 1, 2, 5).tolist()
-    return tuple(tuple(map(tuple, sides)) for sides in tally)
+    tally = []
+    for n1 in range(n + 1):
+        sides = [[0] * 5 for _ in lists]
+        for side, lst, row in zip(sides, lists, label_goods(kind, lists, (n1, n - n1)).tolist()):
+            for rank, good in enumerate(lst, 1):
+                side[2 * good + rank - 1 if good < 2 and rank <= 2 else 4] += row[good]
+        tally.append(tuple(map(tuple, sides)))
+    return tuple(tally)
 
 
 def _enum_group_eus(kind: MechanismKind,
@@ -267,8 +262,8 @@ def _enum_group_eus(kind: MechanismKind,
     agent times w·n!, as exact ints, None where nobody plays that strategy;
     w = n − 2 is the length of ``_lottery_window``.
 
-    The counts come from ``_label_tally``, whose engine call runs once per
-    (kind, n) in a process.  A sequence with n1 x1-first positions stands
+    The counts come from ``_label_tally``, whose n + 1 engine calls run once
+    per (kind, n) in a process.  A sequence with n1 x1-first positions stands
     for n1!·(n−n1)! of the n! orders of a profile with n1 x1-first agents,
     so the x1-first EU is that group's total over the C(n, n1) such rows
     divided by players = n1·C(n, n1), and likewise for x2-first; n!/players
@@ -342,8 +337,6 @@ def _truthtelling_totals(kind: MechanismKind, inst: SymmetricInstance) -> tuple[
 
 def check_truthtelling_equilibrium(kind: MechanismKind, inst: SymmetricInstance) -> bool:
     """True iff no unilateral deviation from all-truthful raises exact EU."""
-    if inst.n > TRUTHTELLING_MAX_N:
-        raise SizeLimitError(f"truth-telling check limited to n <= {TRUTHTELLING_MAX_N}")
     totals = _truthtelling_totals(kind, inst)
     return max(totals) == totals[0]
 

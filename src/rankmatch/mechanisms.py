@@ -1,7 +1,7 @@
 """Deterministic RSD and Boston engines, a randomized wrapper, and exact
 expectation / efficiency oracles: RSD's expected utilities by a DP over
-(agents served, goods taken) states, Boston's by the n! enumeration of
-``batch``, and Pareto efficiency by a cycle test.
+(agents served, goods taken) states, Boston's by ``batch``'s enumeration
+of distinct label sequences, and Pareto efficiency by a cycle test.
 
 A single ``TieBreakOrder`` drives both mechanisms: position 0 is the agent
 who picks first in RSD and holds tie-break number 1 in Boston.  The scalar
@@ -122,8 +122,8 @@ def exact_expected_utilities(kind: MechanismKind, reports: Sequence[RankList],
                              market: MarketInstance) -> tuple[Fraction, ...]:
     """Per-agent expected utility in cents, averaged over all n! tie-break
     orders with exact rational arithmetic: RSD by the subset DP of
-    ``_rsd_expected_utilities``, Boston by one batch-engine call over all n!
-    orders (``batch.enumerated_expected_utilities``)."""
+    ``_rsd_expected_utilities``, Boston by one batch-engine call over the
+    reports' distinct label sequences (``batch.enumerated_expected_utilities``)."""
     n = market.n
     if n > EXACT_ENUM_MAX_N:
         raise SizeLimitError(

@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+import inspect
 import json
 import os
 import random
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import typing
 
 import pytest
 
@@ -643,6 +646,21 @@ def test_one_order_subcommands_need_no_numpy(appd_files, capsys, tmp_path):
         assert code == 0, argv
         want.append(out)
     assert proc.stdout == "".join(want).encode()
+
+
+def test_cli_type_hints_resolve(monkeypatch):
+    """Every function of ``cli`` has annotations that resolve as a type
+    checker sees the module: a copy of it run with ``TYPE_CHECKING`` true
+    gives ``typing.get_type_hints`` every name they use."""
+    monkeypatch.setattr(typing, "TYPE_CHECKING", True)
+    spec = importlib.util.find_spec("rankmatch.cli")
+    typed = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(typed)
+    functions = [f for f in vars(typed).values()
+                 if inspect.isfunction(f) and f.__module__ == "rankmatch.cli"]
+    assert len(functions) > 10
+    for function in functions:
+        typing.get_type_hints(function)
 
 
 def test_package_exports_load_lazily():

@@ -28,7 +28,7 @@ from rankmatch.equilibrium import (
     solve_equilibrium,
     symmetric_params,
 )
-from rankmatch.batch import all_orders, batch_mechanism, utility_total
+from rankmatch.batch import batch_mechanism
 from rankmatch.mechanisms import (MechanismKind, TieBreakOrder, exact_expected_utilities,
                                   run_mechanism)
 
@@ -191,23 +191,24 @@ def structured_lists(kind, n):
 
 def reference_enum_group_eus(kind, inst):
     """The brute force over tie-break orders: for each n1 one engine call
-    over all n! orders, agents 0..n1-1 ranking x1 first, reading agent 0
-    (x1-first) and agent n-1 (x2-first)."""
+    over all n! orders from ``itertools.permutations``, agents 0..n1-1
+    ranking x1 first, reading agent 0 (x1-first) and agent n-1 (x2-first)."""
     n = inst.n
     lists = structured_lists(kind, n)
     window = _lottery_window(kind, n)
     cont = inst.vbar + inst.rho.mean(window[0], window[-1])
-    values = [inst.good_value(g) for g in range(n)]
-    orders = all_orders(n)
+    orders = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     fact = len(orders)
     eus = []
     for n1 in range(n + 1):
         pref = np.array([lists[0]] * n1 + [lists[1]] * (n - n1), dtype=np.int64)
         goods, ranks = batch_mechanism(kind, pref, orders)
-        won = (goods < 2) & (ranks <= 2)
-        u = [Fraction(utility_total(goods[won[:, a], a], ranks[won[:, a], a], values,
-                                    inst.rho.values), fact)
-             + Fraction(fact - int(won[:, a].sum()), fact) * cont for a in (0, n - 1)]
+        u = []
+        for a in (0, n - 1):
+            won = [(g, r) for g, r in zip(goods[:, a].tolist(), ranks[:, a].tolist())
+                   if g < 2 and r <= 2]
+            u.append(Fraction(sum(inst.good_value(g) + inst.rho.at(r) for g, r in won), fact)
+                     + Fraction(fact - len(won), fact) * cont)
         eus.append((u[0] if n1 >= 1 else None, u[1] if n1 <= n - 1 else None))
     return eus
 
@@ -254,6 +255,8 @@ def test_label_tally_equals_scalar_count_over_all_orders(n):
 
 
 def test_label_tally_runs_engine_once_per_kind_and_n(monkeypatch):
+    """A cold tally runs the engine n + 1 times, once per n1 over its
+    C(n, n1) label sequences, 2**n rows in all; a warm one runs none."""
     _label_tally.cache_clear()
     calls = []
 
@@ -266,8 +269,11 @@ def test_label_tally_runs_engine_once_per_kind_and_n(monkeypatch):
         for inst in (E1, other, E1):
             assert brute_force_equilibria(kind, inst) == \
                 set(solve_equilibrium(kind, inst).n1_candidates)
-    assert calls == [(MechanismKind.RSD, 32), (MechanismKind.BOSTON, 32)]
-    tally = _label_tally(MechanismKind.BOSTON, 5)
+    rows = [math.comb(5, n1) for n1 in range(6)]
+    assert sum(rows) == 32
+    assert calls == [(kind, r) for kind in MechanismKind for r in rows]
+    tally = _label_tally(MechanismKind.BOSTON, 5)  # warm: no engine call
+    assert len(calls) == 2 * len(rows)
     assert isinstance(tally, tuple)
     assert all(isinstance(sides, tuple) and all(isinstance(side, tuple) for side in sides)
                for sides in tally)
@@ -286,9 +292,11 @@ GOLDEN_INSTANCES = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_INSTANCES))
 def test_golden_brute_force_equilibrium(tmp_path, name):
-    # made by the brute force over all n! tie-break orders
+    # made by the brute force over all n! tie-break orders; the tally is
+    # built cold, as in one fresh CLI process
     inst, out = tmp_path / "inst.json", tmp_path / "out.json"
     inst.write_text(json.dumps(GOLDEN_INSTANCES[name].to_json_dict()))
+    _label_tally.cache_clear()
     assert cli.main(["equilibrium", "--instance", str(inst), "--kind", "both",
                      "--brute-force", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"equilibrium_{name}.json").read_bytes()
@@ -300,21 +308,26 @@ def test_brute_force_size_limit():
         brute_force_equilibria(MechanismKind.RSD, inst)
 
 
-def _deviation_eu(kind, dev, inst):
-    """Exact EU of agent 0 reporting ``dev`` while the n-1 others report
-    truthfully, by the scalar engine: the opponents are interchangeable, so
-    every tie-break order with the deviator at a given priority position
-    gives the deviator the same good, and one order per position stands
-    for all n!."""
-    n = inst.n
+def deviator_goods(kind, dev, n):
+    """The good agent 0 receives at each priority position 0..n-1 when it
+    reports ``dev`` and the n-1 others report truthfully, by the scalar
+    engine: the opponents are interchangeable, so every tie-break order
+    with the deviator at a given position gives it the same good, and one
+    order per position stands for all n!."""
     reports = [dev] + [RankList(tuple(range(n)))] * (n - 1)
-    total = 0
+    goods = []
     for pos in range(n):
         order = list(range(1, n))
         order.insert(pos, 0)
-        good = run_mechanism(kind, reports, TieBreakOrder(order)).good_of(0)
-        total += inst.good_value(good) + inst.rho.at(dev.rank_of(good))
-    return Fraction(total, n)
+        goods.append(run_mechanism(kind, reports, TieBreakOrder(order)).good_of(0))
+    return goods
+
+
+def _deviation_eu(kind, dev, inst):
+    """Exact EU of agent 0 reporting ``dev`` while the n-1 others report
+    truthfully."""
+    return Fraction(sum(inst.good_value(good) + inst.rho.at(dev.rank_of(good))
+                        for good in deviator_goods(kind, dev, inst.n)), inst.n)
 
 
 def reference_truthtelling(kind, inst):
@@ -364,23 +377,23 @@ def test_truthtelling_boston_implies_rsd():
 
 def deviation_table(kind, n):
     """(truthful row, distinct rows over all n! lists) of agent 0's outcome
-    counts at the n priority positions, the others truthful, from one
-    per-row batch-engine call over the n!·n (list, position) rows: wins of
-    x1, of x2 and of a tail good, then receipts of ranks 1..n."""
-    devs = all_orders(n)  # row 0 is the truthful list
-    pref = np.broadcast_to(np.arange(n), (len(devs) * n, n, n)).copy()
-    pref[:, 0] = np.repeat(devs, n, axis=0)  # row d·n + p: list d at position p
-    orders = np.tile([np.insert(np.arange(1, n), p, 0) for p in range(n)], (len(devs), 1))
-    goods, ranks = batch_mechanism(kind, pref, orders)
-    base = np.arange(len(pref)) // n * (n + 3)
-    cells = np.concatenate((base + np.minimum(goods[:, 0], 2), base + ranks[:, 0] + 2))
-    counts = np.bincount(cells, minlength=len(devs) * (n + 3)).reshape(len(devs), n + 3)
-    return tuple(counts[0].tolist()), [tuple(row) for row in np.unique(counts, axis=0).tolist()]
+    counts at the n priority positions, the others truthful, from the
+    scalar engine over the n!·n (list, position) orders: wins of x1, of x2
+    and of a tail good, then receipts of ranks 1..n."""
+    rows = []
+    for perm in itertools.permutations(range(n)):  # the first is the truthful list
+        dev = RankList(perm)
+        row = [0] * (n + 3)
+        for good in deviator_goods(kind, dev, n):
+            row[min(good, 2)] += 1
+            row[dev.rank_of(good) + 2] += 1
+        rows.append(tuple(row))
+    return rows[0], set(rows)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_deviation_table_equals_scalar_deviation_eu(n):
-    """The closed-form totals against the engine table over all n! lists:
+    """The closed-form totals against the scalar-engine table over all n! lists:
     the truthful total prices the table's truthful row, each deviation total
     prices some row, and the largest total prices the best row; at n <= 6
     the priced rows are also n times the scalar EUs of all n! deviations.
@@ -436,14 +449,24 @@ def test_truthtelling_equals_scalar_loop():
     assert len(verdicts) == 2 * 4 * 2
 
 
+def pinned_instance(n, inst):
+    v1, v2, vbar, rho = inst
+    return SymmetricInstance(n, v1, v2, vbar, RhoSchedule(tuple(rho)))
+
+
 def test_truthtelling_runs_no_engine(monkeypatch):
     """The verdicts equal the scalar loop's with every engine, batch and
-    scalar, raising."""
+    scalar, raising: at n = 5 from the loop itself, and at n = 8 as pinned
+    from it in ``TRUTHTELLING_PINNED``."""
     other = SymmetricInstance(5, 3100, 2000, 50, RhoSchedule((700, 300, 10, 0, -40)))
     truthful = SymmetricInstance(5, 100000, 300, 200, RhoSchedule((50, 40, 30, 30, 30)))
     want = {(kind, inst): reference_truthtelling(kind, inst)
             for kind in MechanismKind for inst in (E1, other, truthful)}
-    assert set(want.values()) == {True, False}
+    for n, inst, verdicts in TRUTHTELLING_PINNED:
+        if n == 8:
+            for kind, verdict in zip((MechanismKind.RSD, MechanismKind.BOSTON), verdicts):
+                want[kind, pinned_instance(n, inst)] = verdict
+    assert len(want) == 2 * 6 and set(want.values()) == {True, False}
 
     def engine(*args):
         raise AssertionError("engine called")
@@ -454,19 +477,14 @@ def test_truthtelling_runs_no_engine(monkeypatch):
         assert check_truthtelling_equilibrium(kind, inst) == verdict
 
 
-def test_truthtelling_size_limit_before_the_engine(monkeypatch):
-    def engine(kind, pref, orders):
-        raise AssertionError("engine called")
-    monkeypatch.setattr(batch, "batch_mechanism", engine)
-    inst = SymmetricInstance(7, 30, 20, 10, RhoSchedule((5, 4, 3, 2, 1, 0, 0)))
-    for kind in MechanismKind:
-        with pytest.raises(SizeLimitError, match="truth-telling check limited to n <= 6"):
-            check_truthtelling_equilibrium(kind, inst)
-
-
 # Truth-telling verdicts pinned from the scalar per-deviation loop: the
 # Section 2.2 instance, the golden equilibrium input of each n, that input
-# with a flat rho tail, and a top good far above the rest.
+# with a flat rho tail, and a top good far above the rest; then, past the
+# golden sizes, the n6 input with its rho schedule stretched to n = 8 and 12
+# and that with a flat tail.  The n = 8 verdicts came from the loop over all
+# 8! lists, run once outside the suite; at n = 12 the loop cannot run, so
+# the verdicts are the closed form's, each False shown by a scalar-engine
+# deviation and each True met by every list of a 4 640-list search.
 TRUTHTELLING_PINNED = [
     (3, (100, 80, 0, [10, 0, 0]), (True, False)),
     (3, (1900, 1750, 150, [640, 310, -220]), (False, False)),
@@ -477,12 +495,18 @@ TRUTHTELLING_PINNED = [
     (5, (2400, 2301, 390, [61, 6, 6, 6, 6]), (True, False)),
     (6, (3300, 2875, 1260, [900, 250, 120, 0, -75, -300]), (False, False)),
     (6, (3300, 2875, 1260, [90, 25, 12, 12, 12, 12]), (True, False)),
-] + [(n, (100000, 300, 200, [50, 40] + [30] * (n - 2)), (True, True)) for n in (3, 4, 5, 6)]
+] + [(n, (100000, 300, 200, [50, 40] + [30] * (n - 2)), (True, True))
+     for n in (3, 4, 5, 6, 8, 12)] + [
+    (8, (3300, 2875, 1260, [900, 250, 120, 60, 0, -75, -150, -300]), (False, False)),
+    (8, (3300, 2875, 1260, [90, 25] + [12] * 6), (True, False)),
+    (12, (3300, 2875, 1260, [900, 250, 120, 90, 60, 30, 0, -30, -75, -150, -225, -300]),
+     (False, False)),
+    (12, (3300, 2875, 1260, [90, 25] + [12] * 10), (True, False)),
+]
 
 
 @pytest.mark.parametrize("n, inst, want", TRUTHTELLING_PINNED)
 def test_truthtelling_pinned_verdicts(n, inst, want):
-    v1, v2, vbar, rho = inst
-    inst = SymmetricInstance(n, v1, v2, vbar, RhoSchedule(tuple(rho)))
+    inst = pinned_instance(n, inst)
     assert tuple(check_truthtelling_equilibrium(kind, inst)
                  for kind in (MechanismKind.RSD, MechanismKind.BOSTON)) == want

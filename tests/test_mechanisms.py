@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rankmatch.core import MarketInstance, Matching, RankList, SizeLimitError, build_outcome
-from rankmatch.batch import all_orders, batch_boston, batch_rsd, enumerated_expected_utilities
+from rankmatch.batch import batch_boston, batch_rsd, enumerated_expected_utilities, label_orders
 from rankmatch.mechanisms import (
     MechanismKind,
     TieBreakOrder,
@@ -156,7 +156,9 @@ def test_pareto_beyond_enumeration_size():
 
 def _exact_cases():
     """The 3-agent example, then seeded markets for n = 1..7: random values,
-    schedules that go negative, and every third market with identical reports."""
+    schedules that go negative, and every third market with identical
+    reports; last, an n = 7 market whose agents report three lists, three,
+    two and two times, each group's agents apart in id order."""
     yield (MarketInstance.from_cents([[90, 40, 10]] * 3, [7, 2, 0]),
            [RankList((0, 1, 2)), RankList((1, 0, 2)), RankList((0, 2, 1))])
     rng = random.Random(11)
@@ -169,6 +171,10 @@ def _exact_cases():
             else:
                 reports = [RankList(tuple(rng.sample(range(n), n))) for _ in range(n)]
             yield MarketInstance.from_cents(values, rho), reports
+    values = [[rng.randint(0, 3000) for _ in range(7)] for _ in range(7)]
+    rho = sorted((rng.randint(-400, 800) for _ in range(7)), reverse=True)
+    lists = [RankList(tuple(rng.sample(range(7), 7))) for _ in range(3)]
+    yield MarketInstance.from_cents(values, rho), [lists[g] for g in (0, 1, 2, 0, 1, 0, 2)]
 
 
 def test_exact_matches_brute_average():
@@ -189,8 +195,9 @@ def test_exact_matches_brute_average():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_rsd_dp_equals_batch_enumeration(n):
     """RSD's subset DP gives the exact Fractions of the batch engine run on
-    all n! orders: random markets and lists, identical value rows and lists,
-    negative rho entries, and values shifted by 10**15 cents."""
+    every distinct label sequence (all n! orders when the lists differ):
+    random markets and lists, identical value rows and lists, negative rho
+    entries, and values shifted by 10**15 cents."""
     rng = random.Random(800 + n)
     for case in range(4):
         values = [[rng.randint(0, 3000) for _ in range(n)] for _ in range(n)]
@@ -207,15 +214,33 @@ def test_rsd_dp_equals_batch_enumeration(n):
             enumerated_expected_utilities(MechanismKind.RSD, reports, market), (market, reports)
 
 
-@pytest.mark.parametrize("n", range(9))
-def test_all_orders_equal_itertools_permutations(n):
-    # the exact oracles' tests enumerate through all_orders, so it is
-    # checked against an order source it does not share
-    orders = all_orders(n)
-    ref = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    assert orders.shape == ref.shape == (math.factorial(n), n)
-    assert orders.dtype == np.int64 and orders.flags.c_contiguous
-    assert np.array_equal(orders, ref)
+def compositions(n):
+    """Every tuple of positive group sizes that sums to n, in order."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_label_orders_cover_every_label_sequence(n):
+    """For every composition of n into group sizes, one row per distinct
+    label sequence: the rows' label sequences are those of all orders of
+    the n agents, n!/∏m! of them, and each group's agents appear in id
+    order.  Checked against ``itertools.permutations``, an order source the
+    exact oracles do not share."""
+    for sizes in compositions(n):
+        label = np.repeat(np.arange(len(sizes)), sizes)
+        orders = label_orders(sizes)
+        want = set(itertools.permutations(label.tolist()))
+        assert orders.dtype == np.int64
+        assert orders.shape == (len(want), n)
+        assert len(orders) == math.factorial(n) // math.prod(map(math.factorial, sizes))
+        assert {tuple(row) for row in label[orders].tolist()} == want
+        for group in range(len(sizes)):
+            agents = orders[label[orders] == group].reshape(len(orders), sizes[group])
+            assert (np.diff(agents, axis=1) > 0).all(), sizes
 
 
 def _assert_batch_matches_scalar(lists, orders):
@@ -254,52 +279,3 @@ def test_batch_engines_contested_rounds():
     # good 2 in round 2
     lists = [[0, 2, 3, 1], [1, 2, 3, 0], [0, 2, 1, 3], [1, 2, 0, 3]]
     _assert_batch_matches_scalar(lists, [list(p) for p in itertools.permutations(range(4))])
-
-
-def _assert_per_row_matches_scalar(tables, orders):
-    """Row r of a (reps x n x n) ``pref`` runs profile ``tables[r]``; with
-    every row the same, the result equals the shared (n x n) call."""
-    n = len(orders[0])
-    pref = np.array(tables, dtype=np.int64).reshape(len(tables), n, n)
-    order_array = np.array(orders, dtype=np.int64).reshape(len(orders), n)
-    for scalar, batch in ((run_rsd, batch_rsd), (run_boston, batch_boston)):
-        goods, ranks = batch(pref, order_array)
-        assert goods.shape == ranks.shape == (len(orders), n)
-        for row, (lists, order) in enumerate(zip(tables, orders)):
-            reports = [RankList(tuple(lst)) for lst in lists]
-            m = scalar(reports, TieBreakOrder(tuple(order)))
-            assert tuple(goods[row].tolist()) == m.assignment, (scalar.__name__, lists, order)
-            assert tuple(ranks[row].tolist()) == tuple(
-                reports[i].rank_of(g) for i, g in enumerate(m.assignment))
-        for shared in pref[:1], pref[-1:]:
-            same = np.broadcast_to(shared, pref.shape)
-            want = batch(shared[0], order_array)
-            for got in batch(same, order_array), batch(same.copy(), order_array):
-                assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-def test_per_row_engines_match_scalar_engines():
-    rng = random.Random(2026)
-    for n in range(1, 9):
-        for case in range(12):
-            tables = []
-            for _ in range(16):
-                if rng.random() < 0.25:  # everyone in the row reports the same list
-                    tables.append([rng.sample(range(n), n)] * n)
-                else:
-                    tables.append([rng.sample(range(n), n) for _ in range(n)])
-            orders = [rng.sample(range(n), n) for _ in tables]
-            _assert_per_row_matches_scalar(tables, orders)
-
-
-def test_per_row_engines_contested_rounds():
-    # the contested profiles of test_batch_engines_contested_rounds, row by
-    # row against other profiles and under every order
-    for contested in ([[0, 1, 2], [0, 1, 2], [1, 0, 2]],
-                      [[0, 2, 3, 1], [1, 2, 3, 0], [0, 2, 1, 3], [1, 2, 0, 3]]):
-        n = len(contested)
-        others = [list(range(n))] * n
-        orders = [list(p) for p in itertools.permutations(range(n))]
-        tables = [contested if r % 2 else others for r in range(len(orders))]
-        _assert_per_row_matches_scalar(tables, orders)
-        _assert_per_row_matches_scalar([contested] * len(orders), orders)
