@@ -155,9 +155,14 @@ def cmd_simulate(args) -> int:
     from .equilibrium import SymmetricInstance
     from .mechanisms import MechanismKind
 
-    market = _load_json(args.market, lambda doc: (
-        MarketInstance if isinstance(doc, dict) and "values" in doc
-        else SymmetricInstance).from_json_dict(doc))
+    def parse_market(doc):
+        market = (MarketInstance if isinstance(doc, dict) and "values" in doc
+                  else SymmetricInstance).from_json_dict(doc)
+        # a structured profile needs the symmetric form; a market without
+        # one is a data error in this file
+        return market if args.structured_n1 is None else simulation._as_symmetric(market)
+
+    market = _load_json(args.market, parse_market)
     if (args.profile_reports is None) == (args.structured_n1 is None):
         raise DataFormatError(
             "give exactly one of --profile-reports / --structured-n1")

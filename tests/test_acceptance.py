@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 import pytest
-from scipy import stats as sps
 
 from rankmatch import analysis
 from rankmatch.core import MarketInstance, RankList, RhoSchedule
@@ -223,6 +222,8 @@ def test_criterion_9_statistics_oracles():
 
 
 def test_criterion_10_pipeline_recovery():
+    from scipy import stats as sps  # test-only: the runtime install has no scipy
+
     t0 = time.monotonic()
     rho = (287, 100, 50, 0, -69)
     recs = analysis.generate_session(20, rho, 0.0, seed=1001)

@@ -437,7 +437,8 @@ def test_empty_paths_are_data_errors(appd_files, tmp_path, monkeypatch, capsys):
 
 def test_json_value_errors_name_the_file(appd_files, tmp_path, capsys):
     """A value a JSON reader rejects names the file once, for every JSON
-    flag and both market forms; so does a missing file."""
+    flag and both market forms, and so does a valid market without the
+    symmetric form a structured profile needs; so does a missing file."""
     rp, mp = appd_files
     bad = {"reports": tmp_path / "bad_reports.json", "market": tmp_path / "bad_market.json",
            "instance": tmp_path / "bad_instance.json"}
@@ -445,6 +446,13 @@ def test_json_value_errors_name_the_file(appd_files, tmp_path, capsys):
     bad["market"].write_text(json.dumps({"values": [[120, "x", 40, 20]] * 4,
                                          "rho": [10, 5, 0, 0]}))
     bad["instance"].write_text(json.dumps(dict(E1_DOC, v2="x")))
+    # valid markets with no symmetric form, which a structured profile needs
+    asymmetric = {"differ": [[300, 200, 100], [300, 200, 100], [250, 300, 0]],
+                  "order": [[100, 100, 0]] * 3, "tail": [[300, 200, 100, 50]] * 4,
+                  "short": [[300, 200]] * 2}
+    for name, values in asymmetric.items():
+        bad[name] = tmp_path / f"{name}_market.json"
+        bad[name].write_text(json.dumps({"values": values, "rho": [10] + [0] * (len(values) - 1)}))
     simulate = ["simulate", "--kind", "rsd", "--reps", "10"]
     cases = (
         (["mechanism", "--kind", "rsd", "--order", "0,1,2,3", "--reports"], "reports", []),
@@ -455,6 +463,7 @@ def test_json_value_errors_name_the_file(appd_files, tmp_path, capsys):
         (["equilibrium", "--brute-force", "--instance"], "instance", []),
         (simulate + ["--profile-reports", str(rp), "--market"], "market", []),
         (simulate + ["--market"], "instance", ["--structured-n1", "3"]),
+        *((simulate + ["--market"], name, ["--structured-n1", "1"]) for name in asymmetric),
         (simulate + ["--market", str(mp), "--profile-reports"], "reports", []))
     missing = str(tmp_path / "missing.json")
     for head, which, tail in cases:
@@ -967,7 +976,8 @@ FUZZ_MARKETS = [
 def test_market_and_reports_reader_fuzz(tmp_path, capsys, reader):
     """Seeded byte and token edits of ``to_json_dict`` market documents, or
     of reports documents, each with its unedited partner, through ``expect``
-    and ``simulate --profile-reports``."""
+    and ``simulate --profile-reports``; markets also through ``simulate
+    --structured-n1``."""
     pairs = [(json.dumps(market.to_json_dict()).encode(),
               json.dumps(reports_to_json_dict([RankList(tuple(r)) for r in reports])).encode())
              for market, reports in FUZZ_MARKETS]
@@ -976,6 +986,8 @@ def test_market_and_reports_reader_fuzz(tmp_path, capsys, reader):
              ["simulate", "--kind", "rsd", "--market", str(mp), "--profile-reports", str(rp),
               "--reps", "20", "--seed", "3"]]
     if reader == "market":
+        argvs.append(["simulate", "--kind", "rsd", "--market", str(mp), "--structured-n1", "1",
+                      "--reps", "20"])
         _check_fuzzed(capsys, random.Random(2031), FUZZ_MARKET_CASES, mp, pairs, argvs, rp)
     else:
         pairs = [(r, m) for m, r in pairs]

@@ -377,14 +377,18 @@ def test_truthtelling_boston_implies_rsd():
 
 def deviation_table(kind, n):
     """(truthful row, distinct rows over all n! lists) of agent 0's outcome
-    counts at the n priority positions, the others truthful, from the
-    scalar engine over the n!·n (list, position) orders: wins of x1, of x2
-    and of a tail good, then receipts of ranks 1..n."""
+    counts at the n priority positions, the others truthful, from the batch
+    engine: one call per list on the shared table, over the n orders that
+    put agent 0 at each position.  Counts are wins of x1, of x2 and of a
+    tail good, then receipts of ranks 1..n."""
+    orders = np.array([[*range(1, pos + 1), 0, *range(pos + 1, n)] for pos in range(n)])
+    pref = np.tile(np.arange(n), (n, 1))
     rows = []
     for perm in itertools.permutations(range(n)):  # the first is the truthful list
         dev = RankList(perm)
+        pref[0] = perm
         row = [0] * (n + 3)
-        for good in deviator_goods(kind, dev, n):
+        for good in batch_mechanism(kind, pref, orders)[0][:, 0].tolist():
             row[min(good, 2)] += 1
             row[dev.rank_of(good) + 2] += 1
         rows.append(tuple(row))
@@ -393,10 +397,11 @@ def deviation_table(kind, n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_deviation_table_equals_scalar_deviation_eu(n):
-    """The closed-form totals against the scalar-engine table over all n! lists:
+    """The closed-form totals against the batch-engine table over all n! lists:
     the truthful total prices the table's truthful row, each deviation total
     prices some row, and the largest total prices the best row; at n <= 6
-    the priced rows are also n times the scalar EUs of all n! deviations.
+    the priced rows are also n times the scalar-engine EUs of all n!
+    deviations.
     On a random instance, with its rho shifted negative, with
     rho(1) == rho(2), and with values shifted by 10**15 cents."""
     rng = random.Random(90 + n)

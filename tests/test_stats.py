@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats as sps
 
 from rankmatch.stats import (_exact_p, _jt_moments, _jt_statistic, _norm_cdf, _norm_sf,
                              _stars, _t_two_sided, jonckheere_terpstra, ols_fit,
@@ -153,6 +152,8 @@ def test_approx_p_values_match_oracles():
     """The normal and Student-t tails against oracles: scipy (a test-only
     dependency) and, for the t tail, closed forms that share neither
     scipy's nor this module's method."""
+    from scipy import stats as sps  # test-only: the runtime install has no scipy
+
     rng = random.Random(11)
     # normal tails, directly and as the approximate JT/rank-sum p-values;
     # the worst relative gap to scipy measured on |z| <= 10 was 4e-15
