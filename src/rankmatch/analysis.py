@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -407,7 +408,9 @@ def _money(amount_cents: int) -> str:
 
 
 def nv_rank_summary(records: Session) -> dict[int, tuple[int, Fraction, float]]:
-    """Per received rank: (count, exact mean NV in cents, sample sd)."""
+    """Per received rank: (count, exact mean NV in cents, sample sd).  The
+    variance is exact, (n·Σv² − (Σv)²) / (n·(n − 1)) over int sums, so the sd
+    rounds the same on every Python."""
     t = SessionTable.of(records)
     out = {}
     for rank in range(1, N_GOODS + 1):
@@ -415,13 +418,12 @@ def nv_rank_summary(records: Session) -> dict[int, tuple[int, Fraction, float]]:
         n = len(vals)
         if not n:
             continue
-        mean = Fraction(sum(vals), n)
+        total = sum(vals)
+        sd = 0.0
         if n > 1:
-            m = float(mean)
-            sd = math.sqrt(sum((v - m) ** 2 for v in vals) / (n - 1))
-        else:
-            sd = 0.0
-        out[rank] = (n, mean, sd)
+            sd = math.sqrt(Fraction(n * sum(map(operator.mul, vals, vals)) - total * total,
+                                    n * (n - 1)))
+        out[rank] = (n, Fraction(total, n), sd)
     return out
 
 

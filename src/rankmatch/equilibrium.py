@@ -11,14 +11,15 @@ After the top goods resolve, the leftover goods are modeled as a uniform
 lottery over the remaining list slots; ``delta`` / ``delta_prime`` are the
 expected continuation utilities of that lottery in Boston / RSD.
 
-The closed-form solver reduces the two no-deviation conditions to an
-interval of length exactly 1; ``brute_force_equilibria`` re-derives the
-same conditions from first principles so the interval algebra is
-independently checked: it runs the real batch engine on the structured
-lists for the top-goods phase, and scores the leftover goods with the same
-slot lottery.  Agents with the same list are interchangeable in both
-engines, so the C(n, n1) label sequences of each n1 (which list sits at
-each priority position) weigh exactly as its n! orders; the engine runs
+Each closed form is one integer numerator over a known integer denominator,
+one ``Fraction`` per value; the corner and n1 tests compare ints.  The solver
+reduces the two no-deviation conditions to an interval of length exactly 1;
+``brute_force_equilibria`` re-derives them from first principles so the
+interval algebra is independently checked: it runs the real batch engine on
+the structured lists for the top-goods phase, and scores the leftover goods
+with the same slot lottery.  Agents with the same list are interchangeable
+in both engines, so the C(n, n1) label sequences of each n1 (which list sits
+at each priority position) weigh exactly as its n! orders; the engine runs
 them, 2**n rows over all n1, through ``batch.label_goods``, the enumeration
 ``expect`` also uses.  Their outcome counts depend on no instance value,
 so the engine runs n + 1 times per (mechanism, n) in a process.  Each
@@ -40,7 +41,7 @@ from .core import (DataFormatError, MarketInstance, RhoSchedule, SizeLimitError,
                    whole_number)
 from .mechanisms import MechanismKind
 
-BRUTE_FORCE_MAX_N = 6
+BRUTE_FORCE_MAX_N = 12  # a cold _label_tally runs the engine over 2**n label rows
 
 
 @dataclass(frozen=True)
@@ -109,46 +110,56 @@ class EquilibriumSolution:
     corner_all_top: bool
 
 
+def _window_sums(inst: SymmetricInstance) -> tuple[int, int]:
+    """Sums of rho over Boston's and RSD's ``_lottery_window``."""
+    values = inst.rho.values
+    return sum(values[1:-1]), sum(values[2:])
+
+
+def _corner_total(inst: SymmetricInstance) -> int:
+    """n times the corner EU: the n agents share every good and every rank once."""
+    return inst.v1 + inst.v2 + (inst.n - 2) * inst.vbar + sum(inst.rho.values)
+
+
 def symmetric_params(inst: SymmetricInstance) -> SymmetricParams:
-    n, rho = inst.n, inst.rho
-    delta = inst.vbar + rho.mean(2, n - 1)
-    rho_bar = rho.mean(3, n)
-    delta_prime = inst.vbar + rho_bar
-    alpha = None
-    if rho.at(1) > rho.at(2):
-        alpha = Fraction(n, 2) + Fraction(n - 1, 2) * Fraction(inst.v1 - inst.v2,
-                                                               rho.at(1) - rho.at(2))
-    return SymmetricParams(delta, delta_prime, rho_bar, alpha)
+    w, gap_rho = inst.n - 2, inst.rho.values[0] - inst.rho.values[1]
+    boston_sum, rsd_sum = _window_sums(inst)
+    alpha = (Fraction(inst.n * gap_rho + (inst.n - 1) * (inst.v1 - inst.v2), 2 * gap_rho)
+             if gap_rho else None)
+    return SymmetricParams(Fraction(w * inst.vbar + boston_sum, w),
+                           Fraction(w * inst.vbar + rsd_sum, w), Fraction(rsd_sum, w), alpha)
 
 
 def _u_boston(inst: SymmetricInstance, top: int, n1: int) -> Fraction:
     """EU of an agent ranking x{top} first when n1 agents in total rank x1
     first.  Valid for the formal extension 0 <= n1 <= n used by the
-    deviation comparisons."""
-    delta = inst.vbar + inst.rho.mean(2, inst.n - 1)
+    deviation comparisons.  Over group·w: the top good with chance 1/group,
+    else the lottery."""
+    w = inst.n - 2
     group = n1 if top == 1 else inst.n - n1
     if group < 1:
         raise ValueError(f"no agent ranks x{top} first at n1={n1}")
     v_top = inst.v1 if top == 1 else inst.v2
-    return Fraction(1, group) * (v_top + inst.rho.at(1)) + Fraction(group - 1, group) * delta
+    lottery = w * inst.vbar + _window_sums(inst)[0]
+    return Fraction(w * (v_top + inst.rho.values[0]) + (group - 1) * lottery, group * w)
 
 
 def _u_sd(inst: SymmetricInstance, top: int, n1: int) -> Fraction:
-    n, rho = inst.n, inst.rho
-    dp = inst.vbar + rho.mean(3, n)
+    """EU of an agent ranking x{top} first, over n·(n − 1): its top good when
+    it picks first (chance 1/n); when it picks second (1/n), what the first
+    picker left, one of the n − 1 others, of whom n1 − 1 (top 1) or n1
+    (top 2) rank x1 first; else the lottery."""
+    n, v1, v2, (rho1, rho2) = inst.n, inst.v1, inst.v2, inst.rho.values[:2]
     if top == 1:
         if n1 < 1:
             raise ValueError(f"no agent ranks x1 first at n1={n1}")
-        second = (Fraction(n1 - 1, n - 1) * (inst.v2 + rho.at(2))
-                  + Fraction(n - n1, n - 1) * (inst.v1 + rho.at(1)))
-        first = inst.v1 + rho.at(1)
+        first, second = v1 + rho1, (n1 - 1) * (v2 + rho2) + (n - n1) * (v1 + rho1)
     else:
         if n1 > n - 1:
             raise ValueError(f"no agent ranks x2 first at n1={n1}")
-        second = (Fraction(n1, n - 1) * (inst.v2 + rho.at(1))
-                  + Fraction(n - n1 - 1, n - 1) * (inst.v1 + rho.at(2)))
-        first = inst.v2 + rho.at(1)
-    return Fraction(1, n) * first + Fraction(1, n) * second + Fraction(n - 2, n) * dp
+        first, second = v2 + rho1, n1 * (v2 + rho1) + (n - n1 - 1) * (v1 + rho2)
+    lottery = (n - 2) * inst.vbar + _window_sums(inst)[1]
+    return Fraction((n - 1) * (first + lottery) + second, n * (n - 1))
 
 
 def boston_group_eu(inst: SymmetricInstance, n1: int) -> tuple[Fraction, Fraction]:
@@ -173,53 +184,44 @@ def corner_holds(kind: MechanismKind, inst: SymmetricInstance) -> bool:
     In Boston a deviator ranking x2 first wins it outright, so the corner
     payoff must beat v2 + rho(1).  In RSD the deviator only gets x2 when
     ordered first or second, a strictly weaker hurdle, so the Boston corner
-    implies the RSD corner but not conversely."""
-    n = inst.n
+    implies the RSD corner but not conversely: picking first and second,
+    a corner agent gets v1 + rho(1) and v2 + rho(2), the deviator
+    v2 + rho(1) twice, and the lottery is the same."""
+    rho1, rho2 = inst.rho.values[:2]
     if kind == MechanismKind.BOSTON:
-        return corner_eu(inst) >= inst.v2 + inst.rho.at(1)
-    return _u_sd(inst, 1, n) >= _u_sd(inst, 2, n - 1)
+        return _corner_total(inst) >= inst.n * (inst.v2 + rho1)
+    return inst.v1 + rho2 >= inst.v2 + rho1
 
 
 def corner_eu(inst: SymmetricInstance) -> Fraction:
     """EU of every agent at the all-rank-x1-first corner (both mechanisms)."""
-    n, rho = inst.n, inst.rho
-    return (Fraction(1, n) * (inst.v1 + rho.at(1))
-            + Fraction(1, n) * (inst.v2 + rho.at(2))
-            + Fraction(n - 2, n) * (inst.vbar + rho.mean(3, n)))
+    return Fraction(_corner_total(inst), inst.n)
 
 
 def solve_equilibrium(kind: MechanismKind, inst: SymmetricInstance) -> EquilibriumSolution:
     """Closed-form equilibrium n1 set: the length-1 interval intersected with
     the integers in [1, n-1], with the corner n1 = n tested separately."""
-    n = inst.n
-    params = symmetric_params(inst)
-    corner = corner_holds(kind, inst)
-
-    range_lo: Fraction | None = None
-    range_hi: Fraction | None = None
+    n, (rho1, rho2) = inst.n, inst.rho.values[:2]
     if kind == MechanismKind.BOSTON:
-        a = inst.v1 + inst.rho.at(1) - params.delta
-        b = inst.v2 + inst.rho.at(1) - params.delta
-        d = inst.v1 + inst.v2 + 2 * (inst.rho.at(1) - params.delta)
-        range_lo = (n * a - b) / d
-        range_hi = (n * a + a) / d
-    elif params.alpha is not None:
-        range_lo = params.alpha - Fraction(1, 2)
-        range_hi = params.alpha + Fraction(1, 2)
-    # with rho(1) == rho(2) (alpha undefined) both RSD deviation gaps are
-    # constant in n1 with signs that always select the corner, so the
-    # missing interval never matters
-
-    if corner:
-        candidates = (n,)
+        # lo = (n·a − b)/(a + b), with a = w·(v1 + rho(1) − delta) and
+        # b = w·(v2 + rho(1) − delta) both > 0
+        lottery = (n - 2) * inst.vbar + _window_sums(inst)[0]
+        a, b = (n - 2) * (inst.v1 + rho1) - lottery, (n - 2) * (inst.v2 + rho1) - lottery
+        lo, den = n * a - b, a + b
+    elif rho1 > rho2:
+        # lo = alpha − 1/2, over 2·(rho(1) − rho(2))
+        lo, den = (n - 1) * (inst.v1 - inst.v2 + rho1 - rho2), 2 * (rho1 - rho2)
     else:
-        # an empty set is possible (and matches brute force): the interval
-        # can sit above n-1 while the corner deviation is still profitable,
-        # leaving no stable profile in the structured strategy class
-        candidates = tuple(k for k in range(1, n)
-                           if range_lo <= k <= range_hi)
+        # with rho(1) == rho(2) alpha is undefined, and the RSD corner
+        # always holds (v1 > v2), so the missing interval never matters
+        return EquilibriumSolution(kind, (n,), None, None, True)
 
-    return EquilibriumSolution(kind, candidates, range_lo, range_hi, corner)
+    hi, corner = lo + den, corner_holds(kind, inst)  # the interval has length 1
+    # an empty set is possible (and matches brute force): the interval
+    # can sit above n-1 while the corner deviation is still profitable,
+    # leaving no stable profile in the structured strategy class
+    candidates = (n,) if corner else tuple(k for k in range(1, n) if lo <= k * den <= hi)
+    return EquilibriumSolution(kind, candidates, Fraction(lo, den), Fraction(hi, den), corner)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +298,7 @@ def brute_force_equilibria(kind: MechanismKind, inst: SymmetricInstance) -> set[
     if kind == MechanismKind.BOSTON:
         # a corner deviator is the lone round-1 bidder on x2 and wins it;
         # at the corner the n agents share every good and every rank once
-        corner_total = inst.v1 + inst.v2 + (n - 2) * inst.vbar + sum(inst.rho.values)
-        if corner_total >= n * (inst.v2 + inst.rho.at(1)):
+        if _corner_total(inst) >= n * (inst.v2 + inst.rho.at(1)):
             return {n}
     eus = _enum_group_eus(kind, inst)
     u = lambda top, k: eus[k][top - 1]
@@ -352,20 +353,19 @@ def equilibrium_welfare(kind: MechanismKind, inst: SymmetricInstance,
     Total fundamental value is constant across matchings in this
     environment, so the comparison between mechanisms lives entirely in the
     rho component."""
-    n, rho = inst.n, inst.rho
+    n, rho = inst.n, inst.rho.values
     if not 1 <= n1 <= n:
         raise ValueError(f"n1 must be in 1..{n}, got {n1}")
+    boston_sum, rsd_sum = _window_sums(inst)
     if n1 == n:
-        rho_comp = Fraction(rho.at(1) + rho.at(2) + sum(rho.at(j) for j in range(3, n + 1)))
+        rho_comp = Fraction(sum(rho))
     elif kind == MechanismKind.BOSTON:
-        rho_comp = Fraction(2 * rho.at(1) + sum(rho.at(j) for j in range(2, n)))
+        rho_comp = Fraction(2 * rho[0] + boston_sum)
     else:
-        r11 = Fraction(n1 * (n1 - 1), n * (n - 1))
-        r12 = Fraction(n1 * (n - n1), n * (n - 1))
-        r22 = Fraction((n - n1) * (n - n1 - 1), n * (n - 1))
-        rho_comp = (r11 * (rho.at(1) + rho.at(2))
-                    + 2 * r12 * (rho.at(1) + rho.at(1))
-                    + r22 * (rho.at(1) + rho.at(2))
-                    + sum(rho.at(j) for j in range(3, n + 1)))
-    v_total = inst.v1 + inst.v2 + (n - 2) * inst.vbar
-    return rho_comp, rho_comp + v_total
+        # over the n·(n − 1) ordered pairs of first two pickers: two with the
+        # same top good take rho(1) and rho(2), two with different ones rho(1) each
+        pairs = n * (n - 1)
+        same = n1 * (n1 - 1) + (n - n1) * (n - n1 - 1)
+        rho_comp = Fraction(same * (rho[0] + rho[1]) + 2 * (pairs - same) * rho[0]
+                            + pairs * rsd_sum, pairs)
+    return rho_comp, rho_comp + (inst.v1 + inst.v2 + (n - 2) * inst.vbar)

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -198,6 +199,24 @@ def test_zero_noise_recovers_planted_rho():
         assert count == 20
         assert float(mean) == RHO[j]
         assert sd == 0.0
+
+
+def test_nv_sd_is_exact():
+    """The sd is the square root of the exact sample variance, so it does not
+    depend on how a Python version rounds a float sum; on this session the
+    float loop over (v − mean)**2 misses it in the last digits."""
+    recs = generate_session(10, RHO, 120.0, seed=1)
+    summary = nv_rank_summary(recs)
+    float_loop_differs = False
+    for rank, (n, mean, sd) in summary.items():
+        vals = [r.net_value for r in recs if r.rank_received == rank]
+        assert n == len(vals) > 1 and mean == Fraction(sum(vals), n)
+        assert sd == math.sqrt(sum((v - mean) ** 2 for v in vals) / (n - 1))
+        m = float(mean)
+        loop = math.sqrt(sum((v - m) ** 2 for v in vals) / (n - 1))
+        assert loop == pytest.approx(sd, rel=1e-12)
+        float_loop_differs |= loop != sd
+    assert float_loop_differs
 
 
 def test_session_round_trip(tmp_path):

@@ -478,19 +478,26 @@ def test_json_value_errors_name_the_file(appd_files, tmp_path, capsys):
 
 
 def test_size_limit_errors_name_the_file(tmp_path, capsys):
-    """An input too large to enumerate is a data error naming its file."""
-    market, reports, inst = (tmp_path / f"{name}.json" for name in ("m9", "r9", "i7"))
+    """An input too large to enumerate is a data error naming its file; the
+    brute force still runs at its cap, n = 12."""
+    market, reports, i12, inst = (tmp_path / f"{name}.json"
+                                  for name in ("m9", "r9", "i12", "i13"))
     market.write_text(json.dumps({"values": [[100] * 9] * 9, "rho": [0] * 9}))
     reports.write_text(json.dumps({"reports": [list(range(9))] * 9}))
-    inst.write_text(json.dumps({"n": 7, "v1": 3000, "v2": 2000, "vbar": 100,
-                                "rho": [50, 40, 30, 20, 10, 0, 0]}))
+    for path, n in ((i12, 12), (inst, 13)):
+        path.write_text(json.dumps({"n": n, "v1": 3000, "v2": 2000, "vbar": 100,
+                                    "rho": [50, 40, 30, 20, 10] + [0] * (n - 5)}))
+    code, out, err = run_cli(["equilibrium", "--instance", str(i12), "--brute-force"], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert all(doc[k]["brute_force_n1_set"] == doc[k]["n1_set"] for k in ("rsd", "boston"))
     code, out, err = run_cli(["expect", "--kind", "rsd", "--market", str(market),
                               "--reports", str(reports)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {market}: exact enumeration limited to n <= 8 (got 9)")
     assert err.count("\n") == 1
     code, out, err = run_cli(["equilibrium", "--instance", str(inst), "--brute-force"], capsys)
-    assert (code, out, err) == (1, "", f"error: {inst}: brute force limited to n <= 6\n")
+    assert (code, out, err) == (1, "", f"error: {inst}: brute force limited to n <= 12\n")
 
 
 def test_reports_that_do_not_fit_the_market_name_both_files(appd_files, tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 from rankmatch import batch, cli, mechanisms
 from rankmatch.core import RankList, RhoSchedule, SizeLimitError
 from rankmatch.equilibrium import (
+    EquilibriumSolution,
     SymmetricInstance,
     _enum_group_eus,
     _label_tally,
@@ -142,13 +143,157 @@ def test_degenerate_schedule_selects_corner():
     assert brute_force_equilibria(MechanismKind.RSD, inst) == {4}
 
 
+def closed_form_cases(rng, sizes, per_n):
+    """Seeded instances at each n in ``sizes``: some with v1 close to v2 (so
+    the RSD corner often fails), with rho shifted negative, with
+    rho(1) == rho(2), with a flat tail, with values shifted by 10**30 cents,
+    or with every amount scaled by 10**27, alone and together."""
+    for n in sizes:
+        for i in range(per_n):
+            inst = rand_instance(rng, n)
+            v, rho = (inst.v1, inst.v2, inst.vbar), inst.rho.values
+            if i % 2:
+                v = (inst.v2 + rng.randint(1, 200),) + v[1:]
+            if i % 3 == 0:
+                rho = tuple(r - 1000 for r in rho)
+            if i % 4 == 1:
+                rho = (rho[1],) + rho[1:]
+            if i % 5 == 2:
+                rho = rho[:2] + (rho[2],) * (n - 2)
+            if i % 6 == 3:
+                v = tuple(x + 10**30 for x in v)
+            if i % 6 == 5:
+                v, rho = (tuple(x * 10**27 for x in seq) for seq in (v, rho))
+            yield SymmetricInstance(n, *v, RhoSchedule(rho))
+
+
 def test_closed_form_matches_brute_force():
+    """The closed-form n1 sets equal the brute force's: random instances at
+    n = 4..6, then at n = 7..12, up to ``BRUTE_FORCE_MAX_N``."""
     rng = random.Random(7)
-    for _ in range(120):
-        inst = rand_instance(rng)
+    instances = [rand_instance(rng) for _ in range(120)]
+    instances += closed_form_cases(rng, range(7, 13), 40)
+    for inst in instances:
         for kind in MechanismKind:
             assert set(solve_equilibrium(kind, inst).n1_candidates) == \
                 brute_force_equilibria(kind, inst), (kind, inst)
+
+
+# The closed forms as first derived, one Fraction term at a time: the
+# reference for the integer numerators of ``rankmatch.equilibrium``.
+
+def reference_params(inst):
+    n, rho = inst.n, inst.rho
+    delta = inst.vbar + rho.mean(2, n - 1)
+    rho_bar = rho.mean(3, n)
+    alpha = None
+    if rho.at(1) > rho.at(2):
+        alpha = Fraction(n, 2) + Fraction(n - 1, 2) * Fraction(inst.v1 - inst.v2,
+                                                               rho.at(1) - rho.at(2))
+    return delta, inst.vbar + rho_bar, rho_bar, alpha
+
+
+def reference_u_boston(inst, top, n1):
+    delta = reference_params(inst)[0]
+    group = n1 if top == 1 else inst.n - n1
+    v_top = inst.v1 if top == 1 else inst.v2
+    return Fraction(1, group) * (v_top + inst.rho.at(1)) + Fraction(group - 1, group) * delta
+
+
+def reference_u_sd(inst, top, n1):
+    n, rho = inst.n, inst.rho
+    dp = reference_params(inst)[1]
+    if top == 1:
+        second = (Fraction(n1 - 1, n - 1) * (inst.v2 + rho.at(2))
+                  + Fraction(n - n1, n - 1) * (inst.v1 + rho.at(1)))
+        first = inst.v1 + rho.at(1)
+    else:
+        second = (Fraction(n1, n - 1) * (inst.v2 + rho.at(1))
+                  + Fraction(n - n1 - 1, n - 1) * (inst.v1 + rho.at(2)))
+        first = inst.v2 + rho.at(1)
+    return Fraction(1, n) * first + Fraction(1, n) * second + Fraction(n - 2, n) * dp
+
+
+def reference_corner_eu(inst):
+    n, rho = inst.n, inst.rho
+    return (Fraction(1, n) * (inst.v1 + rho.at(1))
+            + Fraction(1, n) * (inst.v2 + rho.at(2))
+            + Fraction(n - 2, n) * (inst.vbar + rho.mean(3, n)))
+
+
+def reference_corner_holds(kind, inst):
+    n = inst.n
+    if kind == MechanismKind.BOSTON:
+        return reference_corner_eu(inst) >= inst.v2 + inst.rho.at(1)
+    return reference_u_sd(inst, 1, n) >= reference_u_sd(inst, 2, n - 1)
+
+
+def reference_solve(kind, inst):
+    n = inst.n
+    delta, _, _, alpha = reference_params(inst)
+    corner = reference_corner_holds(kind, inst)
+    lo = hi = None
+    if kind == MechanismKind.BOSTON:
+        a = inst.v1 + inst.rho.at(1) - delta
+        b = inst.v2 + inst.rho.at(1) - delta
+        d = inst.v1 + inst.v2 + 2 * (inst.rho.at(1) - delta)
+        lo, hi = (n * a - b) / d, (n * a + a) / d
+    elif alpha is not None:
+        lo, hi = alpha - Fraction(1, 2), alpha + Fraction(1, 2)
+    candidates = (n,) if corner else tuple(k for k in range(1, n) if lo <= k <= hi)
+    return EquilibriumSolution(kind, candidates, lo, hi, corner)
+
+
+def reference_welfare(kind, inst, n1):
+    n, rho = inst.n, inst.rho
+    if n1 == n:
+        rho_comp = Fraction(rho.at(1) + rho.at(2) + sum(rho.at(j) for j in range(3, n + 1)))
+    elif kind == MechanismKind.BOSTON:
+        rho_comp = Fraction(2 * rho.at(1) + sum(rho.at(j) for j in range(2, n)))
+    else:
+        r11 = Fraction(n1 * (n1 - 1), n * (n - 1))
+        r12 = Fraction(n1 * (n - n1), n * (n - 1))
+        r22 = Fraction((n - n1) * (n - n1 - 1), n * (n - 1))
+        rho_comp = (r11 * (rho.at(1) + rho.at(2))
+                    + 2 * r12 * (rho.at(1) + rho.at(1))
+                    + r22 * (rho.at(1) + rho.at(2))
+                    + sum(rho.at(j) for j in range(3, n + 1)))
+    return rho_comp, rho_comp + inst.v1 + inst.v2 + (n - 2) * inst.vbar
+
+
+def test_closed_forms_equal_per_term_reference():
+    """Every closed form gives the per-term derivation's exact value, as a
+    ``Fraction``, on 600 seeded instances at n = 3..12."""
+    def fractions(*values):
+        assert all(type(v) is Fraction for v in values if v is not None), values
+        return values
+
+    rng = random.Random(28)
+    for inst in closed_form_cases(rng, range(3, 13), 60):
+        n = inst.n
+        p = symmetric_params(inst)
+        assert fractions(p.delta, p.delta_prime, p.rho_bar, p.alpha) == \
+            reference_params(inst), inst
+        assert fractions(corner_eu(inst)) == (reference_corner_eu(inst),), inst
+        for n1 in range(n + 1):
+            for top, valid in ((1, n1 >= 1), (2, n1 <= n - 1)):
+                if valid:
+                    assert fractions(_u_boston(inst, top, n1)) == \
+                        (reference_u_boston(inst, top, n1),), (inst, top, n1)
+            assert fractions(*sd_group_eu(inst, n1)) == tuple(
+                reference_u_sd(inst, top, n1) if valid else None
+                for top, valid in ((1, n1 >= 1), (2, n1 <= n - 1))), (inst, n1)
+            if 1 <= n1 <= n - 1:
+                assert fractions(*boston_group_eu(inst, n1)) == (
+                    reference_u_boston(inst, 1, n1), reference_u_boston(inst, 2, n1))
+        for kind in MechanismKind:
+            assert corner_holds(kind, inst) == reference_corner_holds(kind, inst), (kind, inst)
+            sol = solve_equilibrium(kind, inst)
+            fractions(sol.range_lo, sol.range_hi)
+            assert sol == reference_solve(kind, inst), (kind, inst)
+            for n1 in range(1, n + 1):
+                assert fractions(*equilibrium_welfare(kind, inst, n1)) == \
+                    reference_welfare(kind, inst, n1), (kind, inst, n1)
 
 
 def test_brute_force_group_eus_equal_closed_forms():
@@ -303,7 +448,8 @@ def test_golden_brute_force_equilibrium(tmp_path, name):
 
 
 def test_brute_force_size_limit():
-    inst = SymmetricInstance(7, 30, 20, 10, RhoSchedule((5, 4, 3, 2, 1, 0, 0)))
+    inst = SymmetricInstance(13, 30, 20, 10, RhoSchedule((13, 12, 11, 10, 9, 8, 7, 6, 5, 4,
+                                                          3, 2, 1)))
     with pytest.raises(SizeLimitError):
         brute_force_equilibria(MechanismKind.RSD, inst)
 

@@ -50,11 +50,7 @@ def oracle_nv_rank_summary(records):
     for rank, vals in sorted(by_rank.items()):
         n = len(vals)
         mean = Fraction(sum(vals), n)
-        if n > 1:
-            m = float(mean)
-            sd = math.sqrt(sum((v - m) ** 2 for v in vals) / (n - 1))
-        else:
-            sd = 0.0
+        sd = math.sqrt(sum((v - mean) ** 2 for v in vals) / (n - 1)) if n > 1 else 0.0
         out[rank] = (n, mean, sd)
     return out
 
