@@ -328,7 +328,7 @@ def _truthtelling_totals(kind: MechanismKind, inst: SymmetricInstance) -> tuple[
     non-increasing, any list does no better at each p than one of these."""
     n, v1, v2, vbar = inst.n, inst.v1, inst.v2, inst.vbar
     rho1, rho2, rho3 = inst.rho.values[:3]
-    totals = (v1 + v2 + (n - 2) * vbar + sum(inst.rho.values),
+    totals = (_corner_total(inst),  # truthful: everyone ranks x1 first, the corner
               v1 + (n - 1) * (vbar + rho2) + rho1,  # x1 (p = 0), then the last tail good
               v1 + v2 + (n - 2) * (vbar + rho3) + rho1 + rho2)  # x1, x2 (p = 1), last tail
     if kind == MechanismKind.RSD:  # the last tail good; x2 (p <= 1), then the last tail good

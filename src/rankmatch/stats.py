@@ -176,14 +176,22 @@ def _exact_p(groups: Sequence[Sequence[float]], hit: Callable[[int], bool]) -> f
     splitting a block of t tied values as (d_1..d_k) adds
     sum_{i<j} d_j * (2*h_i + d_i) to the doubled statistic and stands for
     t!/prod(d_i!) of those ways.  Counts are exact integers, so the p-value
-    is the same ratio an enumeration would give."""
+    is the same ratio an enumeration would give.
+
+    A state's counts are packed into one int: the count of statistic s sits
+    in bits s*W .. (s+1)*W - 1, W the bit length of the n!/prod(size_i!)
+    total.  No count exceeds that total (each partial assignment extends to
+    a full one), so no field carries into the next, and adding ``add`` to
+    every statistic is a shift by add*W."""
     sizes = tuple(len(g) for g in groups)
     blocks = sorted(Counter(v for g in groups for v in g).items())
-    # held per group -> {doubled statistic so far: number of ways}
-    dist: dict[tuple[int, ...], dict[int, int]] = {tuple(0 for _ in sizes): {0: 1}}
+    total = math.factorial(sum(sizes)) // math.prod(math.factorial(k) for k in sizes)
+    width = total.bit_length()
+    # held per group -> packed counts of the doubled statistic so far
+    dist: dict[tuple[int, ...], int] = {tuple(0 for _ in sizes): 1}
     for _, t in blocks:
-        nxt: dict[tuple[int, ...], dict[int, int]] = {}
-        for held, counts in dist.items():
+        nxt: dict[tuple[int, ...], int] = {}
+        for held, packed in dist.items():
             room = tuple(size - h for size, h in zip(sizes, held))
             for split in _splits(t, room):
                 add, below, ways = 0, 0, math.factorial(t)
@@ -191,12 +199,14 @@ def _exact_p(groups: Sequence[Sequence[float]], hit: Callable[[int], bool]) -> f
                     add += d * below
                     below += 2 * h + d
                     ways //= math.factorial(d)
-                out = nxt.setdefault(tuple(h + d for h, d in zip(held, split)), {})
-                for s, c in counts.items():
-                    out[s + add] = out.get(s + add, 0) + c * ways
+                key = tuple(h + d for h, d in zip(held, split))
+                nxt[key] = nxt.get(key, 0) + (packed * ways << add * width)
         dist = nxt
-    (counts,) = dist.values()
-    return sum(c for s, c in counts.items() if hit(s)) / sum(counts.values())
+    (packed,) = dist.values()
+    mask = (1 << width) - 1
+    hits = sum((packed >> s * width) & mask
+               for s in range(packed.bit_length() // width + 1) if hit(s))
+    return hits / total
 
 
 def _splits(t: int, room: tuple[int, ...]):

@@ -1,7 +1,10 @@
+import collections
+import enum
 import importlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import random
 import re
@@ -11,6 +14,7 @@ import textwrap
 import threading
 import typing
 
+import numpy as np
 import pytest
 
 import rankmatch
@@ -797,6 +801,82 @@ def test_non_finite_report_is_data_error(tmp_path):
     with pytest.raises(ValueError, match="cannot write the report as JSON"):
         cli._emit({"p": float("nan")}, str(out))
     assert not out.exists()
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HUGE = 2 ** 70
+
+
+class _Tag(str, enum.Enum):
+    PLAIN = "tag"
+    ODD = 'caf\u00e9 "\\ \x01\U0001f600'
+
+
+_JSON_SCALARS = (-0.0, 0.0, 5e-324, 1e16, 1e-7, -1.5e300, 0.1, 2 ** 64, -(2 ** 70) - 1, 0,
+                 True, False, None, np.float64(-2.5e-8), _Level.LOW, _Level.HUGE,
+                 _Tag.PLAIN, _Tag.ODD, "")
+_KEY_FAMILIES = (
+    lambda rng: _random_text(rng),
+    lambda rng: rng.choice((_Tag.PLAIN, _Tag.ODD, "tag", "zz")),
+    lambda rng: rng.choice((-(2 ** 66), -1, 0, 7, 2 ** 64, True, False, _Level.LOW)),
+    lambda rng: rng.choice((-0.0, 0.5, 5e-324, 1e16, -2.25, 3, np.float64(1.75))),
+    lambda rng: None,
+)
+
+
+def _random_text(rng):
+    pool = ('a', 'Z', ' ', '"', '\\', '\n', '\t', '\x00', '\x1f', '\x7f', '\u00e9',
+            '\u2028', '\ufeff', '\U0001f600')
+    return "".join(rng.choice(pool) for _ in range(rng.randrange(5)))
+
+
+def _random_document(rng, depth=0):
+    """Nested dicts, lists and tuples (some empty) of the scalars json.dumps
+    writes specially; each dict's keys come from one family, so they sort."""
+    pick = rng.randrange(6 if depth < 4 else 3)
+    if pick == 0:
+        return rng.choice(_JSON_SCALARS)
+    if pick == 1:
+        return _random_text(rng)
+    if pick == 2:
+        return rng.choice((1, -1)) * rng.random() * 10.0 ** rng.randint(-30, 30)
+    if pick == 3:
+        key = rng.choice(_KEY_FAMILIES)
+        return {key(rng): _random_document(rng, depth + 1) for _ in range(rng.randrange(5))}
+    items = [_random_document(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return items if pick == 4 else tuple(items)
+
+
+def _json_dumps_or_error(doc):
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        return exc
+
+
+def test_emit_writes_json_dumps_text(tmp_path, capsys):
+    """_emit's own writer gives json.dumps' indented, sorted, strict text,
+    or an error of the type json.dumps raises (a ValueError as a data
+    error that writes no file)."""
+    rng = random.Random(29)
+    docs = [{"doc": _random_document(rng)} for _ in range(2000)]
+    docs += [{"k": {1.5: [float("nan")]}}, {"k": (1, -math.inf)}, {math.inf: 1},
+             {"k": np.float64("nan")}, {"k": object()}, {"k": np.int64(3)},
+             {(1, 2): 0}, {1: 0, "a": 1}, {None: 0, True: 1}, {"k": {b"x": 1}},
+             {"k": collections.OrderedDict(b=1, a=[])},
+             {"k": collections.namedtuple("Pair", "x y")(2.5, _Tag.ODD)}]
+    out = tmp_path / "o.json"
+    for doc in docs:
+        expected = _json_dumps_or_error(doc)
+        if isinstance(expected, str):
+            cli._emit(doc)
+            assert capsys.readouterr().out == expected, doc
+            continue
+        kind = cli.DataFormatError if isinstance(expected, ValueError) else type(expected)
+        with pytest.raises(kind):
+            cli._emit(doc, str(out))
+        assert not out.exists(), doc
 
 
 def _one_of_each(tmp_path, appd_files):

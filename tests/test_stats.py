@@ -148,6 +148,47 @@ def test_exact_p_values_equal_enumeration():
         assert wilcoxon_ranksum(a, b, method="exact") == (w, p), (a, b)
 
 
+
+def _q_multinomial(sizes):
+    """Null counts of the JT statistic for distinct values: the coefficients
+    of prod_{i<=n} (1 - q^i) / prod_g prod_{i<=n_g} (1 - q^i), a polynomial
+    whose q^s coefficient counts the deals with statistic s."""
+    n = sum(sizes)
+    coef = [1] + [0] * (n * (n + 1) // 2)
+    for i in range(1, n + 1):  # times (1 - q^i)
+        for k in range(len(coef) - 1, i - 1, -1):
+            coef[k] -= coef[k - i]
+    for size in sizes:
+        for i in range(1, size + 1):  # over (1 - q^i), which divides exactly
+            for k in range(i, len(coef)):
+                coef[k] += coef[k - i]
+    top = sum(a * b for i, a in enumerate(sizes) for b in sizes[i + 1:])
+    assert not any(coef[top + 1:])
+    return coef[:top + 1]
+
+
+@pytest.mark.parametrize("sizes", [(35, 35), (16, 16, 16)])
+def test_exact_p_values_past_64_bit_counts(sizes):
+    # the packed counting DP against the q-multinomial null, on designs whose
+    # n!/prod(size!) deals pass 2**64
+    rng = random.Random(sum(sizes))
+    pooled = rng.sample(range(1000), sum(sizes))
+    groups = [pooled[sum(sizes[:g]):sum(sizes[:g + 1])] for g in range(len(sizes))]
+    null = _q_multinomial(sizes)
+    total = sum(null)
+    assert total == math.factorial(sum(sizes)) // math.prod(map(math.factorial, sizes)) > 2 ** 64
+    jt = int(_jt(groups))
+    assert jonckheere_terpstra(groups, "decreasing", method="exact") == (
+        jt, sum(null[:jt + 1]) / total)
+    assert jonckheere_terpstra(groups, "increasing", method="exact") == (
+        jt, sum(null[jt:]) / total)
+    if len(groups) == 2:
+        na, nb = sizes
+        dev = abs(2 * jt - na * nb)
+        p = sum(c for s, c in enumerate(null) if abs(2 * s - na * nb) >= dev) / total
+        assert wilcoxon_ranksum(*groups, method="exact") == (
+            na * (na + 1) / 2 + na * nb - jt, p)
+
 def test_approx_p_values_match_oracles():
     """The normal and Student-t tails against oracles: scipy (a test-only
     dependency) and, for the t tail, closed forms that share neither
