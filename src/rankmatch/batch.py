@@ -67,7 +67,8 @@ def batch_rsd(pref: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndar
     taken = np.zeros(reps * n, dtype=bool)
     rank_at = np.empty((n, reps), dtype=np.int64)  # by priority position
     for t in range(n):
-        lists = pref[orders[:, t]]
+        # t goods are taken, so one of the picker's first t + 1 is free
+        lists = pref[orders[:, t], :t + 1]
         # first position in the picker's list whose good is still free
         pos = np.argmin(taken[cell[:, None] + lists], axis=1)
         taken[cell + lists[rows, pos]] = True

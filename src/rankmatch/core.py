@@ -16,7 +16,6 @@ import operator
 import re
 from dataclasses import dataclass
 from decimal import Context, Decimal, InvalidOperation, Overflow
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -176,13 +175,6 @@ class RhoSchedule:
         if not 1 <= rank <= len(self.values):
             raise ValueError(f"rank {rank} out of range 1..{len(self.values)}")
         return self.values[rank - 1]
-
-    def mean(self, rank_from: int, rank_to: int) -> Fraction:
-        """Exact average of rho over the inclusive 1-based rank window."""
-        if not 1 <= rank_from <= rank_to <= len(self.values):
-            raise ValueError(f"bad rank window {rank_from}..{rank_to}")
-        window = self.values[rank_from - 1 : rank_to]
-        return Fraction(sum(window), len(window))
 
 
 @dataclass(frozen=True)

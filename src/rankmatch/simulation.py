@@ -13,10 +13,12 @@ Two profile kinds:
   orders than draws, each row is its own group.  One block function serves
   ``simulate`` and the per-replication CSV, whose lines it writes chunk by
   chunk of replications, each replication finding its distinct row by
-  code.  The first ``REFERENCE_CHECK_REPS`` drawn orders of every block are
-  also run through the scalar ``run_rsd`` / ``run_boston`` and compared
-  with their distinct row's outcome, and any disagreement raises, so a
-  fault in either engine or in the grouping stops the run.
+  code.  An agent's good fixes its rank and utility, so after its rep
+  number a line is one of n * n tails, made once per block.  The first
+  ``REFERENCE_CHECK_REPS`` drawn orders of every block are also run
+  through the scalar ``run_rsd`` / ``run_boston`` and compared with their
+  distinct row's outcome, and any disagreement raises, so a fault in either
+  engine or in the grouping stops the run.
 * ``Structured`` — the symmetric-environment strategies: each agent picks
   which top good to rank first, lower goods are ranked uniformly at random,
   and losers of the top-goods phase receive a uniform leftover good / list
@@ -27,9 +29,10 @@ Two profile kinds:
   follow from rho totals, and the histogram and per-agent sums from one
   count of (agent, rank) pairs.  A replication's outcome depends only on
   its draws, at most (n-2)**n * n * (n-1) distinct ones (4 860 at n = 5).
-  When a block holds at least ``GROUP_REPEATS`` replications per possible
-  draw, it counts equal draws by code and tallies each distinct draw once,
-  weighted by its count, as fixed profiles do with orders.
+  When a run's first block holds at least ``GROUP_REPEATS`` replications
+  per possible draw, every block of the run only counts its draws by code;
+  the run adds the counts up in index order and tallies each distinct draw
+  once, weighted by its count, as fixed profiles do with orders.
 
 Randomness is consumed in fixed-size blocks, one Philox substream
 ``(seed, block_index)`` per block, and blocks are merged in index order, so
@@ -38,8 +41,8 @@ whole; the work after them (engine runs, gathers, sums, CSV lines) runs a
 chunk of at most ``CHUNK_CELLS`` cells (rows x n) at a time into exact
 integer sums, so its temporaries stay small and are reused from the heap
 across chunks and blocks instead of being returned to the kernel and
-faulted back.  Only for the CSV lines does a block keep the goods, ranks
-and utilities of all its distinct rows.  ``concurrent.futures`` is imported
+faulted back.  Only for the CSV lines does a block keep a cell per agent
+of each distinct row, agent * n + good.  ``concurrent.futures`` is imported
 only by a run that uses more than one worker.
 """
 from __future__ import annotations
@@ -209,7 +212,8 @@ def _chunks(reps: int, n: int) -> list[tuple[int, int]]:
 def _tally(cells: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
     """int64 counts of the values 0..size-1 in (rows x k) ``cells``, row i
     standing for ``counts[i]`` rows; the float bins of rows drawn more than
-    once are exact, as integer weights sum to at most reps * k < 2**53."""
+    once are exact while no value occurs 2**53 times, which takes a run of
+    2**53 / k replications."""
     out = np.bincount(cells.ravel(), minlength=size)
     again = counts > 1
     if again.any():
@@ -266,8 +270,8 @@ def _fixed_block(kind: MechanismKind, market: MarketInstance,
     agents = np.arange(n)
     # distinct row of each replication the scalar engine checks
     check = np.searchsorted(uniq, code[:REFERENCE_CHECK_REPS])
-    # goods, ranks and utilities of the distinct rows, for the CSV lines
-    kept = None if write is None else np.empty((len(uniq), n, 3), dtype=dtype)
+    # agent * n + good of every agent in the distinct rows, for the CSV lines
+    kept = None if write is None else np.empty((len(uniq), n), dtype=np.int64)
     acc = _Acc.zero(n)
     for lo, hi in _chunks(len(uniq), n):
         goods, ranks = batch_mechanism(kind, pref, distinct[lo:hi])
@@ -282,67 +286,124 @@ def _fixed_block(kind: MechanismKind, market: MarketInstance,
         utils = value_arr[agents, goods] + rho_got
         acc.add(_chunk_sums(ranks, utils, rho_got, counts[lo:hi]))
         if kept is not None:
-            for k, part in enumerate((goods, ranks, utils)):
-                kept[lo:hi, :, k] = part
+            kept[lo:hi] = goods + agents * n
     if write is not None:
+        # an agent's good fixes its rank and utility, so every line after its
+        # rep number is one of n * n tails, made from the market's ints
+        tails = np.empty(n * n, dtype=object)
+        for i, (report, values) in enumerate(zip(reports, rows)):
+            for r, good in enumerate(report.order):
+                tails[i * n + good] = f",{i},{good},{r + 1},{values[good] + rho[r]}\r\n"
         for lo, hi in _chunks(reps, n):
             first = block * BLOCK_SIZE + lo
-            cells = np.empty((hi - lo, n, 5), dtype=dtype)  # rep, agent, good, rank, utility
-            cells[:, :, 0] = np.arange(first, first + hi - lo)[:, None]
-            cells[:, :, 1] = agents
-            cells[:, :, 2:] = kept[np.searchsorted(uniq, code[lo:hi])]
-            write("%d,%d,%d,%d,%d\r\n" * ((hi - lo) * n) % tuple(cells.ravel().tolist()))
+            numbers = np.array([str(r) for r in range(first, first + hi - lo)], dtype=object)
+            cells = kept[np.searchsorted(uniq, code[lo:hi])]
+            write("".join((numbers[:, None] + tails[cells]).ravel().tolist()))
     return acc
+
+
+def _spans(kind: MechanismKind, n: int, n1: int) -> tuple[int, int, int]:
+    """A structured profile's draws at n agents, n1 of them x1-first: the
+    lowest rank of a slot, and the spans of the two winner draws.
+
+    Agents who win no top good draw uniform slots: 3..n when both top goods
+    go in the first two picks or rounds (RSD, the all-x1 corner), else
+    2..n-1; then two draws pick the winners, one from each group in Boston's
+    interior, else one agent and one of the rest."""
+    interior = kind == MechanismKind.BOSTON and 1 <= n1 <= n - 1
+    low = 2 if interior or (kind == MechanismKind.BOSTON and n1 == 0) else 3
+    span_a, span_b = (n1, n - n1) if interior else (n, n - 1)
+    return low, span_a, span_b
+
+
+def _grouped(kind: MechanismKind, n: int, tops: tuple[int, ...], replications: int) -> bool:
+    """Whether a structured run counts its draws by code: when its first
+    block holds at least ``GROUP_REPEATS`` replications per possible draw.
+    A replication's outcome depends only on its draws, at most
+    (n-2)**n * n * (n-1) distinct ones (4 860 at n = 5)."""
+    _, span_a, span_b = _spans(kind, n, tops.count(1))
+    return GROUP_REPEATS * (n - 2) ** n * span_a * span_b <= min(BLOCK_SIZE, replications)
+
+
+def _structured_draws(kind: MechanismKind, n: int, tops: tuple[int, ...], reps: int,
+                      seed: int, block: int, group: bool):
+    """One block's draws, stream (seed, block): (reps x n) slots and the two
+    winner draws.  Grouped, the slots are drawn as digits 0..n-3 of a code,
+    in int32 (the values int64 draws give, less the lowest rank); rows
+    tallied one by one index fastest as int64 ranks."""
+    low, span_a, span_b = _spans(kind, n, tops.count(1))
+    gen = prng.generator(seed, block)
+    first, dtype = (0, np.int32) if group else (low, np.int64)
+    slots = gen.integers(first, first + n - 2, size=(reps, n), dtype=dtype)
+    return (slots, gen.integers(0, span_a, size=reps, dtype=dtype),
+            gen.integers(0, span_b, size=reps, dtype=dtype))
 
 
 def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
                       tops: tuple[int, ...], reps: int, seed: int, block: int) -> _Acc:
-    """One block's sums from the received ranks of its replications.
+    """One block's sums, each replication tallied on its own."""
+    ranks, a, b = _structured_draws(kind, inst.n, tops, reps, seed, block, False)
+    return _structured_tally(kind, inst, tops, ranks, a, b,
+                             np.ones(reps, dtype=np.int64), reps)
+
+
+def _structured_codes(kind: MechanismKind, inst: SymmetricInstance,
+                      tops: tuple[int, ...], reps: int, seed: int, block: int) -> np.ndarray:
+    """How often one block draws each possible draw: the count of each code
+    (b * span_a + a) * (n - 2)**n + (slots in base n - 2)."""
+    n = inst.n
+    _, span_a, span_b = _spans(kind, n, tops.count(1))
+    slots, a, code = _structured_draws(kind, n, tops, reps, seed, block, True)
+    # the codes are below (n - 2)**n * span_a * span_b <= BLOCK_SIZE and are
+    # written over the b draws
+    for col, base in [(a, span_a)] + [(slots[:, j], n - 2) for j in range(n - 1, -1, -1)]:
+        code *= base
+        code += col
+    return np.bincount(code, minlength=(n - 2) ** n * span_a * span_b)
+
+
+def _structured_grouped(kind: MechanismKind, inst: SymmetricInstance,
+                        tops: tuple[int, ...], counts: np.ndarray, reps: int) -> _Acc:
+    """The sums of ``reps`` replications from the count of each draw code:
+    each distinct draw is placed and tallied once, weighted by its count."""
+    n = inst.n
+    low, span_a, _ = _spans(kind, n, tops.count(1))
+    code = np.flatnonzero(counts)
+    ranks = code[:, None] // (n - 2) ** np.arange(n) % (n - 2) + low
+    b, a = np.divmod(code // (n - 2) ** n, span_a)
+    return _structured_tally(kind, inst, tops, ranks, a, b, counts[code], reps)
+
+
+def _summed(counts: Iterator[np.ndarray]) -> np.ndarray:
+    """The sum of the blocks' draw counts, added in place in index order."""
+    total = next(counts)
+    for more in counts:
+        total += more
+        del more  # before the next block draws, so one block's counts are held
+    return total
+
+
+def _structured_tally(kind: MechanismKind, inst: SymmetricInstance, tops: tuple[int, ...],
+                      ranks: np.ndarray, a_all: np.ndarray, b_all: np.ndarray,
+                      counts: np.ndarray, reps: int) -> _Acc:
+    """The sums of ``reps`` replications from the received ranks of their
+    draws: (rows x n) slot ranks and the two winner draws of each row, row i
+    standing for ``counts[i]`` replications.
 
     Every replication gives x1 to one agent, x2 to another and a tail good
     to the rest, so its value total is the constant ``C`` and its welfare is
     ``C`` plus its rho total; per-agent sums come from an (agent, rank)
-    tally.  With at least ``GROUP_REPEATS`` replications per possible draw,
-    each distinct draw is placed and tallied once, weighted by its count.
-    Placing and tallying run a chunk of rows at a time.
+    tally.  Placing and tallying run a chunk of rows at a time.
     """
     n = inst.n
-    gen = prng.generator(seed, block)
     tops_arr = np.asarray(tops)
     x1_group = np.flatnonzero(tops_arr == 1)
     x2_group = np.flatnonzero(tops_arr == 2)
     n1 = len(x1_group)
     interior = kind == MechanismKind.BOSTON and 1 <= n1 <= n - 1
-    # agents who win no top good draw uniform slots: 3..n when both top goods
-    # go in the first two picks or rounds (RSD, the all-x1 corner), else
-    # 2..n-1; then two draws that pick the winners.  A grouped block draws
-    # slots as its code's digits 0..n-3, in int32 (the values int64 draws
-    # give); rows tallied one by one index fastest as int64
-    low = 2 if interior or (kind == MechanismKind.BOSTON and n1 == 0) else 3
-    span_a, span_b = (n1, n - n1) if interior else (n, n - 1)
-    group = GROUP_REPEATS * (n - 2) ** n * span_a * span_b <= reps
-    first, dtype = (0, np.int32) if group else (low, np.int64)
-    ranks = gen.integers(first, first + n - 2, size=(reps, n), dtype=dtype)
-    a_all = gen.integers(0, span_a, size=reps, dtype=dtype)
-    b_all = gen.integers(0, span_b, size=reps, dtype=dtype)
-    if group:
-        # code (b * span_a + a) * (n - 2)**n + (slots in base n - 2), below
-        # reps, written over the b draws
-        code = b_all
-        for col, base in [(a_all, span_a)] + [(ranks[:, j], n - 2) for j in range(n - 1, -1, -1)]:
-            code *= base
-            code += col
-        counts = np.bincount(code)
-        code = np.flatnonzero(counts)
-        counts = counts[code]
-        ranks = code[:, None] // (n - 2) ** np.arange(n) % (n - 2) + low
-        b_all, a_all = np.divmod(code // (n - 2) ** n, span_a)
-    else:
-        counts = np.ones(reps, dtype=np.int64)
-
     rho = inst.rho.values
     # rho_of[rank] for 1-based ranks; each replication's rho total by column
-    # adds; one distinct draw may stand for every replication of the block
+    # adds; one distinct draw may stand for every replication
     rho_of = np.asarray((0,) + rho, dtype=_sum_dtype(n * max(abs(v) for v in rho), reps))
     # (agent, rank) codes agent * n + rank - 1, written over ranks
     codes = np.arange(-1, n * n - 1, n)
@@ -381,7 +442,7 @@ def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
     # rank 1 is always an agent's own top good, and the other top good comes
     # at a rank no slot takes: 2 when slots start at 3, else n (the all-x2
     # corner; in the interior no agent receives rank n)
-    other = 1 if low == 3 else n - 1
+    other = 1 if _spans(kind, n, n1)[0] == 3 else n - 1
     agent_u = []
     for top, by_rank in zip(tops, tally.tolist()):
         own, alt = (inst.v1, inst.v2) if top == 1 else (inst.v2, inst.v1)
@@ -421,12 +482,17 @@ def _fixed_setup(market, profile: StrategyProfile) -> tuple[MarketInstance, np.n
     return mkt, np.array([r.order for r in profile.fixed], dtype=np.int64)
 
 
-def _report(kind: MechanismKind, replications: int, seed: int, n: int,
-            profile: StrategyProfile, results) -> SimReport:
-    """Merge block sums, in block-index order, into a report."""
+def _merged(n: int, results: Iterator[_Acc]) -> _Acc:
+    """Block sums added in block-index order."""
     acc = _Acc.zero(n)
     for res in results:
         acc.add(res)
+    return acc
+
+
+def _report(kind: MechanismKind, replications: int, seed: int,
+            profile: StrategyProfile, acc: _Acc) -> SimReport:
+    """The report of a run's sums."""
     w_mean, w_se = _mean_se(acc.w_sum, acc.w_sumsq, acc.reps)
     r_mean, r_se = _mean_se(acc.r_sum, acc.r_sumsq, acc.reps)
     agent_eu = tuple(u / acc.reps for u in acc.agent_u)
@@ -435,7 +501,7 @@ def _report(kind: MechanismKind, replications: int, seed: int, n: int,
     if profile.tops is not None:
         group_eu = {}
         for name, top in (("x1_first", 1), ("x2_first", 2)):
-            members = [i for i in range(n) if profile.tops[i] == top]
+            members = [i for i, t in enumerate(profile.tops) if t == top]
             if members:
                 group_eu[name] = float(np.mean([agent_eu[i] for i in members]))
     return SimReport(kind, replications, seed, tuple(int(c) for c in acc.hist),
@@ -455,16 +521,22 @@ def simulate(kind: MechanismKind, market, profile: StrategyProfile,
     sizes = _block_sizes(replications)
     if profile.tops is not None:
         inst = _as_symmetric(market)
-        n = inst.n
-        if len(profile.tops) != n:
+        n, tops = inst.n, profile.tops
+        if len(tops) != n:
             raise ValueError("profile size must match market size")
-        block_fn: Callable = lambda reps, b: _structured_block(
-            kind, inst, profile.tops, reps, seed, b)
+        if _grouped(kind, n, tops, replications):
+            # blocks count their draws by code, and the run tallies the sum once
+            block_fn: Callable = lambda reps, b: _structured_codes(kind, inst, tops, reps, seed, b)
+            merge: Callable = lambda counts: _structured_grouped(kind, inst, tops, _summed(counts),
+                                                                 replications)
+        else:
+            block_fn = lambda reps, b: _structured_block(kind, inst, tops, reps, seed, b)
+            merge = lambda results: _merged(n, results)
     else:
         mkt, pref = _fixed_setup(market, profile)
-        n = mkt.n
         block_fn = lambda reps, b: _fixed_block(kind, mkt, profile.fixed, pref,
                                                 reps, seed, b)
+        merge = lambda results: _merged(mkt.n, results)
 
     workers = min(threads, os.cpu_count() or 1, -(-replications // BLOCK_SIZE))
     if workers > 1:
@@ -472,10 +544,10 @@ def simulate(kind: MechanismKind, market, profile: StrategyProfile,
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # two blocks per worker: one running, one queued while the caller merges
-            return _report(kind, replications, seed, n, profile,
-                           _in_index_order(pool, block_fn, sizes, 2 * workers))
-    return _report(kind, replications, seed, n, profile,
-                   (block_fn(size, b) for b, size in enumerate(sizes)))
+            acc = merge(_in_index_order(pool, block_fn, sizes, 2 * workers))
+    else:
+        acc = merge(block_fn(size, b) for b, size in enumerate(sizes))
+    return _report(kind, replications, seed, profile, acc)
 
 
 def rank_distribution(kind: MechanismKind, market, profile: StrategyProfile,
@@ -498,6 +570,6 @@ def write_replication_csv(kind: MechanismKind, market, profile: StrategyProfile,
     mkt, pref = _fixed_setup(market, profile)
     with open(path, "w", newline="") as fh:
         fh.write("rep,agent,good,rank,utility_cents\r\n")
-        return _report(kind, replications, seed, mkt.n, profile,
-                       (_fixed_block(kind, mkt, profile.fixed, pref, size, seed, block, fh.write)
-                        for block, size in enumerate(sizes)))
+        return _report(kind, replications, seed, profile, _merged(
+            mkt.n, (_fixed_block(kind, mkt, profile.fixed, pref, size, seed, block, fh.write)
+                    for block, size in enumerate(sizes))))

@@ -89,7 +89,6 @@ def test_rank_list():
 def test_rho_schedule():
     rho = RhoSchedule((10, 0, -5))
     assert rho.at(1) == 10 and rho.at(3) == -5
-    assert rho.mean(2, 3) == Fraction(-5, 2)
     with pytest.raises(ValueError):
         RhoSchedule((0, 10))
     with pytest.raises(ValueError):

@@ -182,10 +182,16 @@ def test_closed_form_matches_brute_force():
 # The closed forms as first derived, one Fraction term at a time: the
 # reference for the integer numerators of ``rankmatch.equilibrium``.
 
+def reference_mean(rho, rank_from, rank_to):
+    """The exact mean of rho over an inclusive 1-based rank window."""
+    window = rho.values[rank_from - 1:rank_to]
+    return Fraction(sum(window), len(window))
+
+
 def reference_params(inst):
     n, rho = inst.n, inst.rho
-    delta = inst.vbar + rho.mean(2, n - 1)
-    rho_bar = rho.mean(3, n)
+    delta = inst.vbar + reference_mean(rho, 2, n - 1)
+    rho_bar = reference_mean(rho, 3, n)
     alpha = None
     if rho.at(1) > rho.at(2):
         alpha = Fraction(n, 2) + Fraction(n - 1, 2) * Fraction(inst.v1 - inst.v2,
@@ -218,7 +224,7 @@ def reference_corner_eu(inst):
     n, rho = inst.n, inst.rho
     return (Fraction(1, n) * (inst.v1 + rho.at(1))
             + Fraction(1, n) * (inst.v2 + rho.at(2))
-            + Fraction(n - 2, n) * (inst.vbar + rho.mean(3, n)))
+            + Fraction(n - 2, n) * (inst.vbar + reference_mean(rho, 3, n)))
 
 
 def reference_corner_holds(kind, inst):
@@ -341,7 +347,7 @@ def reference_enum_group_eus(kind, inst):
     n = inst.n
     lists = structured_lists(kind, n)
     window = _lottery_window(kind, n)
-    cont = inst.vbar + inst.rho.mean(window[0], window[-1])
+    cont = inst.vbar + reference_mean(inst.rho, window[0], window[-1])
     orders = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     fact = len(orders)
     eus = []

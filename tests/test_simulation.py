@@ -294,6 +294,18 @@ def _scalar_reference(kind, market, reports, reps, seed):
     return outcomes
 
 
+def _expected_csv(outs, n):
+    """The ``--csv`` text of the scalar outcomes, from ``csv.writer``."""
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["rep", "agent", "good", "rank", "utility_cents"])
+    for r, out in enumerate(outs):
+        for i in range(n):
+            writer.writerow([r, i, out.matching.good_of(i), out.received_rank[i],
+                             out.utility[i]])
+    return expected.getvalue()
+
+
 def _exact_se(values):
     count = len(values)
     mean = Fraction(sum(values), count)
@@ -343,26 +355,20 @@ def test_fixed_profile_matches_scalar_reference(tmp_path, monkeypatch, kind):
         assert math.isclose(rep.welfare_se, _exact_se(welfare), rel_tol=1e-12)
         assert math.isclose(rep.rho_se, _exact_se(rho), rel_tol=1e-12)
 
-        expected = io.StringIO()
-        writer = csv.writer(expected)
-        writer.writerow(["rep", "agent", "good", "rank", "utility_cents"])
-        for r, out in enumerate(outs):
-            for i in range(n):
-                writer.writerow([r, i, out.matching.good_of(i), out.received_rank[i],
-                                 out.utility[i]])
         path = tmp_path / "reps.csv"
         assert write_replication_csv(kind, market, profile, reps, seed, path) == rep
-        assert path.read_bytes().decode() == expected.getvalue()
+        assert path.read_bytes().decode() == _expected_csv(outs, n)
 
 
 @pytest.mark.parametrize("kind", list(MechanismKind))
 @pytest.mark.parametrize("scale,chunk_fits_int64", [(6_000_000, True), (10**15, False)])
-def test_fixed_sums_exact_under_count_weights(kind, scale, chunk_fits_int64):
+def test_fixed_sums_exact_under_count_weights(tmp_path, kind, scale, chunk_fits_int64):
     """Three agents have 6 orders, so each distinct row of a full block
     stands for about 10 900 replications.  Near 2e7 cents of welfare the
     squares of a chunk's rows sum below 2**63 but a block's replications
     pass it; near 3e15 even one square does.  The report equals exact
-    integer sums over the scalar engine's replay of the same draws."""
+    integer sums over the scalar engine's replay of the same draws, and the
+    ``--csv`` text of both blocks equals the replay's."""
     n, reps, seed = 3, simulation.BLOCK_SIZE + 4_321, 8  # two blocks
     top, mid = scale + 600_000, scale + 300_000
     market = MarketInstance.from_cents([[top, mid, scale], [scale, top, mid], [mid, scale, top]],
@@ -386,6 +392,28 @@ def test_fixed_sums_exact_under_count_weights(kind, scale, chunk_fits_int64):
                                                              sum(r * r for r in rho), reps)
     assert rep.agent_eu_mean == tuple(sum(out.utility[i] for out in outs) / reps
                                       for i in range(n))
+    path = tmp_path / "reps.csv"
+    assert write_replication_csv(kind, market, StrategyProfile.fixed_reports(reports),
+                                 reps, seed, path) == rep
+    assert path.read_bytes().decode() == _expected_csv(outs, n)
+
+
+@pytest.mark.parametrize("kind", list(MechanismKind))
+def test_replication_csv_at_n10_matches_scalar_reference(tmp_path, kind):
+    # 10! orders against 3 000 draws: every row is its own group, and the
+    # rho schedule ends below zero
+    rng = random.Random(3000)
+    n, reps, seed = 10, 3_000, 12
+    values = [[rng.randint(0, 3000) for _ in range(n)] for _ in range(n)]
+    rho = sorted((rng.randint(-200, 800) for _ in range(n - 1)), reverse=True) + [-250]
+    reports = [RankList(tuple(rng.sample(range(n), n))) for _ in range(n)]
+    market = MarketInstance.from_cents(values, rho)
+    outs = _scalar_reference(kind, market, reports, reps, seed)
+    profile = StrategyProfile.fixed_reports(reports)
+    path = tmp_path / "reps.csv"
+    assert write_replication_csv(kind, market, profile, reps, seed, path) == \
+        simulate(kind, market, profile, reps, seed)
+    assert path.read_bytes().decode() == _expected_csv(outs, n)
 
 
 @pytest.mark.parametrize("kind", list(MechanismKind))
@@ -526,6 +554,16 @@ def _structured_instances(n):
             SymmetricInstance(n, v1, v2, vbar, RhoSchedule(big_rho)))
 
 
+def _one_block(kind, inst, tops, reps, seed, block):
+    """The sums of block ``block`` of ``reps`` replications as a run of
+    ``reps`` replications makes them: counted by draw code and tallied once
+    when the run groups its draws, else tallied row by row."""
+    if simulation._grouped(kind, inst.n, tops, reps):
+        counts = simulation._structured_codes(kind, inst, tops, reps, seed, block)
+        return simulation._structured_grouped(kind, inst, tops, counts, reps)
+    return simulation._structured_block(kind, inst, tops, reps, seed, block)
+
+
 def _block_result(res):
     return (res.reps, res.w_sum, res.w_sumsq, res.r_sum, res.r_sumsq,
             [int(c) for c in res.hist], list(res.agent_u))
@@ -557,7 +595,7 @@ def _check_structured_block(monkeypatch, n, chunk_rows):
                 for reps in (1, 7, 1000):
                     for t in (tops, shuffled):
                         seed = rng.randrange(2**32)
-                        got = simulation._structured_block(kind, inst, t, reps, seed, 3)
+                        got = _one_block(kind, inst, t, reps, seed, 3)
                         want = reference_structured_block(kind, inst, t, reps, seed, 3)
                         assert _block_result(got) == want, (inst, t, kind, reps)
 
@@ -578,15 +616,52 @@ def test_structured_block_grouped_matches_reference(monkeypatch, n):
         for t in (tops, tuple(rng.sample(tops, n))):
             for kind in MechanismKind:
                 seed = rng.randrange(2**32)
-                got = _block_result(simulation._structured_block(kind, inst, t, reps, seed, 0))
+                got = _block_result(_one_block(kind, inst, t, reps, seed, 0))
                 assert got == reference_structured_block(kind, inst, t, reps, seed, 0), (t, kind)
                 assert (block_rows.pop() < reps) == (n <= 5)
                 if n <= 5:
                     with monkeypatch.context() as m:
                         m.setattr(simulation, "GROUP_REPEATS", math.inf)
-                        per_row = simulation._structured_block(kind, inst, t, reps, seed, 0)
+                        per_row = _one_block(kind, inst, t, reps, seed, 0)
                     assert block_rows.pop() == reps
                     assert _block_result(per_row) == got, (t, kind)
+
+
+def test_grouped_run_counts_its_short_last_block(monkeypatch):
+    # a run groups its draws or not once, from its first block, so the last
+    # block of 1 000 replications is counted by code too and adds to the
+    # run's one tally; the report equals the run tallied row by row
+    sizes = []
+    codes = simulation._structured_codes
+    monkeypatch.setattr(simulation, "_structured_codes",
+                        lambda *args: sizes.append(args[3]) or codes(*args))
+    reps = simulation.BLOCK_SIZE + 1_000
+    for n1 in (0, 3, 5):
+        profile = StrategyProfile.structured_n1(E1.n, n1)
+        for kind in MechanismKind:
+            for threads in (1, 2):
+                grouped = simulate(kind, E1, profile, reps, seed=n1, threads=threads)
+                assert sizes == [simulation.BLOCK_SIZE, 1_000], (kind, n1)
+                sizes.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(simulation, "GROUP_REPEATS", math.inf)
+                    per_row = simulate(kind, E1, profile, reps, seed=n1, threads=threads)
+                assert sizes == []
+                assert grouped == per_row, (kind, n1, threads)
+
+
+def test_grouped_counts_fit_one_block():
+    # however long the run, it groups only where a full block holds
+    # GROUP_REPEATS replications per possible draw, so its summed counts
+    # have at most BLOCK_SIZE // GROUP_REPEATS bins
+    for n in range(3, 11):
+        inst = _structured_instances(n)[0]
+        for n1 in range(n + 1):
+            tops = StrategyProfile.structured_n1(n, n1).tops
+            for kind in MechanismKind:
+                if simulation._grouped(kind, n, tops, 10**12):
+                    bins = simulation._structured_codes(kind, inst, tops, 1, 0, 0)
+                    assert len(bins) <= simulation.BLOCK_SIZE // simulation.GROUP_REPEATS
 
 
 @pytest.mark.parametrize("kind", list(MechanismKind))
