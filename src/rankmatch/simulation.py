@@ -329,8 +329,8 @@ def _structured_draws(kind: MechanismKind, n: int, tops: tuple[int, ...], reps: 
                       seed: int, block: int, group: bool):
     """One block's draws, stream (seed, block): (reps x n) slots and the two
     winner draws.  Grouped, the slots are drawn as digits 0..n-3 of a code,
-    in int32 (the values int64 draws give, less the lowest rank); rows
-    tallied one by one index fastest as int64 ranks."""
+    in int32 (the values int64 draws give, less the lowest rank); else as
+    int64 ranks, which index fastest when rows are tallied one by one."""
     low, span_a, span_b = _spans(kind, n, tops.count(1))
     gen = prng.generator(seed, block)
     first, dtype = (0, np.int32) if group else (low, np.int64)
@@ -482,17 +482,12 @@ def _fixed_setup(market, profile: StrategyProfile) -> tuple[MarketInstance, np.n
     return mkt, np.array([r.order for r in profile.fixed], dtype=np.int64)
 
 
-def _merged(n: int, results: Iterator[_Acc]) -> _Acc:
-    """Block sums added in block-index order."""
+def _report(kind: MechanismKind, replications: int, seed: int, n: int,
+            profile: StrategyProfile, results) -> SimReport:
+    """Merge block sums, in block-index order, into a report."""
     acc = _Acc.zero(n)
     for res in results:
         acc.add(res)
-    return acc
-
-
-def _report(kind: MechanismKind, replications: int, seed: int,
-            profile: StrategyProfile, acc: _Acc) -> SimReport:
-    """The report of a run's sums."""
     w_mean, w_se = _mean_se(acc.w_sum, acc.w_sumsq, acc.reps)
     r_mean, r_se = _mean_se(acc.r_sum, acc.r_sumsq, acc.reps)
     agent_eu = tuple(u / acc.reps for u in acc.agent_u)
@@ -501,7 +496,7 @@ def _report(kind: MechanismKind, replications: int, seed: int,
     if profile.tops is not None:
         group_eu = {}
         for name, top in (("x1_first", 1), ("x2_first", 2)):
-            members = [i for i, t in enumerate(profile.tops) if t == top]
+            members = [i for i in range(n) if profile.tops[i] == top]
             if members:
                 group_eu[name] = float(np.mean([agent_eu[i] for i in members]))
     return SimReport(kind, replications, seed, tuple(int(c) for c in acc.hist),
@@ -519,6 +514,7 @@ def simulate(kind: MechanismKind, market, profile: StrategyProfile,
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     sizes = _block_sizes(replications)
+    finish: Callable = lambda results: results
     if profile.tops is not None:
         inst = _as_symmetric(market)
         n, tops = inst.n, profile.tops
@@ -527,16 +523,15 @@ def simulate(kind: MechanismKind, market, profile: StrategyProfile,
         if _grouped(kind, n, tops, replications):
             # blocks count their draws by code, and the run tallies the sum once
             block_fn: Callable = lambda reps, b: _structured_codes(kind, inst, tops, reps, seed, b)
-            merge: Callable = lambda counts: _structured_grouped(kind, inst, tops, _summed(counts),
-                                                                 replications)
+            finish = lambda counts: [_structured_grouped(kind, inst, tops, _summed(counts),
+                                                         replications)]
         else:
             block_fn = lambda reps, b: _structured_block(kind, inst, tops, reps, seed, b)
-            merge = lambda results: _merged(n, results)
     else:
         mkt, pref = _fixed_setup(market, profile)
+        n = mkt.n
         block_fn = lambda reps, b: _fixed_block(kind, mkt, profile.fixed, pref,
                                                 reps, seed, b)
-        merge = lambda results: _merged(mkt.n, results)
 
     workers = min(threads, os.cpu_count() or 1, -(-replications // BLOCK_SIZE))
     if workers > 1:
@@ -544,10 +539,10 @@ def simulate(kind: MechanismKind, market, profile: StrategyProfile,
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # two blocks per worker: one running, one queued while the caller merges
-            acc = merge(_in_index_order(pool, block_fn, sizes, 2 * workers))
-    else:
-        acc = merge(block_fn(size, b) for b, size in enumerate(sizes))
-    return _report(kind, replications, seed, profile, acc)
+            return _report(kind, replications, seed, n, profile,
+                           finish(_in_index_order(pool, block_fn, sizes, 2 * workers)))
+    return _report(kind, replications, seed, n, profile,
+                   finish(block_fn(size, b) for b, size in enumerate(sizes)))
 
 
 def rank_distribution(kind: MechanismKind, market, profile: StrategyProfile,
@@ -570,6 +565,6 @@ def write_replication_csv(kind: MechanismKind, market, profile: StrategyProfile,
     mkt, pref = _fixed_setup(market, profile)
     with open(path, "w", newline="") as fh:
         fh.write("rep,agent,good,rank,utility_cents\r\n")
-        return _report(kind, replications, seed, profile, _merged(
-            mkt.n, (_fixed_block(kind, mkt, profile.fixed, pref, size, seed, block, fh.write)
-                    for block, size in enumerate(sizes))))
+        return _report(kind, replications, seed, mkt.n, profile,
+                       (_fixed_block(kind, mkt, profile.fixed, pref, size, seed, block, fh.write)
+                        for block, size in enumerate(sizes)))
