@@ -115,7 +115,9 @@ def _load_json(path, parse):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(json.load(fh))
-    except ValueError as exc:  # bad text, JSON or values; an OSError names the path
+    except (ValueError, RecursionError) as exc:
+        # bad text, JSON or values, or JSON nested past the recursion limit;
+        # an OSError names the path itself
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
@@ -279,7 +281,8 @@ def cmd_analyze(args) -> int:
 
 
 def _write_tables(doc: dict, directory: str) -> None:
-    """Emit plain-CSV views of the analysis report for external plotting."""
+    """Emit plain-CSV views of the analysis report for external plotting,
+    removing an earlier run's ``net_value_ols.csv`` when this one has none."""
     import csv
     import os
 
@@ -305,6 +308,11 @@ def _write_tables(doc: dict, directory: str) -> None:
         table("net_value_ols.csv", ["term", "coef", "se", "t", "p", "stars"],
               [[c, ols["coef"][j], ols["se"][j], ols["t"][j], ols["p"][j],
                 ols["stars"][j]] for j, c in enumerate(ols["columns"])])
+    else:
+        try:
+            os.remove(os.path.join(directory, "net_value_ols.csv"))
+        except FileNotFoundError:
+            pass
 
 
 def cmd_elicit_decode(args) -> int:

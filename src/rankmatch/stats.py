@@ -10,10 +10,10 @@ Both exact branches share one routine: the permutation null of the JT
 statistic, counted over tie blocks instead of enumerated.  Rank-sum is JT
 on two groups, so its exact p-value reads the same counts.
 
-Each test pools its samples into one numpy array that orders and ties the
-values as Python does (``_pooled``, which also screens for NaN) and takes
-from it the JT count, by ``np.sort`` and ``np.searchsorted``, and the tie
-sizes, by ``np.unique``.
+Each test reads everything from one tie table (``_tie_table``): how many
+of each group's values fall in each block of tied pooled values, in value
+order.  It gives the JT count, the tie sizes and the exact null's blocks.
+OLS reads coefficients and covariance from the R factor of ``[X | y]``.
 
 The normal tails come from ``math.erfc`` and the Student-t tail of the OLS
 p-values from the regularized incomplete beta function, evaluated by its
@@ -22,7 +22,6 @@ continued fraction, so the module needs numpy and ``math`` alone.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,8 +33,8 @@ _FLOAT_EXACT_INTS = 2.0 ** 53
 
 
 def _pooled(groups: Sequence[Sequence[float]]) -> np.ndarray:
-    """The groups' values end to end, as one array whose sort and search
-    order and tie them as Python's comparisons do.
+    """The groups' values end to end, as one array whose sort orders and
+    ties them as Python's comparisons do.
 
     int64 when numpy reads the values as integers that fit it (bools
     included); float64 when it reads them as floats and every value
@@ -62,10 +61,14 @@ def _pooled(groups: Sequence[Sequence[float]]) -> np.ndarray:
     return x
 
 
-def _tie_counts(pooled: np.ndarray) -> list[int]:
-    """Sizes of the tie blocks of more than one value."""
-    counts = np.unique(pooled, return_counts=True)[1]
-    return counts[counts > 1].tolist()
+def _tie_table(groups: Sequence[Sequence[float]]) -> np.ndarray:
+    """(tie blocks x groups) int64 counts: row b, column g holds how many of
+    group g's values equal the b-th smallest distinct pooled value."""
+    distinct, inverse = np.unique(_pooled(groups), return_inverse=True)
+    k = len(groups)
+    group = np.repeat(np.arange(k), [len(g) for g in groups])
+    cells = np.bincount(inverse.reshape(-1) * k + group, minlength=len(distinct) * k)
+    return cells.reshape(len(distinct), k)
 
 
 # ---------------------------------------------------------------------------
@@ -144,80 +147,67 @@ def _t_two_sided(t: float, df: float) -> float:
 # Jonckheere-Terpstra
 # ---------------------------------------------------------------------------
 
-def _jt_statistic(groups: Sequence[Sequence[float]],
-                  pooled: np.ndarray | None = None) -> float:
-    """Sum over ordered group pairs of Mann-Whitney counts, ties as 1/2.
-
-    Each later group is counted against the sorted values of all earlier
-    groups at once: a left ``searchsorted`` finds, for each of its values,
-    the earlier values below it and a right one those below or tied, so
-    their sum is its doubled count.  ``pooled`` is ``_pooled(groups)``,
-    built here when not given."""
-    x = _pooled(groups) if pooled is None else pooled
-    doubled = 0
-    end = len(groups[0])
-    for g in groups[1:]:
-        earlier = np.sort(x[:end])
-        later = np.sort(x[end:end + len(g)])
-        doubled += int(np.searchsorted(earlier, later, "left").sum()
-                       + np.searchsorted(earlier, later, "right").sum())
-        end += len(g)
-    return doubled / 2
+def _jt_statistic(table: np.ndarray) -> float:
+    """Sum over ordered group pairs of Mann-Whitney counts, ties as 1/2,
+    from ``_tie_table(groups)``: doubled, a value in block b of group j
+    counts 2 per earlier-group value in a lower block and 1 per one in b."""
+    below = np.cumsum(table, axis=0) - table
+    weight = 2 * below + table
+    earlier = np.cumsum(weight, axis=1) - weight
+    return int((table * earlier).sum()) / 2
 
 
-def _exact_p(groups: Sequence[Sequence[float]], hit: Callable[[int], bool]) -> float:
+def _exact_p(table: np.ndarray, hit: Callable[[int], bool]) -> float:
     """Share of the permutation null whose doubled JT statistic ``s``
-    satisfies ``hit(s)``.
+    satisfies ``hit(s)``; ``table`` is ``_tie_table(groups)``.
 
     The null spreads the pooled values over the groups in every one of the
     n!/prod(size_i!) ways.  Rather than walk them, count them one tie block
     at a time, smallest value first (Harding 1984; Streitberg & Roehmel
-    1986): the state is how many values each group holds so far, and
-    splitting a block of t tied values as (d_1..d_k) adds
-    sum_{i<j} d_j * (2*h_i + d_i) to the doubled statistic and stands for
-    t!/prod(d_i!) of those ways.  Counts are exact integers, so the p-value
-    is the same ratio an enumeration would give.
+    1986): the state is how many values each group holds so far.  A block
+    of t tied values is dealt one group at a time, partial deals keyed by
+    (held, left): giving d of the ``left`` values to group g stands for
+    C(left, d) of those ways and adds d * sum_{i<g} (2*h_i + d_i) to the
+    doubled statistic (h_i held before the block, d_i taken from it).  A
+    group takes no fewer than the later groups' room leaves over.  Counts
+    are exact integers, so the p-value is the same ratio an enumeration
+    would give.
 
     A state's counts are packed into one int: the count of statistic s sits
     in bits s*W .. (s+1)*W - 1, W the bit length of the n!/prod(size_i!)
-    total.  No count exceeds that total (each partial assignment extends to
-    a full one), so no field carries into the next, and adding ``add`` to
-    every statistic is a shift by add*W."""
-    sizes = tuple(len(g) for g in groups)
-    blocks = sorted(Counter(v for g in groups for v in g).items())
+    total.  No count exceeds that total (each partial deal extends to a full
+    one), so no field carries into the next, and adding ``add`` to every
+    statistic is a shift by add*W."""
+    sizes = table.sum(axis=0).tolist()
     total = math.factorial(sum(sizes)) // math.prod(math.factorial(k) for k in sizes)
     width = total.bit_length()
+    later = [sum(sizes[g + 1:]) for g in range(len(sizes))]
     # held per group -> packed counts of the doubled statistic so far
-    dist: dict[tuple[int, ...], int] = {tuple(0 for _ in sizes): 1}
-    for _, t in blocks:
-        nxt: dict[tuple[int, ...], int] = {}
-        for held, packed in dist.items():
-            room = tuple(size - h for size, h in zip(sizes, held))
-            for split in _splits(t, room):
-                add, below, ways = 0, 0, math.factorial(t)
-                for h, d in zip(held, split):
-                    add += d * below
-                    below += 2 * h + d
-                    ways //= math.factorial(d)
-                key = tuple(h + d for h, d in zip(held, split))
-                nxt[key] = nxt.get(key, 0) + (packed * ways << add * width)
-        dist = nxt
+    dist: dict[tuple[int, ...], int] = {(0,) * len(sizes): 1}
+    for t in table.sum(axis=1).tolist():
+        deals = {(held, t): packed for held, packed in dist.items()}
+        dist = {}  # deals that placed the whole block
+        for g, size in enumerate(sizes):
+            nxt: dict[tuple[tuple[int, ...], int], int] = {}
+            for (held, left), packed in deals.items():
+                below = 2 * sum(held[:g]) - (t - left)
+                room = later[g] - sum(held[g + 1:])
+                for d in range(max(0, left - room), min(left, size - held[g]) + 1):
+                    key, add = held, packed  # a big int: skip the * 1 and << 0 copies
+                    if d:
+                        key = held[:g] + (held[g] + d,) + held[g + 1:]
+                        if d < left:
+                            add *= math.comb(left, d)
+                        if below:
+                            add <<= d * below * width
+                    out, key = (dist, key) if d == left else (nxt, (key, left - d))
+                    out[key] = out[key] + add if key in out else add
+            deals = nxt
     (packed,) = dist.values()
     mask = (1 << width) - 1
     hits = sum((packed >> s * width) & mask
                for s in range(packed.bit_length() // width + 1) if hit(s))
     return hits / total
-
-
-def _splits(t: int, room: tuple[int, ...]):
-    """Every way to put t tied values into groups with the given free room."""
-    if len(room) == 1:
-        if t <= room[0]:
-            yield (t,)
-        return
-    for d in range(min(t, room[0]) + 1):
-        for rest in _splits(t - d, room[1:]):
-            yield (d,) + rest
 
 
 def _jt_moments(sizes: Sequence[int], ties: Sequence[int]) -> tuple[float, float]:
@@ -253,16 +243,17 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]],
     groups = [list(g) for g in groups]
     if len(groups) < 2 or any(not g for g in groups):
         raise ValueError("need at least 2 non-empty groups")
-    pooled = _pooled(groups)
-    n = len(pooled)
-    stat = _jt_statistic(groups, pooled)
-    if method == "exact" or (method == "auto" and n <= EXACT_MAX_N):
+    sizes = [len(g) for g in groups]
+    table = _tie_table(groups)
+    stat = _jt_statistic(table)
+    if method == "exact" or (method == "auto" and sum(sizes) <= EXACT_MAX_N):
         if alternative == "decreasing":
-            return stat, _exact_p(groups, lambda s: s <= 2 * stat)
-        return stat, _exact_p(groups, lambda s: s >= 2 * stat)
+            return stat, _exact_p(table, lambda s: s <= 2 * stat)
+        return stat, _exact_p(table, lambda s: s >= 2 * stat)
     if method not in ("auto", "approx"):
         raise ValueError(f"unknown method {method!r}")
-    mean, var = _jt_moments([len(g) for g in groups], _tie_counts(pooled))
+    blocks = table.sum(axis=1)
+    mean, var = _jt_moments(sizes, blocks[blocks > 1].tolist())
     if var <= 0:  # all pooled values identical: no evidence either way
         return stat, 1.0
     sd = math.sqrt(var)
@@ -283,23 +274,24 @@ def wilcoxon_ranksum(a: Sequence[float], b: Sequence[float],
     a, b = list(a), list(b)
     if not a or not b:
         raise ValueError("both samples must be non-empty")
-    pooled = _pooled([a, b])
+    table = _tie_table([a, b])
     na, nb = len(a), len(b)
     n = na + nb
     # the rank sum of a is na*(na+1)/2 + na*nb - JT([a, b]), so its distance
     # from the mean is |2*JT - na*nb| / 2; every term is a multiple of 1/2,
     # so the float sum is exact
-    jt = _jt_statistic([a, b], pooled)
+    jt = _jt_statistic(table)
     stat = na * (na + 1) / 2 + na * nb - jt
 
     if method == "exact" or (method == "auto" and n <= EXACT_MAX_N):
         dev = abs(2 * jt - na * nb)
-        return stat, _exact_p([a, b], lambda s: abs(s - na * nb) >= dev)
+        return stat, _exact_p(table, lambda s: abs(s - na * nb) >= dev)
     if method not in ("auto", "approx"):
         raise ValueError(f"unknown method {method!r}")
 
     mean = na * (n + 1) / 2.0
-    ties = _tie_counts(pooled)
+    blocks = table.sum(axis=1)
+    ties = blocks[blocks > 1].tolist()
     var = na * nb / 12.0 * ((n + 1) - sum(t ** 3 - t for t in ties) / (n * (n - 1.0)))
     if var <= 0:
         return stat, 1.0
@@ -342,34 +334,39 @@ def _stars(p: float) -> str:
 def ols_fit(y: Sequence[float], X: Sequence[Sequence[float]],
             columns: Sequence[str] | None = None,
             robust: bool = False) -> OlsResult:
-    """Least squares via QR.  Classical standard errors by default; set
-    ``robust=True`` for HC1 heteroskedasticity-robust errors.  Raises
-    unless there are more rows than columns (standard errors need a residual
-    degree of freedom), and on rank deficiency, naming the offending column."""
+    """Least squares from the R factor of ``[X | y]``, whose leading block
+    is X's R and whose last column holds Q'y, so no Q is formed.  Classical
+    standard errors by default; set ``robust=True`` for HC1
+    heteroskedasticity-robust errors.  Raises unless y has one value per
+    row and there are more rows than columns (standard errors need a
+    residual degree of freedom), and on rank deficiency, naming the
+    offending column."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-dimensional")
     n, k = X.shape
+    if y.shape != (n,):
+        raise ValueError(f"y must hold one value for each of X's {n} rows, got shape {y.shape}")
     if columns is None:
         columns = [f"x{j}" for j in range(k)]
     if len(columns) != k:
         raise ValueError("column names must match X's width")
     if n <= k:
         raise ValueError(f"need more than {k} rows, got {n}")
-    q, r = np.linalg.qr(X)
-    diag = np.abs(np.diag(r))
+    r = np.linalg.qr(np.column_stack((X, y)), mode="r")
+    diag = np.abs(np.diag(r)[:k])
     tol = max(n, k) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
     bad = np.nonzero(diag <= tol)[0]
     if bad.size:
         raise ValueError(f"design matrix is rank deficient at column {columns[bad[0]]!r}")
-    coef = np.linalg.solve(r, q.T @ y)
+    rinv = np.linalg.inv(r[:k, :k])
+    coef = rinv @ r[:k, k]
     resid = y - X @ coef
     rss = float(resid @ resid)
     tss = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 if tss == 0 else 1.0 - rss / tss
     df = n - k
-    rinv = np.linalg.inv(r)
     xtx_inv = rinv @ rinv.T
     if robust:
         meat = (X * (resid ** 2)[:, None]).T @ X

@@ -221,6 +221,7 @@ def test_criterion_9_statistics_oracles():
     report(9, "JT p=1/30 and Wilcoxon p=1/3 exact; approximations within 0.02", ok)
 
 
+@pytest.mark.scipy_oracle
 def test_criterion_10_pipeline_recovery():
     from scipy import stats as sps  # test-only: the runtime install has no scipy
 

@@ -13,6 +13,7 @@ import sys
 import textwrap
 import threading
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +334,31 @@ def test_analyze_tables(tmp_path, capsys):
     assert lines[0] == "rank,n,mean_cents,sd_cents" and len(lines) == 6
 
 
+def test_tables_leave_no_stale_ols_table(tmp_path, capsys):
+    """A run that writes no ``net_value_ols.csv`` removes the one an earlier
+    ``--ols`` run left: without ``--ols``, after an OLS error (11 rows for
+    11 terms) and on an empty session."""
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden", "session.csv")
+    recs = analysis.generate_session(8, (287, 100, 50, 0, -69), 120.0, seed=11,
+                                     misreport_rate=0.3)
+    short, empty = tmp_path / "short.csv", tmp_path / "empty.csv"
+    analysis.save_session(recs[:11], short)
+    analysis.save_session([], empty)
+    tables = tmp_path / "tables"
+    for session, ols in ((golden, []), (short, ["--ols"]), (empty, ["--ols"])):
+        with pytest.warns(UserWarning, match="has 4 subjects"):
+            code, _, _ = run_cli(["analyze", "--session", golden, "--ols",
+                                  "--tables", str(tables)], capsys)
+        assert code == 0 and (tables / "net_value_ols.csv").exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            code, out, _ = run_cli(["analyze", "--session", str(session), *ols,
+                                    "--tables", str(tables)], capsys)
+        assert code == 0 and "coef" not in json.loads(out).get("net_value_ols", {})
+        assert sorted(p.name for p in tables.iterdir()) == [
+            "net_value_by_rank.csv", "truth_rates.csv", "welfare.csv"], session
+
+
 def test_analyze_empty_session(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     analysis.save_session([], path)
@@ -479,6 +505,24 @@ def test_json_value_errors_name_the_file(appd_files, tmp_path, capsys):
             assert err.count(path) == 1, argv
             if path != missing:
                 assert err.startswith(f"error: {path}: "), argv
+
+
+@pytest.mark.parametrize("flag", ["--reports", "--market", "--instance", "--profile-reports"])
+def test_deeply_nested_json_is_data_error(appd_files, tmp_path, capsys, flag):
+    """JSON nested past the recursion limit is a data error naming the file,
+    not a traceback."""
+    rp, mp = appd_files
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {"--reports": ["mechanism", "--kind", "rsd", "--order", "0,1,2,3",
+                          "--market", str(mp), "--reports"],
+            "--market": ["expect", "--kind", "boston", "--reports", str(rp), "--market"],
+            "--instance": ["equilibrium", "--instance"],
+            "--profile-reports": ["simulate", "--kind", "rsd", "--reps", "10",
+                                  "--market", str(mp), "--profile-reports"]}[flag]
+    code, out, err = run_cli(argv + [str(deep)], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {deep}: "), err
 
 
 def test_size_limit_errors_name_the_file(tmp_path, capsys):

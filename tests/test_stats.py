@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from rankmatch.stats import (_exact_p, _jt_moments, _jt_statistic, _norm_cdf, _norm_sf,
-                             _stars, _t_two_sided, jonckheere_terpstra, ols_fit,
+                             _stars, _t_two_sided, _tie_table, jonckheere_terpstra, ols_fit,
                              wilcoxon_ranksum)
 
 
@@ -189,6 +190,7 @@ def test_exact_p_values_past_64_bit_counts(sizes):
         assert wilcoxon_ranksum(*groups, method="exact") == (
             na * (na + 1) / 2 + na * nb - jt, p)
 
+@pytest.mark.scipy_oracle
 def test_approx_p_values_match_oracles():
     """The normal and Student-t tails against oracles: scipy (a test-only
     dependency) and, for the t tail, closed forms that share neither
@@ -254,7 +256,7 @@ def test_approx_p_values_match_oracles():
 
 
 def test_jt_statistic_matches_pair_loop():
-    # the bisection count against the plain pair loop: every term is a
+    # the tie-table count against the plain pair loop: every term is a
     # multiple of 1/2, so the two agree exactly
     rng = random.Random(31)
     for _ in range(300):
@@ -262,7 +264,7 @@ def test_jt_statistic_matches_pair_loop():
         top = rng.choice([2, 5, 50])
         groups = [[rng.randint(0, top) / rng.choice([1, 2]) for _ in range(rng.randint(1, 12))]
                   for _ in range(k)]
-        assert _jt_statistic(groups) == _jt(groups), groups
+        assert _jt_statistic(_tie_table(groups)) == _jt(groups), groups
 
 
 def _bisect_jt_statistic(groups):
@@ -290,8 +292,8 @@ def _reference_jt(groups, alternative, method):
     stat = _bisect_jt_statistic(groups)
     if method == "exact":
         if alternative == "decreasing":
-            return stat, _exact_p(groups, lambda s: s <= 2 * stat)
-        return stat, _exact_p(groups, lambda s: s >= 2 * stat)
+            return stat, _exact_p(_tie_table(groups), lambda s: s <= 2 * stat)
+        return stat, _exact_p(_tie_table(groups), lambda s: s >= 2 * stat)
     pooled = [v for g in groups for v in g]
     mean, var = _jt_moments([len(g) for g in groups], _counter_tie_counts(pooled))
     if var <= 0:
@@ -310,7 +312,7 @@ def _reference_ranksum(a, b, method):
     stat = na * (na + 1) / 2 + na * nb - jt
     if method == "exact":
         dev = abs(2 * jt - na * nb)
-        return stat, _exact_p([a, b], lambda s: abs(s - na * nb) >= dev)
+        return stat, _exact_p(_tie_table([a, b]), lambda s: abs(s - na * nb) >= dev)
     ties = _counter_tie_counts(a + b)
     var = na * nb / 12.0 * ((n + 1) - sum(t ** 3 - t for t in ties) / (n * (n - 1.0)))
     if var <= 0:
@@ -339,9 +341,9 @@ ORACLE_VALUES = {
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_VALUES))
 def test_rank_tests_match_bisect_reference(kind):
-    # the sort-and-search count and the np.unique tie sizes against the
-    # bisect and Counter references on the values themselves: every
-    # (statistic, p) equal, for both alternatives and both methods
+    # the tie-table count and tie sizes against the bisect and Counter
+    # references on the values themselves: every (statistic, p) equal, for
+    # both alternatives and both methods
     rng = random.Random(f"rank-oracle-{kind}")
     pool = ORACLE_VALUES[kind]
     for _ in range(30):
@@ -400,6 +402,14 @@ def test_ols_needs_a_residual_degree_of_freedom(robust):
     res = ols_fit([1.0, 0.0, 4.0, 8.0], X + [[1.0, 3.0, 9.0]], ["const", "x", "x2"],
                   robust=robust)
     assert all(math.isfinite(v) for v in res.se + res.tstat + res.pvalue)
+
+
+@pytest.mark.parametrize("shape", [(10, 1), (9,), (11,)], ids=["column", "short", "long"])
+def test_ols_rejects_y_of_another_shape(shape):
+    # a (n, 1) y would broadcast the residuals to n x n
+    X = [[1.0, float(x)] for x in range(10)]
+    with pytest.raises(ValueError, match=re.escape(f"X's 10 rows, got shape {shape}")):
+        ols_fit(np.arange(math.prod(shape), dtype=float).reshape(shape), X)
 
 
 def test_ols_rank_deficiency_names_column():
