@@ -232,11 +232,14 @@ def cmd_simulate(args) -> int:
     def parse_market(doc):
         market = (MarketInstance if isinstance(doc, dict) and "values" in doc
                   else SymmetricInstance).from_json_dict(doc)
-        # a structured profile needs the symmetric form; a market without
-        # one is a data error in this file
-        return market if args.structured_n1 is None else simulation._as_symmetric(market)
+        if args.structured_n1 is None:
+            return market, None
+        # a structured profile needs the symmetric form and 0 <= K <= n; a
+        # market without them is a data error in this file
+        inst = SymmetricInstance.of(market)
+        return inst, simulation.StrategyProfile.structured_n1(inst.n, args.structured_n1)
 
-    market = _load_json(args.market, parse_market)
+    market, profile = _load_json(args.market, parse_market)
     if (args.profile_reports is None) == (args.structured_n1 is None):
         raise DataFormatError(
             "give exactly one of --profile-reports / --structured-n1")
@@ -246,9 +249,6 @@ def cmd_simulate(args) -> int:
         reports = _load_json(args.profile_reports, reports_from_json_dict)
         _check_fit(reports, args.profile_reports, market, args.market)
         profile = simulation.StrategyProfile.fixed_reports(reports)
-    else:
-        n = market.n
-        profile = simulation.StrategyProfile.structured_n1(n, args.structured_n1)
     if args.csv is not None:
         report = simulation.write_replication_csv(MechanismKind(args.kind), market,
                                                   profile, args.reps, args.seed, args.csv)

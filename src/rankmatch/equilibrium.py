@@ -8,8 +8,13 @@ ranked last (except in the all-rank-x1-first corner, where everyone ranks
 x2 second and the two mechanisms coincide).
 
 After the top goods resolve, the leftover goods are modeled as a uniform
-lottery over the remaining list slots; ``delta`` / ``delta_prime`` are the
-expected continuation utilities of that lottery in Boston / RSD.
+lottery over the remaining list slots.  This slot-lottery model is written
+once, here: ``_lottery_window`` gives the window of list ranks (3..n in RSD
+and at the all-x1 corner, 2..n-1 in Boston) and ``_lottery`` its value,
+which the closed forms, the brute force and the welfare all price, and
+``simulation`` draws the structured profiles' slots from the same window.
+``delta`` / ``delta_prime`` are the lottery's value in Boston / RSD.
+``SymmetricInstance.of`` is the one check that a market is symmetric.
 
 Each closed form is one integer numerator over a known integer denominator,
 one ``Fraction`` per value; the corner and n1 tests compare ints.  The solver
@@ -66,6 +71,19 @@ class SymmetricInstance:
     def good_value(self, good: int) -> int:
         return self.v1 if good == 0 else self.v2 if good == 1 else self.vbar
 
+    @staticmethod
+    def of(market) -> "SymmetricInstance":
+        """``market`` itself when symmetric, else the symmetric form of a
+        MarketInstance: n >= 3 identical value rows (v1, v2, vbar, ..., vbar)."""
+        if isinstance(market, SymmetricInstance):
+            return market
+        row, n = market.values.rows[0], market.n
+        if any(r != row for r in market.values.rows):
+            raise ValueError("structured profiles need identical value rows")
+        if n < 3 or any(v != row[2] for v in row[2:]):
+            raise ValueError("structured profiles need goods (x1, x2, common tail)")
+        return SymmetricInstance(n, row[0], row[1], row[2], market.rho)
+
     def market(self) -> MarketInstance:
         row = tuple(self.good_value(g) for g in range(self.n))
         return MarketInstance.from_cents([row] * self.n, self.rho.values)
@@ -110,10 +128,20 @@ class EquilibriumSolution:
     corner_all_top: bool
 
 
-def _window_sums(inst: SymmetricInstance) -> tuple[int, int]:
-    """Sums of rho over Boston's and RSD's ``_lottery_window``."""
-    values = inst.rho.values
-    return sum(values[1:-1]), sum(values[2:])
+@functools.cache  # the closed forms ask for it on every call
+def _lottery_window(kind: MechanismKind, n: int) -> range:
+    """The list ranks of the slot lottery.  A loser of the top goods receives
+    a leftover good, worth vbar, at a uniform slot of this window of
+    w = n − 2 ranks: 3..n in RSD, where the top goods go in the first two
+    picks, and 2..n − 1 in Boston, where the other top good is ranked last.
+    At the all-x1 corner both mechanisms play RSD's window."""
+    return range(3, n + 1) if kind == MechanismKind.RSD else range(2, n)
+
+
+def _lottery(kind: MechanismKind, inst: SymmetricInstance) -> int:
+    """w times the slot lottery's value: vbar plus the window's mean rho."""
+    window = _lottery_window(kind, inst.n)
+    return len(window) * inst.vbar + sum(inst.rho.values[window.start - 1:window.stop - 1])
 
 
 def _corner_total(inst: SymmetricInstance) -> int:
@@ -123,59 +151,53 @@ def _corner_total(inst: SymmetricInstance) -> int:
 
 def symmetric_params(inst: SymmetricInstance) -> SymmetricParams:
     w, gap_rho = inst.n - 2, inst.rho.values[0] - inst.rho.values[1]
-    boston_sum, rsd_sum = _window_sums(inst)
+    rsd = _lottery(MechanismKind.RSD, inst)
     alpha = (Fraction(inst.n * gap_rho + (inst.n - 1) * (inst.v1 - inst.v2), 2 * gap_rho)
              if gap_rho else None)
-    return SymmetricParams(Fraction(w * inst.vbar + boston_sum, w),
-                           Fraction(w * inst.vbar + rsd_sum, w), Fraction(rsd_sum, w), alpha)
+    return SymmetricParams(Fraction(_lottery(MechanismKind.BOSTON, inst), w),
+                           Fraction(rsd, w), Fraction(rsd - w * inst.vbar, w), alpha)
 
 
-def _u_boston(inst: SymmetricInstance, top: int, n1: int) -> Fraction:
-    """EU of an agent ranking x{top} first when n1 agents in total rank x1
-    first.  Valid for the formal extension 0 <= n1 <= n used by the
-    deviation comparisons.  Over group·w: the top good with chance 1/group,
-    else the lottery."""
-    w = inst.n - 2
-    group = n1 if top == 1 else inst.n - n1
-    if group < 1:
-        raise ValueError(f"no agent ranks x{top} first at n1={n1}")
-    v_top = inst.v1 if top == 1 else inst.v2
-    lottery = w * inst.vbar + _window_sums(inst)[0]
-    return Fraction(w * (v_top + inst.rho.values[0]) + (group - 1) * lottery, group * w)
+def _group_eus(kind: MechanismKind, inst: SymmetricInstance,
+               n1: int) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
+    """(numerator, denominator) of the EU of an x1-first and of an x2-first
+    agent when n1 agents in total rank x1 first, as exact ints; a side is
+    None when no agent plays it.  Valid for the formal extension 0 <= n1 <= n
+    used by the deviation comparisons.
 
-
-def _u_sd(inst: SymmetricInstance, top: int, n1: int) -> Fraction:
-    """EU of an agent ranking x{top} first, over n·(n − 1): its top good when
-    it picks first (chance 1/n); when it picks second (1/n), what the first
-    picker left, one of the n − 1 others, of whom n1 − 1 (top 1) or n1
-    (top 2) rank x1 first; else the lottery."""
+    Boston, over group·w: the top good with chance 1/group, else the
+    lottery.  RSD, over n·(n − 1): its top good when it picks first (chance
+    1/n); when it picks second (1/n), what the first picker left, one of the
+    n − 1 others, of whom n1 − 1 (top 1) or n1 (top 2) rank x1 first; else
+    the lottery."""
     n, v1, v2, (rho1, rho2) = inst.n, inst.v1, inst.v2, inst.rho.values[:2]
-    if top == 1:
-        if n1 < 1:
-            raise ValueError(f"no agent ranks x1 first at n1={n1}")
-        first, second = v1 + rho1, (n1 - 1) * (v2 + rho2) + (n - n1) * (v1 + rho1)
+    lottery = _lottery(kind, inst)
+    if kind == MechanismKind.BOSTON:
+        w = n - 2
+        eu1 = w * (v1 + rho1) + (n1 - 1) * lottery, n1 * w
+        eu2 = w * (v2 + rho1) + (n - n1 - 1) * lottery, (n - n1) * w
     else:
-        if n1 > n - 1:
-            raise ValueError(f"no agent ranks x2 first at n1={n1}")
-        first, second = v2 + rho1, n1 * (v2 + rho1) + (n - n1 - 1) * (v1 + rho2)
-    lottery = (n - 2) * inst.vbar + _window_sums(inst)[1]
-    return Fraction((n - 1) * (first + lottery) + second, n * (n - 1))
+        pairs = n * (n - 1)
+        eu1 = ((n - 1) * (v1 + rho1 + lottery) + (n1 - 1) * (v2 + rho2)
+               + (n - n1) * (v1 + rho1), pairs)
+        eu2 = ((n - 1) * (v2 + rho1 + lottery) + n1 * (v2 + rho1)
+               + (n - n1 - 1) * (v1 + rho2), pairs)
+    return eu1 if n1 else None, eu2 if n1 < n else None
 
 
 def boston_group_eu(inst: SymmetricInstance, n1: int) -> tuple[Fraction, Fraction]:
     """(EU of an x1-first agent, EU of an x2-first agent) at interior n1."""
     if not 1 <= n1 <= inst.n - 1:
         raise ValueError(f"n1 must be in 1..{inst.n - 1}, got {n1}")
-    return _u_boston(inst, 1, n1), _u_boston(inst, 2, n1)
+    return tuple(Fraction(*eu) for eu in _group_eus(MechanismKind.BOSTON, inst, n1))
 
 
 def sd_group_eu(inst: SymmetricInstance, n1: int) -> tuple[Fraction | None, Fraction | None]:
     """The two RSD group EUs; a side is None when no agent plays it at n1."""
     if not 0 <= n1 <= inst.n:
         raise ValueError(f"n1 must be in 0..{inst.n}, got {n1}")
-    u1 = _u_sd(inst, 1, n1) if n1 >= 1 else None
-    u2 = _u_sd(inst, 2, n1) if n1 <= inst.n - 1 else None
-    return u1, u2
+    return tuple(None if eu is None else Fraction(*eu)
+                 for eu in _group_eus(MechanismKind.RSD, inst, n1))
 
 
 def corner_holds(kind: MechanismKind, inst: SymmetricInstance) -> bool:
@@ -205,7 +227,7 @@ def solve_equilibrium(kind: MechanismKind, inst: SymmetricInstance) -> Equilibri
     if kind == MechanismKind.BOSTON:
         # lo = (n·a − b)/(a + b), with a = w·(v1 + rho(1) − delta) and
         # b = w·(v2 + rho(1) − delta) both > 0
-        lottery = (n - 2) * inst.vbar + _window_sums(inst)[0]
+        lottery = _lottery(kind, inst)
         a, b = (n - 2) * (inst.v1 + rho1) - lottery, (n - 2) * (inst.v2 + rho1) - lottery
         lo, den = n * a - b, a + b
     elif rho1 > rho2:
@@ -227,13 +249,6 @@ def solve_equilibrium(kind: MechanismKind, inst: SymmetricInstance) -> Equilibri
 # ---------------------------------------------------------------------------
 # brute-force oracle: enumeration of priority-label sequences
 # ---------------------------------------------------------------------------
-
-def _lottery_window(kind: MechanismKind, n: int) -> range:
-    # Remaining agents rank the leftover goods uniformly at random, so the
-    # received good sits at a uniform slot of this window of n − 2 list
-    # positions; its value is vbar.
-    return range(3, n + 1) if kind == MechanismKind.RSD else range(2, n)
-
 
 @functools.cache
 def _label_tally(kind: MechanismKind, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -271,10 +286,9 @@ def _enum_group_eus(kind: MechanismKind,
     divided by players = n1·C(n, n1), and likewise for x2-first; n!/players
     is the whole number (n1−1)!·(n−n1)! or n1!·(n−n1−1)!.  An agent who
     receives a top good at rank <= 2 scores value + rho(rank), and everyone
-    else the slot lottery, worth vbar plus the window's mean rho."""
+    else the slot lottery, ``_lottery``."""
     n = inst.n
-    w = n - 2
-    lottery = w * inst.vbar + sum(inst.rho.at(j) for j in _lottery_window(kind, n))
+    w, lottery = n - 2, _lottery(kind, inst)
     payoff = [w * (inst.good_value(g) + inst.rho.at(r)) for g in (0, 1) for r in (1, 2)]
     fact = math.factorial
     eus = []
@@ -295,11 +309,8 @@ def brute_force_equilibria(kind: MechanismKind, inst: SymmetricInstance) -> set[
     n = inst.n
     if n > BRUTE_FORCE_MAX_N:
         raise SizeLimitError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}")
-    if kind == MechanismKind.BOSTON:
-        # a corner deviator is the lone round-1 bidder on x2 and wins it;
-        # at the corner the n agents share every good and every rank once
-        if _corner_total(inst) >= n * (inst.v2 + inst.rho.at(1)):
-            return {n}
+    if kind == MechanismKind.BOSTON and corner_holds(kind, inst):
+        return {n}
     eus = _enum_group_eus(kind, inst)
     u = lambda top, k: eus[k][top - 1]
     if kind == MechanismKind.RSD and u(1, n) >= u(2, n - 1):
@@ -348,24 +359,20 @@ def check_truthtelling_equilibrium(kind: MechanismKind, inst: SymmetricInstance)
 
 def equilibrium_welfare(kind: MechanismKind, inst: SymmetricInstance,
                         n1: int) -> tuple[Fraction, Fraction]:
-    """(rho component, total) of expected equilibrium welfare at n1 (cents).
+    """(rho component, total) of expected equilibrium welfare at n1 (cents):
+    n1·u1 + (n − n1)·u2 over the group EUs' integer numerators, and at
+    n1 = n, where both mechanisms play the corner, n times the corner EU.
 
     Total fundamental value is constant across matchings in this
     environment, so the comparison between mechanisms lives entirely in the
     rho component."""
-    n, rho = inst.n, inst.rho.values
+    n = inst.n
     if not 1 <= n1 <= n:
         raise ValueError(f"n1 must be in 1..{n}, got {n1}")
-    boston_sum, rsd_sum = _window_sums(inst)
     if n1 == n:
-        rho_comp = Fraction(sum(rho))
-    elif kind == MechanismKind.BOSTON:
-        rho_comp = Fraction(2 * rho[0] + boston_sum)
+        total, den = _corner_total(inst), 1
     else:
-        # over the n·(n − 1) ordered pairs of first two pickers: two with the
-        # same top good take rho(1) and rho(2), two with different ones rho(1) each
-        pairs = n * (n - 1)
-        same = n1 * (n1 - 1) + (n - n1) * (n - n1 - 1)
-        rho_comp = Fraction(same * (rho[0] + rho[1]) + 2 * (pairs - same) * rho[0]
-                            + pairs * rsd_sum, pairs)
-    return rho_comp, rho_comp + (inst.v1 + inst.v2 + (n - 2) * inst.vbar)
+        (num1, den1), (num2, den2) = _group_eus(kind, inst, n1)
+        total, den = n1 * num1 * den2 + (n - n1) * num2 * den1, den1 * den2
+    values = (inst.v1 + inst.v2 + (n - 2) * inst.vbar) * den
+    return Fraction(total - values, den), Fraction(total, den)

@@ -22,17 +22,20 @@ Two profile kinds:
 * ``Structured`` — the symmetric-environment strategies: each agent picks
   which top good to rank first, lower goods are ranked uniformly at random,
   and losers of the top-goods phase receive a uniform leftover good / list
-  slot (Boston: slots 2..n-1 with the other top good last; the all-x1 corner
-  ranks x2 second, as does RSD everywhere).  A block draws a (reps x n)
-  array of slots and the winners of x1 and x2, and keeps only tallies:
-  every replication's value total is the same constant, so welfare moments
-  follow from rho totals, and the histogram and per-agent sums from one
-  count of (agent, rank) pairs.  A replication's outcome depends only on
-  its draws, at most (n-2)**n * n * (n-1) distinct ones (4 860 at n = 5).
-  When a run's first block holds at least ``GROUP_REPEATS`` replications
-  per possible draw, every block of the run only counts its draws by code;
-  the run adds the counts up in index order and tallies each distinct draw
-  once, weighted by its count, as fixed profiles do with orders.
+  slot.  The slot-lottery model is ``equilibrium``'s: the slots are drawn
+  from its ``_lottery_window``, and the market is read through
+  ``SymmetricInstance.of``.  One ``_placement`` table per profile places
+  the two winners the same way for every mechanism and n1.  A block draws
+  a (reps x n) array of slots and the two winner draws, and keeps only
+  tallies: every replication's value total is the same constant, so
+  welfare moments follow from rho totals, and the histogram and per-agent
+  sums from one count of (agent, rank) pairs.  A replication's outcome
+  depends only on its draws, at most (n-2)**n * n * (n-1) distinct ones
+  (4 860 at n = 5).  When a run's first block holds at least
+  ``GROUP_REPEATS`` replications per possible draw, every block of the run
+  only counts its draws by code; the run adds the counts up in index order
+  and tallies each distinct draw once, weighted by its count, as fixed
+  profiles do with orders.
 
 Randomness is consumed in fixed-size blocks, one Philox substream
 ``(seed, block_index)`` per block, and blocks are merged in index order, so
@@ -57,7 +60,7 @@ import numpy as np
 
 from . import prng
 from .core import MarketInstance, RankList
-from .equilibrium import SymmetricInstance
+from .equilibrium import SymmetricInstance, _lottery_window
 from .batch import batch_mechanism
 from .mechanisms import MechanismKind, TieBreakOrder, run_mechanism
 
@@ -138,19 +141,6 @@ class SimReport:
             "agent_eu_mean_cents": list(self.agent_eu_mean),
             "group_eu_cents": self.group_eu,
         }
-
-
-def _as_symmetric(market) -> SymmetricInstance:
-    if isinstance(market, SymmetricInstance):
-        return market
-    rows = market.values.rows
-    if any(r != rows[0] for r in rows):
-        raise ValueError("structured profiles need identical value rows")
-    row = rows[0]
-    n = market.n
-    if n < 3 or any(row[j] != row[2] for j in range(2, n)):
-        raise ValueError("structured profiles need goods (x1, x2, common tail)")
-    return SymmetricInstance(n, row[0], row[1], row[2], market.rho)
 
 
 @dataclass
@@ -302,18 +292,33 @@ def _fixed_block(kind: MechanismKind, market: MarketInstance,
     return acc
 
 
-def _spans(kind: MechanismKind, n: int, n1: int) -> tuple[int, int, int]:
-    """A structured profile's draws at n agents, n1 of them x1-first: the
-    lowest rank of a slot, and the spans of the two winner draws.
+def _placement(kind: MechanismKind, n: int,
+               tops: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """A structured profile's placement table: the lowest slot rank, and for
+    winner draws a and b the first winner ``first[a]``, the second winner
+    ``second[a, b]`` and that winner's rank ``second_rank[a, b]``.
 
-    Agents who win no top good draw uniform slots: 3..n when both top goods
-    go in the first two picks or rounds (RSD, the all-x1 corner), else
-    2..n-1; then two draws pick the winners, one from each group in Boston's
-    interior, else one agent and one of the rest."""
-    interior = kind == MechanismKind.BOSTON and 1 <= n1 <= n - 1
-    low = 2 if interior or (kind == MechanismKind.BOSTON and n1 == 0) else 3
-    span_a, span_b = (n1, n - n1) if interior else (n, n - 1)
-    return low, span_a, span_b
+    Losers draw uniform slots of ``_lottery_window``, RSD's at the all-x1
+    corner.  In Boston's interior round 1 gives x1 to a of the x1-first
+    agents and x2 to b of the x2-first.  Otherwise a picks first and takes
+    their own top, and b, one of the rest, the other top good: in RSD's
+    second pick, in Boston's round 2 at the all-x1 corner, whose lists are
+    (x1, x2, lowers), or at n1 = 0, whose lists are (x2, lowers, x1), by
+    one loser left holding x1 after the lower goods run out."""
+    n1 = tops.count(1)
+    low = _lottery_window(MechanismKind.RSD if n1 == n else kind, n).start
+    tops_arr = np.asarray(tops)
+    if kind == MechanismKind.BOSTON and 0 < n1 < n:
+        first = np.flatnonzero(tops_arr == 1)
+        second = np.tile(np.flatnonzero(tops_arr == 2), (n1, 1))
+    else:
+        first, rest = np.arange(n), np.arange(n - 1)
+        second = rest + (rest >= first[:, None])
+    # the other top good is at rank 1 of a list that ranks it first, else
+    # at the one rank above 1 that no slot takes: 2 or n
+    other = 2 if low == 3 else n
+    second_rank = np.where(tops_arr[second] != tops_arr[first][:, None], 1, other)
+    return low, first, second, second_rank
 
 
 def _grouped(kind: MechanismKind, n: int, tops: tuple[int, ...], replications: int) -> bool:
@@ -321,39 +326,41 @@ def _grouped(kind: MechanismKind, n: int, tops: tuple[int, ...], replications: i
     block holds at least ``GROUP_REPEATS`` replications per possible draw.
     A replication's outcome depends only on its draws, at most
     (n-2)**n * n * (n-1) distinct ones (4 860 at n = 5)."""
-    _, span_a, span_b = _spans(kind, n, tops.count(1))
-    return GROUP_REPEATS * (n - 2) ** n * span_a * span_b <= min(BLOCK_SIZE, replications)
+    draws = (n - 2) ** n * _placement(kind, n, tops)[2].size
+    return GROUP_REPEATS * draws <= min(BLOCK_SIZE, replications)
 
 
-def _structured_draws(kind: MechanismKind, n: int, tops: tuple[int, ...], reps: int,
-                      seed: int, block: int, group: bool):
+def _structured_draws(table, n: int, reps: int, seed: int, block: int, group: bool):
     """One block's draws, stream (seed, block): (reps x n) slots and the two
-    winner draws.  Grouped, the slots are drawn as digits 0..n-3 of a code,
-    in int32 (the values int64 draws give, less the lowest rank); else as
-    int64 ranks, which index fastest when rows are tallied one by one."""
-    low, span_a, span_b = _spans(kind, n, tops.count(1))
+    winner draws, a and b of the ``_placement`` table.  Grouped, the slots
+    are drawn as digits 0..n-3 of a code, in int32 (the values int64 draws
+    give, less the lowest rank); else as int64 ranks, which index fastest
+    when rows are tallied one by one."""
+    low, _, second, _ = table
     gen = prng.generator(seed, block)
-    first, dtype = (0, np.int32) if group else (low, np.int64)
-    slots = gen.integers(first, first + n - 2, size=(reps, n), dtype=dtype)
-    return (slots, gen.integers(0, span_a, size=reps, dtype=dtype),
-            gen.integers(0, span_b, size=reps, dtype=dtype))
+    start, dtype = (0, np.int32) if group else (low, np.int64)
+    slots = gen.integers(start, start + n - 2, size=(reps, n), dtype=dtype)
+    return (slots, gen.integers(0, second.shape[0], size=reps, dtype=dtype),
+            gen.integers(0, second.shape[1], size=reps, dtype=dtype))
 
 
 def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
                       tops: tuple[int, ...], reps: int, seed: int, block: int) -> _Acc:
     """One block's sums, each replication tallied on its own."""
-    ranks, a, b = _structured_draws(kind, inst.n, tops, reps, seed, block, False)
-    return _structured_tally(kind, inst, tops, ranks, a, b,
-                             np.ones(reps, dtype=np.int64), reps)
+    table = _placement(kind, inst.n, tops)
+    ranks, a, b = _structured_draws(table, inst.n, reps, seed, block, False)
+    return _structured_tally(table, inst, tops, ranks, a, b, np.ones(reps, dtype=np.int64), reps)
 
 
 def _structured_codes(kind: MechanismKind, inst: SymmetricInstance,
                       tops: tuple[int, ...], reps: int, seed: int, block: int) -> np.ndarray:
     """How often one block draws each possible draw: the count of each code
-    (b * span_a + a) * (n - 2)**n + (slots in base n - 2)."""
+    (b * span_a + a) * (n - 2)**n + (slots in base n - 2), span_a and span_b
+    being the shape of the ``_placement`` table's ``second``."""
     n = inst.n
-    _, span_a, span_b = _spans(kind, n, tops.count(1))
-    slots, a, code = _structured_draws(kind, n, tops, reps, seed, block, True)
+    table = _placement(kind, n, tops)
+    span_a, span_b = table[2].shape
+    slots, a, code = _structured_draws(table, n, reps, seed, block, True)
     # the codes are below (n - 2)**n * span_a * span_b <= BLOCK_SIZE and are
     # written over the b draws
     for col, base in [(a, span_a)] + [(slots[:, j], n - 2) for j in range(n - 1, -1, -1)]:
@@ -367,11 +374,11 @@ def _structured_grouped(kind: MechanismKind, inst: SymmetricInstance,
     """The sums of ``reps`` replications from the count of each draw code:
     each distinct draw is placed and tallied once, weighted by its count."""
     n = inst.n
-    low, span_a, _ = _spans(kind, n, tops.count(1))
+    table = low, first, _, _ = _placement(kind, n, tops)
     code = np.flatnonzero(counts)
     ranks = code[:, None] // (n - 2) ** np.arange(n) % (n - 2) + low
-    b, a = np.divmod(code // (n - 2) ** n, span_a)
-    return _structured_tally(kind, inst, tops, ranks, a, b, counts[code], reps)
+    b, a = np.divmod(code // (n - 2) ** n, len(first))
+    return _structured_tally(table, inst, tops, ranks, a, b, counts[code], reps)
 
 
 def _summed(counts: Iterator[np.ndarray]) -> np.ndarray:
@@ -383,12 +390,13 @@ def _summed(counts: Iterator[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _structured_tally(kind: MechanismKind, inst: SymmetricInstance, tops: tuple[int, ...],
+def _structured_tally(table, inst: SymmetricInstance, tops: tuple[int, ...],
                       ranks: np.ndarray, a_all: np.ndarray, b_all: np.ndarray,
                       counts: np.ndarray, reps: int) -> _Acc:
     """The sums of ``reps`` replications from the received ranks of their
     draws: (rows x n) slot ranks and the two winner draws of each row, row i
-    standing for ``counts[i]`` replications.
+    standing for ``counts[i]`` replications, placed by the ``_placement``
+    table.
 
     Every replication gives x1 to one agent, x2 to another and a tail good
     to the rest, so its value total is the constant ``C`` and its welfare is
@@ -396,11 +404,11 @@ def _structured_tally(kind: MechanismKind, inst: SymmetricInstance, tops: tuple[
     tally.  Placing and tallying run a chunk of rows at a time.
     """
     n = inst.n
-    tops_arr = np.asarray(tops)
-    x1_group = np.flatnonzero(tops_arr == 1)
-    x2_group = np.flatnonzero(tops_arr == 2)
-    n1 = len(x1_group)
-    interior = kind == MechanismKind.BOSTON and 1 <= n1 <= n - 1
+    low, first, second, second_rank = table
+    # winners are placed through a flat view of the ranks, which is faster
+    # than indexing (row, agent) pairs
+    ranks = np.ascontiguousarray(ranks)
+    cells = ranks.reshape(-1)
     rho = inst.rho.values
     # rho_of[rank] for 1-based ranks; each replication's rho total by column
     # adds; one distinct draw may stand for every replication
@@ -410,26 +418,11 @@ def _structured_tally(kind: MechanismKind, inst: SymmetricInstance, tops: tuple[
     r_sum = r_sumsq = 0
     tally = np.zeros(n * n, dtype=np.int64)
     for lo, hi in _chunks(len(counts), n):
-        rk, a, b, c = ranks[lo:hi], a_all[lo:hi], b_all[lo:hi], counts[lo:hi]
-        rows = np.arange(hi - lo)
-        if kind == MechanismKind.RSD or n1 == n:
-            # first pick: uniform agent a gets own top at rank 1; second
-            # pick: uniform b among the rest gets the other top good (rank 1
-            # if it is their own top, else rank 2).  Boston's all-x1 corner
-            # is the same draw: lists (x1, x2, lowers) give x1 to a in round
-            # 1 and x2 to b at rank 2 in round 2
-            b = np.where(b >= a, b + 1, b)
-            rk[rows, a] = 1
-            rk[rows, b] = np.where(tops_arr[b] != tops_arr[a], 1, 2)
-        elif interior:
-            # round 1 resolves both top goods
-            rk[rows, x1_group[a]] = 1
-            rk[rows, x2_group[b]] = 1
-        else:
-            # n1 == 0: lists (x2, lowers, x1); one loser is left holding x1
-            # at the bottom of their list after the lower goods run out
-            rk[rows, a] = 1
-            rk[rows, np.where(b >= a, b + 1, b)] = n
+        rk, a, c = ranks[lo:hi], a_all[lo:hi], counts[lo:hi]
+        row = np.arange(lo * n, hi * n, n)  # each row's first cell
+        ab = a * second.shape[1] + b_all[lo:hi]  # flat (a, b) in the table
+        cells[row + first.take(a)] = 1
+        cells[row + second.take(ab)] = second_rank.take(ab)
         got = rho_of[rk]
         r = got[:, 0] + got[:, 1]
         for j in range(2, n):
@@ -440,9 +433,9 @@ def _structured_tally(kind: MechanismKind, inst: SymmetricInstance, tops: tuple[
         tally += _tally(rk, c, n * n)
     tally = tally.reshape(n, n)
     # rank 1 is always an agent's own top good, and the other top good comes
-    # at a rank no slot takes: 2 when slots start at 3, else n (the all-x2
-    # corner; in the interior no agent receives rank n)
-    other = 1 if _spans(kind, n, n1)[0] == 3 else n - 1
+    # at the rank no slot takes, as in ``_placement`` (in Boston's interior
+    # no agent receives it)
+    other = 1 if low == 3 else n - 1
     agent_u = []
     for top, by_rank in zip(tops, tally.tolist()):
         own, alt = (inst.v1, inst.v2) if top == 1 else (inst.v2, inst.v1)
@@ -516,7 +509,7 @@ def simulate(kind: MechanismKind, market, profile: StrategyProfile,
     sizes = _block_sizes(replications)
     finish: Callable = lambda results: results
     if profile.tops is not None:
-        inst = _as_symmetric(market)
+        inst = SymmetricInstance.of(market)
         n, tops = inst.n, profile.tops
         if len(tops) != n:
             raise ValueError("profile size must match market size")

@@ -6,9 +6,10 @@ continuity-corrected normal approximation otherwise.  Both are exposed;
 the convenience wrappers pick the exact branch when the pooled sample has
 at most EXACT_MAX_N observations.
 
-Both exact branches share one routine: the permutation null of the JT
-statistic, counted over tie blocks instead of enumerated.  Rank-sum is JT
-on two groups, so its exact p-value reads the same counts.
+Rank-sum is JT on two groups, so both tests run through one routine
+(``_rank_test``): one method dispatch, the permutation null of the JT
+statistic counted over tie blocks instead of enumerated, and JT's
+tie-corrected null moments for the normal approximation.
 
 Each test reads everything from one tie table (``_tie_table``): how many
 of each group's values fall in each block of tied pooled values, in value
@@ -215,18 +216,39 @@ def _jt_moments(sizes: Sequence[int], ties: Sequence[int]) -> tuple[float, float
     of the given sizes and tie blocks of the given sizes."""
     n = sum(sizes)
     mean = (n * n - sum(s * s for s in sizes)) / 4.0
+    # the tie terms as exact ints from the tie sizes' power sums, one fast pass each:
+    # t(t-1)(2t+5) = 2t^3 + 3t^2 - 5t, t(t-1)(t-2) = t^3 - 3t^2 + 2t, t(t-1) = t^2 - t
+    p1, p2, p3 = sum(ties), sum([t * t for t in ties]), sum([t * t * t for t in ties])
     t1 = (n * (n - 1) * (2 * n + 5)
           - sum(s * (s - 1) * (2 * s + 5) for s in sizes)
-          - sum(t * (t - 1) * (2 * t + 5) for t in ties)) / 72.0
+          - (2 * p3 + 3 * p2 - 5 * p1)) / 72.0
     if n > 2:
-        t2 = (sum(s * (s - 1) * (s - 2) for s in sizes)
-              * sum(t * (t - 1) * (t - 2) for t in ties)
+        t2 = (sum(s * (s - 1) * (s - 2) for s in sizes) * (p3 - 3 * p2 + 2 * p1)
               / (36.0 * n * (n - 1) * (n - 2)))
     else:
         t2 = 0.0
-    t3 = (sum(s * (s - 1) for s in sizes) * sum(t * (t - 1) for t in ties)
-          / (8.0 * n * (n - 1)))
+    t3 = sum(s * (s - 1) for s in sizes) * (p2 - p1) / (8.0 * n * (n - 1))
     return mean, t1 + t2 + t3
+
+
+def _rank_test(groups: list[list], method: str, exact_hit: Callable[[int, float], bool],
+               normal_p: Callable[[float, float], float]) -> tuple[float, float]:
+    """The JT statistic of ``groups`` and its p-value, the one method
+    dispatch of both rank tests.  Exact: the share of the null whose doubled
+    statistic s has ``exact_hit(s, doubled observed)``.  Approximate:
+    ``normal_p(statistic - mean, sd)`` under the tie-corrected null moments."""
+    sizes = [len(g) for g in groups]
+    table = _tie_table(groups)
+    stat = _jt_statistic(table)
+    if method == "exact" or (method == "auto" and sum(sizes) <= EXACT_MAX_N):
+        return stat, _exact_p(table, lambda s: exact_hit(s, 2 * stat))
+    if method not in ("auto", "approx"):
+        raise ValueError(f"unknown method {method!r}")
+    blocks = table.sum(axis=1)
+    mean, var = _jt_moments(sizes, blocks[blocks > 1].tolist())
+    if var <= 0:  # all pooled values identical: no evidence either way
+        return stat, 1.0
+    return stat, normal_p(stat - mean, math.sqrt(var))
 
 
 def jonckheere_terpstra(groups: Sequence[Sequence[float]],
@@ -243,23 +265,11 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]],
     groups = [list(g) for g in groups]
     if len(groups) < 2 or any(not g for g in groups):
         raise ValueError("need at least 2 non-empty groups")
-    sizes = [len(g) for g in groups]
-    table = _tie_table(groups)
-    stat = _jt_statistic(table)
-    if method == "exact" or (method == "auto" and sum(sizes) <= EXACT_MAX_N):
-        if alternative == "decreasing":
-            return stat, _exact_p(table, lambda s: s <= 2 * stat)
-        return stat, _exact_p(table, lambda s: s >= 2 * stat)
-    if method not in ("auto", "approx"):
-        raise ValueError(f"unknown method {method!r}")
-    blocks = table.sum(axis=1)
-    mean, var = _jt_moments(sizes, blocks[blocks > 1].tolist())
-    if var <= 0:  # all pooled values identical: no evidence either way
-        return stat, 1.0
-    sd = math.sqrt(var)
     if alternative == "decreasing":
-        return stat, _norm_cdf((stat - mean + 0.5) / sd)
-    return stat, _norm_sf((stat - mean - 0.5) / sd)
+        return _rank_test(groups, method, lambda s, observed: s <= observed,
+                          lambda dev, sd: _norm_cdf((dev + 0.5) / sd))
+    return _rank_test(groups, method, lambda s, observed: s >= observed,
+                      lambda dev, sd: _norm_sf((dev - 0.5) / sd))
 
 
 # ---------------------------------------------------------------------------
@@ -270,33 +280,19 @@ def wilcoxon_ranksum(a: Sequence[float], b: Sequence[float],
                      method: str = "auto") -> tuple[float, float]:
     """Two-sided rank-sum test; statistic is the rank sum of ``a`` with
     midranks for ties.  Exact permutation p when n_a + n_b <= 12, else a
-    tie- and continuity-corrected normal approximation."""
+    tie- and continuity-corrected normal approximation.
+
+    It is JT on [a, b]: the rank sum of a is na*(na+1)/2 + na*nb - JT, so
+    its distance from its mean is JT's from na*nb/2 and its null variance is
+    JT's; every term is a multiple of 1/2, so the float sums are exact."""
     a, b = list(a), list(b)
     if not a or not b:
         raise ValueError("both samples must be non-empty")
-    table = _tie_table([a, b])
     na, nb = len(a), len(b)
-    n = na + nb
-    # the rank sum of a is na*(na+1)/2 + na*nb - JT([a, b]), so its distance
-    # from the mean is |2*JT - na*nb| / 2; every term is a multiple of 1/2,
-    # so the float sum is exact
-    jt = _jt_statistic(table)
-    stat = na * (na + 1) / 2 + na * nb - jt
-
-    if method == "exact" or (method == "auto" and n <= EXACT_MAX_N):
-        dev = abs(2 * jt - na * nb)
-        return stat, _exact_p(table, lambda s: abs(s - na * nb) >= dev)
-    if method not in ("auto", "approx"):
-        raise ValueError(f"unknown method {method!r}")
-
-    mean = na * (n + 1) / 2.0
-    blocks = table.sum(axis=1)
-    ties = blocks[blocks > 1].tolist()
-    var = na * nb / 12.0 * ((n + 1) - sum(t ** 3 - t for t in ties) / (n * (n - 1.0)))
-    if var <= 0:
-        return stat, 1.0
-    z = (abs(stat - mean) - 0.5) / math.sqrt(var)
-    return stat, min(1.0, 2.0 * _norm_sf(z))
+    mid = na * nb  # the doubled null mean
+    jt, p = _rank_test([a, b], method, lambda s, observed: abs(s - mid) >= abs(observed - mid),
+                       lambda dev, sd: min(1.0, 2.0 * _norm_sf((abs(dev) - 0.5) / sd)))
+    return na * (na + 1) / 2 + mid - jt, p
 
 
 # ---------------------------------------------------------------------------

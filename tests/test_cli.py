@@ -108,6 +108,20 @@ def test_bad_symmetric_instance_is_data_error(tmp_path, capsys, field, value, me
         assert err == f"error: {path}: {message}\n", args
 
 
+@pytest.mark.parametrize("k", [-1, 6])
+def test_structured_n1_outside_market_is_data_error(tmp_path, capsys, k):
+    """--structured-n1 K outside 0..n, n = 5, is a data error naming the
+    market file, given as a symmetric instance or as a market JSON."""
+    market = SymmetricInstance.from_json_dict(E1_DOC).market().to_json_dict()
+    for name, doc in (("inst.json", E1_DOC), ("market.json", market)):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["simulate", "--kind", "rsd", "--market", str(path),
+                                  "--structured-n1", str(k), "--reps", "10"], capsys)
+        assert (code, out) == (1, ""), name
+        assert err == f"error: {path}: n1 must be in 0..5, got {k}\n", name
+
+
 @pytest.mark.parametrize("doc", [[1, 2], 5, "e1", None])
 def test_json_not_an_object_is_data_error(appd_files, tmp_path, capsys, doc):
     rp, mp = appd_files

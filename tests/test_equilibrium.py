@@ -14,11 +14,10 @@ from rankmatch.equilibrium import (
     EquilibriumSolution,
     SymmetricInstance,
     _enum_group_eus,
+    _group_eus,
     _label_tally,
     _lottery_window,
     _truthtelling_totals,
-    _u_boston,
-    _u_sd,
     boston_group_eu,
     brute_force_equilibria,
     check_truthtelling_equilibrium,
@@ -284,8 +283,9 @@ def test_closed_forms_equal_per_term_reference():
         for n1 in range(n + 1):
             for top, valid in ((1, n1 >= 1), (2, n1 <= n - 1)):
                 if valid:
-                    assert fractions(_u_boston(inst, top, n1)) == \
-                        (reference_u_boston(inst, top, n1),), (inst, top, n1)
+                    num, den = _group_eus(MechanismKind.BOSTON, inst, n1)[top - 1]
+                    assert Fraction(num, den) == reference_u_boston(inst, top, n1), \
+                        (inst, top, n1)
             assert fractions(*sd_group_eu(inst, n1)) == tuple(
                 reference_u_sd(inst, top, n1) if valid else None
                 for top, valid in ((1, n1 >= 1), (2, n1 <= n - 1))), (inst, n1)
@@ -307,7 +307,6 @@ def test_brute_force_group_eus_equal_closed_forms():
     n1 = 0..n (the deviation comparisons use the ends), equals the closed
     form exactly."""
     rng = random.Random(5)
-    closed = {MechanismKind.RSD: _u_sd, MechanismKind.BOSTON: _u_boston}
     for n in (3, 4, 5, 6):
         for _ in range(30):
             inst = rand_instance(rng, n)
@@ -316,10 +315,29 @@ def test_brute_force_group_eus_equal_closed_forms():
                 assert len(eus) == n + 1
                 for n1, (u1, u2) in enumerate(eus):
                     assert (u1 is None) == (n1 == 0) and (u2 is None) == (n1 == n)
-                    if u1 is not None:
-                        assert u1 == closed[kind](inst, 1, n1), (kind, inst, n1)
-                    if u2 is not None:
-                        assert u2 == closed[kind](inst, 2, n1), (kind, inst, n1)
+                    assert (u1, u2) == tuple(None if eu is None else Fraction(*eu)
+                                             for eu in _group_eus(kind, inst, n1)), \
+                        (kind, inst, n1)
+
+
+def test_welfare_equals_brute_force_group_eus():
+    """``equilibrium_welfare`` equals the welfare priced from the brute
+    force's real-engine group EUs, n1·u1 + (n − n1)·u2, at every interior
+    n1 of both kinds, and n·``corner_eu`` at n1 = n, on seeded instances at
+    n = 3..8.  The enumeration shares none of the closed form's algebra."""
+    rng = random.Random(32)
+    for inst in closed_form_cases(rng, range(3, 9), 8):
+        n = inst.n
+        values = inst.v1 + inst.v2 + (n - 2) * inst.vbar
+        for kind in MechanismKind:
+            eus = unscaled_group_eus(kind, inst)
+            for n1 in range(1, n):
+                u1, u2 = eus[n1]
+                total = n1 * u1 + (n - n1) * u2
+                assert equilibrium_welfare(kind, inst, n1) == (total - values, total), \
+                    (kind, inst, n1)
+            total = n * corner_eu(inst)
+            assert equilibrium_welfare(kind, inst, n) == (total - values, total), (kind, inst)
 
 
 def unscaled_group_eus(kind, inst):

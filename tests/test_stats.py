@@ -218,9 +218,13 @@ def test_approx_p_values_match_oracles():
         n = na + nb
         ties = [(a + b).count(v) for v in set(a + b)]
         w_var = na * nb / 12.0 * ((n + 1) - sum(t ** 3 - t for t in ties) / (n * (n - 1.0)))
+        # the rank-sum test reads JT's null variance on [a, b], which is the
+        # textbook rank-sum variance up to the rounding of each formula
+        var = _jt_moments([na, nb], [t for t in ties if t > 1])[1]
+        assert var == pytest.approx(w_var, rel=1e-14)
         w, p = wilcoxon_ranksum(a, b, method="approx")
         assert w == _rank_sum(a, a + b)
-        z = (abs(w - na * (n + 1) / 2.0) - 0.5) / math.sqrt(w_var)
+        z = (abs(w - na * (n + 1) / 2.0) - 0.5) / math.sqrt(var)
         assert p == min(1.0, 2.0 * _norm_sf(z))
 
     # t tail at df = 1 and 2 in closed form: 1 - 2 atan|t|/pi and
@@ -305,7 +309,8 @@ def _reference_jt(groups, alternative, method):
 
 def _reference_ranksum(a, b, method):
     """(statistic, p) of ``wilcoxon_ranksum`` from the reference count and
-    tie sizes."""
+    tie sizes; the exact null and the moments, JT's on [a, b], are the
+    module's own."""
     na, nb = len(a), len(b)
     n = na + nb
     jt = _bisect_jt_statistic([a, b])
@@ -313,8 +318,7 @@ def _reference_ranksum(a, b, method):
     if method == "exact":
         dev = abs(2 * jt - na * nb)
         return stat, _exact_p(_tie_table([a, b]), lambda s: abs(s - na * nb) >= dev)
-    ties = _counter_tie_counts(a + b)
-    var = na * nb / 12.0 * ((n + 1) - sum(t ** 3 - t for t in ties) / (n * (n - 1.0)))
+    var = _jt_moments([na, nb], _counter_tie_counts(a + b))[1]
     if var <= 0:
         return stat, 1.0
     z = (abs(stat - na * (n + 1) / 2.0) - 0.5) / math.sqrt(var)
