@@ -12,8 +12,8 @@ takes a sequence of ``SubjectRecord`` and builds the table first.
 A session CSV has two readers.  ``load_session`` reads any file record by
 record and names the first malformed row in file order.
 ``load_session_table`` parses a file in the plain form ``save_session``
-writes straight into columns, and leaves every other file to
-``load_session``.
+writes straight into columns, a block of lines at a time, and leaves every
+other file to ``load_session``.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import prng
 from .core import CENTS_DIGITS, DataFormatError, RankList, cents, csv_rows, whole_number
@@ -264,9 +263,11 @@ def load_session_table(path) -> SessionTable:
     A file in the plain form ``save_session`` writes (ASCII, no quotes,
     ``\\n`` or ``\\r\\n`` line ends, money ``d.dd`` and integers of at most
     18 digits; see ``_plain_table``) whose rows pass ``SubjectRecord``'s
-    checks is parsed from its bytes with numpy.  Any other file, and any
-    plain file with a bad row, is read by ``load_session``, which names the
-    first offending row in file order."""
+    checks is parsed from its bytes with numpy, a block of lines at a time
+    into columns allocated once, so it holds the file, the table and one
+    block's work.  Any other file, and any plain file with a bad row, is
+    read by ``load_session``, which names the first offending row in file
+    order."""
     with open(path, "rb") as fh:
         table = _plain_table(fh.read())
     if table is None:
@@ -282,6 +283,8 @@ _PLAIN_HEADER = ",".join(CSV_COLUMNS).encode()
 _PLAIN_ENDS = np.array([ord(",")] * (len(CSV_COLUMNS) - 1) + [ord("\n")], dtype=np.uint8)
 # 10**18 - 1 < 2**63, so a plain number cell always fits int64
 _PLAIN_DIGITS = 18
+# the bytes of whole lines ``_plain_table`` parses at a time, before the line end
+_PLAIN_BLOCK = 1 << 16
 
 
 def _plain_table(data: bytes) -> SessionTable | None:
@@ -293,61 +296,74 @@ def _plain_table(data: bytes) -> SessionTable | None:
     ``CSV_COLUMNS``; at least one row and no blank line, each row of 21
     cells; treatments ``rsd`` or ``boston``; money ``[0-9]+\\.[0-9][0-9]``
     and integers ``[0-9]+``, of at most 18 digits; every cell shorter than
-    ``csv``'s field limit, and the widest id times the row count no more
-    than the file's size.  ``csv`` reads such a file cell for cell as
-    written, and ``load_session`` parses each cell to the value read here."""
+    ``csv``'s field limit, and in each block the widest id times the rows
+    no more than the block's size.  ``csv`` reads such a file cell for cell
+    as written, and ``load_session`` parses each cell to the value read
+    here.
+
+    Rows are parsed a block of whole lines at a time (``_PLAIN_BLOCK``
+    bytes, then on to the line end) into columns allocated once."""
     if not data.isascii() or b'"' in data or b"\0" in data or data.endswith(b"\r"):
         return None
     if not data.startswith((_PLAIN_HEADER + b"\n", _PLAIN_HEADER + b"\r\n")):
         return None
-    if not data.endswith(b"\n"):
-        data += b"\n"
+    # a cell csv may refuse: one as wide as its field limit, a line's \r
+    # counted; the header's cells here, each block's below
+    limit = csv.field_size_limit()
+    if max(map(len, CSV_COLUMNS)) >= limit:
+        return None
+    rows = data.count(b"\n") - data.endswith(b"\n")  # the lines past the header
+    if not rows:
+        return None
+    subject_id: list[str] = []
+    group_id: list[str] = []
+    boston = np.empty(rows, dtype=bool)
+    numbers = np.empty((len(CSV_COLUMNS) - 3, rows), dtype=np.int64)
+    values, order = numbers[:10].reshape(2, rows, N_GOODS)
+    scalars = numbers[10:]  # good, phase2, phase1_order, risk_row, loss_row, crt, female, practice
+    targets = [*values.T, *order.T, *scalars]  # CSV column j is targets[j - 3]
     a = np.frombuffer(data, dtype=np.uint8)
-    if b"\r" in data and not (a[np.flatnonzero(a == ord("\r")) + 1] == ord("\n")).all():
-        return None
-    # every cell's end, the header's first: row after row of 21
-    seps = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
     width = len(CSV_COLUMNS)
-    if len(seps) % width or not (a[seps].reshape(-1, width) == _PLAIN_ENDS).all():
-        return None
-    if len(seps) == width:
-        return None  # the header alone
-    # the gap between two ends is a cell's width plus one, or two past a \r
-    if max(seps[0] + 1, np.diff(seps).max()) > csv.field_size_limit():
-        return None  # a cell csv may refuse
-
-    start, end = _cell_bounds(a, seps, (0, 1, 2))
-    widths = end - start
-    if int(widths[[0, 2]].max()) * widths.shape[1] > len(data):
-        return None  # padded ids would outgrow the file
-    if widths[1].max() > len("boston"):
-        return None
-    treatment = _text_cells(a, start[1], end[1])
-    boston = treatment == "boston"
-    if not (boston | (treatment == "rsd")).all():
-        return None
-    money = _plain_numbers(a, *_cell_bounds(a, seps, _MONEY_COLUMNS), point=True)
-    if money is None:
-        return None
-    ints = _plain_numbers(a, *_cell_bounds(a, seps, _INT_COLUMNS), point=False)
-    if ints is None:
-        return None
-    cols: list = [None] * width
-    cols[0] = _text_cells(a, start[0], end[0]).tolist()
-    cols[1] = boston
-    cols[2] = _text_cells(a, start[2], end[2]).tolist()
-    for j, col in zip(_MONEY_COLUMNS + _INT_COLUMNS, [*money, *ints]):
-        cols[j] = col
-    return SessionTable._from_columns(cols)
-
-
-def _cell_bounds(a: np.ndarray, seps: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
-    """(column, row) start and end offsets of the cells in ``columns`` of
-    every row past the header, given every cell's end ``seps``."""
-    at = np.arange(len(CSV_COLUMNS), len(seps), len(CSV_COLUMNS)) + np.array(columns)[:, None]
-    end = seps[at]
-    end -= a[end - 1] == ord("\r")  # a line's \r is no part of its last cell
-    return seps[at - 1] + 1, end
+    p, at = data.index(b"\n") + 1, 0
+    while at < rows:
+        stop = data.find(b"\n", p + _PLAIN_BLOCK - 1) + 1 or len(data)
+        block, p = a[p:stop], stop
+        if block[-1] != ord("\n"):
+            block = np.append(block, np.uint8(ord("\n")))  # the last line's missing end
+        # every cell's end: row after row of 21
+        ends = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
+        if len(ends) % width or not (block[ends].reshape(-1, width) == _PLAIN_ENDS).all():
+            return None
+        start = np.concatenate(([0], ends[:-1] + 1)).reshape(-1, width)
+        end = ends.reshape(-1, width)
+        if (end - start).max() >= limit:
+            return None
+        cr = block[end[:, -1] - 1] == ord("\r")
+        if np.count_nonzero(block == ord("\r")) != np.count_nonzero(cr):
+            return None  # a \r that ends no line
+        end[:, -1] -= cr  # a line's \r is no part of its last cell
+        widths = end - start
+        to = at + len(end)
+        if int(widths[:, [0, 2]].max()) * len(end) > len(block):
+            return None  # padded ids would outgrow the block
+        if widths[:, 1].max() > len("boston"):
+            return None
+        treatment = _text_cells(block, start[:, 1], end[:, 1])
+        boston[at:to] = treatment == "boston"
+        if not (boston[at:to] | (treatment == "rsd")).all():
+            return None
+        money = _plain_numbers(block, start[:, _MONEY_COLUMNS].T, end[:, _MONEY_COLUMNS].T,
+                               point=True)
+        ints = _plain_numbers(block, start[:, _INT_COLUMNS].T, end[:, _INT_COLUMNS].T,
+                              point=False)
+        if money is None or ints is None:
+            return None
+        for j, col in zip(_MONEY_COLUMNS + _INT_COLUMNS, [*money, *ints]):
+            targets[j - 3][at:to] = col
+        subject_id += _text_cells(block, start[:, 0], end[:, 0]).tolist()
+        group_id += _text_cells(block, start[:, 2], end[:, 2]).tolist()
+        at = to
+    return SessionTable(tuple(subject_id), tuple(group_id), boston, values, order, *scalars)
 
 
 def _text_cells(a: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -355,7 +371,8 @@ def _text_cells(a: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray
     widths = end - start
     width = max(1, int(widths.max()))
     padded = np.concatenate([a, np.zeros(width, dtype=np.uint8)])
-    cells = sliding_window_view(padded, width)[start]
+    # row i of the view is the ``width`` bytes from offset i
+    cells = np.ndarray((len(a) + 1, width), np.uint8, padded, strides=(1, 1))[start]
     cells *= np.arange(width) < widths[:, None]
     # an ASCII byte is its own UCS-4 code point, and NULs pad a U cell
     return cells.astype(np.uint32).view(f"U{width}").ravel()

@@ -231,17 +231,18 @@ def _jt_moments(sizes: Sequence[int], ties: Sequence[int]) -> tuple[float, float
     return mean, t1 + t2 + t3
 
 
-def _rank_test(groups: list[list], method: str, exact_hit: Callable[[int, float], bool],
+def _rank_test(groups: list[list], method: str,
+               exact_hit: Callable[[float], Callable[[int], bool]],
                normal_p: Callable[[float, float], float]) -> tuple[float, float]:
     """The JT statistic of ``groups`` and its p-value, the one method
     dispatch of both rank tests.  Exact: the share of the null whose doubled
-    statistic s has ``exact_hit(s, doubled observed)``.  Approximate:
+    statistic s has ``exact_hit(doubled observed)(s)``.  Approximate:
     ``normal_p(statistic - mean, sd)`` under the tie-corrected null moments."""
     sizes = [len(g) for g in groups]
     table = _tie_table(groups)
     stat = _jt_statistic(table)
     if method == "exact" or (method == "auto" and sum(sizes) <= EXACT_MAX_N):
-        return stat, _exact_p(table, lambda s: exact_hit(s, 2 * stat))
+        return stat, _exact_p(table, exact_hit(2 * stat))
     if method not in ("auto", "approx"):
         raise ValueError(f"unknown method {method!r}")
     blocks = table.sum(axis=1)
@@ -266,9 +267,10 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]],
     if len(groups) < 2 or any(not g for g in groups):
         raise ValueError("need at least 2 non-empty groups")
     if alternative == "decreasing":
-        return _rank_test(groups, method, lambda s, observed: s <= observed,
+        # observed >= s, as one bound method call per statistic
+        return _rank_test(groups, method, lambda observed: observed.__ge__,
                           lambda dev, sd: _norm_cdf((dev + 0.5) / sd))
-    return _rank_test(groups, method, lambda s, observed: s >= observed,
+    return _rank_test(groups, method, lambda observed: observed.__le__,
                       lambda dev, sd: _norm_sf((dev - 0.5) / sd))
 
 
@@ -290,7 +292,11 @@ def wilcoxon_ranksum(a: Sequence[float], b: Sequence[float],
         raise ValueError("both samples must be non-empty")
     na, nb = len(a), len(b)
     mid = na * nb  # the doubled null mean
-    jt, p = _rank_test([a, b], method, lambda s, observed: abs(s - mid) >= abs(observed - mid),
+    def exact_hit(observed: float) -> Callable[[int], bool]:
+        far = abs(observed - mid)
+        return lambda s: abs(s - mid) >= far
+
+    jt, p = _rank_test([a, b], method, exact_hit,
                        lambda dev, sd: min(1.0, 2.0 * _norm_sf((abs(dev) - 0.5) / sd)))
     return na * (na + 1) / 2 + mid - jt, p
 

@@ -8,6 +8,8 @@ import csv
 import json
 import math
 import random
+import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -222,26 +224,34 @@ def load_both(path):
     return table
 
 
-def test_table_equals_records(tmp_path):
-    lines = base_lines(tmp_path)
-    path = tmp_path / "edited.csv"
-    load_both_lines(path, lines)
+BAD_CELLS = ("", "x", "-1.00", "1.005", "99", "-3", "٣", "BOSTON", "1.5", " 1.00",
+             "10000000000000000.00", "2", "0.00", "1e999999", "1" + "0" * 400,
+             # 18 digits fit the plain parse; 19 go to the record reader
+             "999999999999999999", "9223372036854775807", "9999999999999999.99",
+             "92233720368547758.07", "s\u00e9", 'x"y')
 
-    bad_cells = ("", "x", "-1.00", "1.005", "99", "-3", "٣", "BOSTON", "1.5", " 1.00",
-                 "10000000000000000.00", "2", "0.00", "1e999999", "1" + "0" * 400,
-                 # 18 digits fit the plain parse; 19 go to the record reader
-                 "999999999999999999", "9223372036854775807", "9999999999999999.99",
-                 "92233720368547758.07", "s\u00e9", 'x"y')
+
+def load_bad_cells(path, lines, linenos):
+    """Each of ``BAD_CELLS`` in each column of each of ``linenos`` (1-based
+    file lines), one edit at a time: both loaders build the same table or
+    raise the same error.  Returns how many edited files loaded."""
     loaded = 0
     for j in range(len(CSV_COLUMNS)):
-        for cell in bad_cells:
-            for lineno in (2, len(lines)):
+        for cell in BAD_CELLS:
+            for lineno in linenos:
                 edited = list(lines)
                 row = edited[lineno - 1].split(",")
                 row[j] = cell
                 edited[lineno - 1] = ",".join(row)
                 loaded += load_both_lines(path, edited) is not None
-    assert loaded > 0
+    return loaded
+
+
+def test_table_equals_records(tmp_path):
+    lines = base_lines(tmp_path)
+    path = tmp_path / "edited.csv"
+    load_both_lines(path, lines)
+    assert load_bad_cells(path, lines, (2, len(lines))) > 0
 
     short, long_ = lines[3].rsplit(",", 1)[0], lines[3] + ",1"
     duplicate = lines[3].replace(",1,0,2,4,3,", ",1,1,2,4,3,")
@@ -268,6 +278,87 @@ def test_table_equals_records(tmp_path):
 def load_both_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines))
     return load_both(path)
+
+
+# a block of a few rows, so a 30-row file spans several
+SMALL_BLOCK = 300
+
+
+def test_table_equals_records_across_blocks(tmp_path, monkeypatch):
+    """Plain files parsed a few rows at a time: a bad cell in the first, a
+    middle or the last block, and an id too wide for its block or for
+    ``csv`` in a middle block, load as ``load_session`` reads them."""
+    monkeypatch.setattr(analysis, "_PLAIN_BLOCK", SMALL_BLOCK)
+    lines = base_lines(tmp_path)
+    lines = lines[:1] + lines[1:] * 3
+    path = tmp_path / "edited.csv"
+    assert load_both_lines(path, lines) is not None
+    assert path.stat().st_size > 3 * SMALL_BLOCK  # four blocks or more
+    assert load_bad_cells(path, lines, (2, 16, len(lines))) > 0
+
+    middle = lines[15].split(",")
+    for wide, loads in (("s" * 500, True), ("s" * (csv.field_size_limit() + 1), False)):
+        edited = list(lines)
+        edited[15] = ",".join([wide, *middle[1:]])
+        assert (load_both_lines(path, edited) is not None) == loads
+        assert analysis._plain_table(path.read_bytes()) is None
+
+
+def test_block_edges(tmp_path, monkeypatch):
+    """A block runs from its first byte through the first line end at least
+    ``_PLAIN_BLOCK`` bytes on.  Over the sizes swept here each block's
+    search starts on every byte of its third row, the \\r and \\n among
+    them.  So a block ends after its third row; with nine rows the last
+    block's search starts on every byte of the last line, and with ten it
+    starts past the file's end.  CRLF files, files without a final newline,
+    and a blank line that starts the second block each load as
+    ``load_session`` reads them; the plain parse refuses the blank line."""
+    lines = base_lines(tmp_path)
+    files = []  # (text, whether the plain parse reads it)
+    for rows in (lines[:10], lines):
+        text = "".join(line + "\n" for line in rows)
+        crlf = text.replace("\n", "\r\n")
+        files += [(crlf, True), (text[:-1], True), (crlf[:-2], True)]
+    blank = "".join(line + "\n" for line in lines[:4] + [""] + lines[4:])
+    files += [(blank, False), (blank.replace("\n", "\r\n"), False)]
+    path = tmp_path / "edges.csv"
+    for data, plain in files:
+        path.write_bytes(data.encode())
+        first = data.index("\n") + 1
+        row = data.index("\n", first) + 1 - first
+        for block in range(2 * row + 1, 3 * row + 1):
+            monkeypatch.setattr(analysis, "_PLAIN_BLOCK", block)
+            assert load_both(path) is not None
+            assert (analysis._plain_table(data.encode()) is not None) == plain
+
+
+def retained_bytes(table):
+    """Bytes a table holds: its arrays' data, its id tuples and their strings."""
+    total = 0
+    for name in SessionTable.__dataclass_fields__:
+        column = getattr(table, name)
+        if isinstance(column, tuple):
+            total += sys.getsizeof(column) + sum({id(s): sys.getsizeof(s) for s in column}.values())
+        else:
+            total += column.nbytes
+    return total
+
+
+def test_plain_parse_memory(tmp_path):
+    """A plain file of 50 000 rows is parsed a block at a time: the traced
+    peak of ``load_session_table`` stays within the table it returns, the
+    file's bytes and 4 MiB."""
+    lines = base_lines(tmp_path)
+    path = tmp_path / "large.csv"
+    path.write_bytes("".join(line + "\r\n" for line in lines[:1] + lines[1:] * 5000).encode())
+    tracemalloc.start()
+    try:
+        table = load_session_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 50_000
+    assert peak <= retained_bytes(table) + path.stat().st_size + 4 * 2**20
 
 
 def test_valid_non_plain_files_load(tmp_path):
@@ -334,23 +425,28 @@ def reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
-def test_fuzzed_sessions(tmp_path, capsys):
+def test_fuzzed_sessions(tmp_path, capsys, monkeypatch):
     """Mutants of ``save_session`` files, with CRLF and LF line ends: the
     columnar loader builds the record loader's table or raises its error,
     and ``analyze --ols`` exits 0 with strict JSON, or 1 with one error line
-    that names the file."""
+    that names the file.  Every other pair of mutants is parsed in blocks of
+    ``SMALL_BLOCK`` bytes, so its edits fall in any of several blocks."""
     rng = random.Random(20240901)
     path = tmp_path / "mutant.csv"
     save_session(analysis.generate_session(2, (287, 100, 50, 0, -69), 120.0, seed=7,
                                            misreport_rate=0.3) + random_session(1)[:5], path)
     crlf = path.read_bytes()
     bases = (crlf, crlf.replace(b"\r\n", b"\n"))
-    seen = set()
+    blocks = (analysis._PLAIN_BLOCK, SMALL_BLOCK)
+    assert len(crlf) > 3 * SMALL_BLOCK
+    seen: dict = {block: set() for block in blocks}
     for i in range(FUZZ_MUTANTS):
+        block = blocks[i // 2 % 2]
+        monkeypatch.setattr(analysis, "_PLAIN_BLOCK", block)
         data = mutate(rng, bases[i % 2])
         path.write_bytes(data)
         loaded = load_both(path) is not None
-        seen.add((analysis._plain_table(data) is not None, loaded))
+        seen[block].add((analysis._plain_table(data) is not None, loaded))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # incomplete groups
             code = cli.main(["analyze", "--session", str(path), "--ols"])
@@ -361,8 +457,9 @@ def test_fuzzed_sessions(tmp_path, capsys):
         else:
             assert code == 1 and out == "", data
             assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
-    # plain and record-read files, each loaded and rejected
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    # plain and record-read files, each loaded and rejected, at either block size
+    for outcomes in seen.values():
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------
