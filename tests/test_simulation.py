@@ -398,6 +398,20 @@ def test_fixed_sums_exact_under_count_weights(tmp_path, kind, scale, chunk_fits_
     assert path.read_bytes().decode() == _expected_csv(outs, n)
 
 
+def test_sum_dtype_covers_rho_totals_where_values_cancel(tmp_path):
+    # good 3 is worth 10**15 cents to everyone and sits at rank 4, where rho
+    # is -10**15: every utility is small, but each replication's rho total
+    # is near -10**15, so its square needs Python ints
+    market = MarketInstance.from_cents([[300, 200, 100, 10**15]] * 4, [50, 20, 0, -10**15])
+    profile = StrategyProfile.fixed_reports([RankList((0, 1, 2, 3))] * 4)
+    rep = simulate(MechanismKind.RSD, market, profile, 5_000, seed=3)
+    assert (rep.rho_mean, rep.rho_se) == (-999999999999930.0, 0.0)
+    assert (rep.welfare_mean, rep.welfare_se) == (670.0, 0.0)
+    assert rep.rank_histogram == (5_000,) * 4
+    path = tmp_path / "reps.csv"
+    assert write_replication_csv(MechanismKind.RSD, market, profile, 5_000, 3, path) == rep
+
+
 @pytest.mark.parametrize("kind", list(MechanismKind))
 def test_replication_csv_at_n10_matches_scalar_reference(tmp_path, kind):
     # 10! orders against 3 000 draws: every row is its own group, and the
@@ -684,6 +698,33 @@ def test_structured_memory_is_one_block_of_draws(kind):
     assert max(peaks) <= 1.5 * draws, (peaks, draws)
 
 
+@pytest.mark.parametrize("n", [4, 10])
+@pytest.mark.parametrize("kind", list(MechanismKind))
+def test_fixed_memory_is_one_block_of_draws(kind, n):
+    # a block holds its (reps x n) 8-byte tie-break positions, a code per
+    # replication and its distinct rows' outcomes, the engine runs a chunk at
+    # a time, and memory does not grow with the block count: at n = 4 orders
+    # repeat and are grouped, at n = 10 every order is its own row
+    rng = random.Random(n)
+    values = [[rng.randint(0, 3000) for _ in range(n)] for _ in range(n)]
+    rho = sorted((rng.randint(-300, 900) for _ in range(n)), reverse=True)
+    market = MarketInstance.from_cents(values, rho)
+    profile = StrategyProfile.fixed_reports(
+        [RankList(tuple(rng.sample(range(n), n))) for _ in range(n)])
+    simulate(kind, market, profile, 1000, seed=1)  # lazy set-up outside the trace
+    peaks = []
+    for blocks in (1, 4):
+        tracemalloc.start()
+        try:
+            simulate(kind, market, profile, blocks * simulation.BLOCK_SIZE, seed=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    orders = simulation.BLOCK_SIZE * n * 8
+    assert abs(peaks[1] - peaks[0]) < 1 << 16, peaks
+    assert max(peaks) <= 2 * orders, (peaks, orders)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("n1", [0, 3, 5])
 @pytest.mark.parametrize("kind", ["rsd", "boston"])
@@ -695,3 +736,44 @@ def test_golden_structured_simulate(tmp_path, kind, n1, threads):
                      "--structured-n1", str(n1), "--reps", "70001", "--seed", "8",
                      "--threads", threads, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"simulate_{kind}_n1_{n1}.json").read_bytes()
+
+
+def _fixed_golden_inputs(tmp_path, name):
+    """Market and reports files of a fixed-profile golden: seeded cents at
+    n = 4 (fewer orders than a block's draws, so orders repeat) and n = 10
+    (every order its own row), and an n = 4 market whose values of at least
+    10**15 cents and negative rho make the block sums Python ints."""
+    n, big = {"n4": (4, False), "n10": (10, False), "n4_big": (4, True)}[name]
+    rng = random.Random(100 * n + big)
+    base = 10**15 if big else 0
+    values = [[base + rng.randint(0, 3000) for _ in range(n)] for _ in range(n)]
+    rho = sorted((rng.randint(-300, 900) for _ in range(n - 1)), reverse=True)
+    rho.append(-10**13 if big else rho[-1] - rng.randint(1, 300))
+    reports = [RankList(tuple(rng.sample(range(n), n))) for _ in range(n)]
+    reports[1] = reports[0]
+    market, profile = tmp_path / "market.json", tmp_path / "reports.json"
+    market.write_text(json.dumps(MarketInstance.from_cents(values, rho).to_json_dict()))
+    profile.write_text(json.dumps({"reports": [list(r.order) for r in reports]}))
+    return ["--market", str(market), "--profile-reports", str(profile)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", ["n4", "n10", "n4_big"])
+@pytest.mark.parametrize("kind", ["rsd", "boston"])
+def test_golden_fixed_simulate(tmp_path, kind, name, threads):
+    # 70 001 reps are two blocks
+    out = tmp_path / "out.json"
+    assert cli.main(["simulate", "--kind", kind, *_fixed_golden_inputs(tmp_path, name),
+                     "--reps", "70001", "--seed", "8", "--threads", threads,
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"simulate_fixed_{kind}_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["n4", "n10"])
+@pytest.mark.parametrize("kind", ["rsd", "boston"])
+def test_golden_fixed_csv(tmp_path, kind, name):
+    out, lines = tmp_path / "out.json", tmp_path / "reps.csv"
+    assert cli.main(["simulate", "--kind", kind, *_fixed_golden_inputs(tmp_path, name),
+                     "--reps", "300", "--seed", "8", "--csv", str(lines),
+                     "--out", str(out)]) == 0
+    assert lines.read_bytes() == (GOLDEN / f"simulate_fixed_{kind}_{name}.csv").read_bytes()
