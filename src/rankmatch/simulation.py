@@ -1,6 +1,11 @@
 """Seeded Monte Carlo over markets and strategy profiles.
 
-Two profile kinds:
+An agent's utility for a good is its value plus rho of the rank at which the
+agent listed it, so a replication's outcome is the (agent, rank) cells it
+hands out.  Every block, of either profile kind, records the count of
+replications that gave each agent each rank, and the exact sums of squares
+of their welfare and rho totals, which a count cannot give; the run prices
+the merged count once, with its (agent, rank) utility rows.
 
 * ``FixedReport`` — every agent submits a fixed rank list; each replication
   draws only the tie-break order and runs the real engine.  A block's orders
@@ -8,45 +13,45 @@ Two profile kinds:
   orders repeat: each row gets an exact integer code, and ``np.unique``
   gives the distinct codes and how often each was drawn.  ``batch_rsd`` /
   ``batch_boston`` then run each distinct order once, a chunk at a time, in
-  n or n * n vectorized steps, and the sums weight every outcome by its
+  n or n * n vectorized steps, and the tally weights every outcome by its
   count, so a block of n = 5 runs at most 120 rows.  With more possible
   orders than draws, each row is its own group.  One block function serves
-  ``simulate`` and the per-replication CSV, whose lines it writes chunk by
-  chunk of replications, each replication finding its distinct row by
-  code.  An agent's good fixes its rank and utility, so after its rep
-  number a line is one of n * n tails, made once per block.  The first
-  ``REFERENCE_CHECK_REPS`` drawn orders of every block are also run
-  through the scalar ``run_rsd`` / ``run_boston`` and compared with their
-  distinct row's outcome, and any disagreement raises, so a fault in either
-  engine or in the grouping stops the run.
+  ``simulate`` and the per-replication CSV, whose lines it hands over chunk
+  by chunk of replications, each replication finding its distinct row by
+  code.  An agent's rank fixes its good and utility, so after its rep
+  number a line is one of n * n tails, made once per run and indexed by
+  the tally's (agent, rank) cell.  The first ``REFERENCE_CHECK_REPS``
+  drawn orders of every block are also run through the scalar ``run_rsd``
+  / ``run_boston`` and compared with their distinct row's outcome, and any
+  disagreement raises, so a fault in either engine or in the grouping
+  stops the run.
 * ``Structured`` — the symmetric-environment strategies: each agent picks
   which top good to rank first, lower goods are ranked uniformly at random,
   and losers of the top-goods phase receive a uniform leftover good / list
   slot.  The slot-lottery model is ``equilibrium``'s: the slots are drawn
   from its ``_lottery_window``, and the market is read through
-  ``SymmetricInstance.of``.  One ``_placement`` table per profile places
-  the two winners the same way for every mechanism and n1.  A block draws
-  a (reps x n) array of slots and the two winner draws, and keeps only
-  tallies: every replication's value total is the same constant, so
-  welfare moments follow from rho totals, and the histogram and per-agent
-  sums from one count of (agent, rank) pairs.  A replication's outcome
-  depends only on its draws, at most (n-2)**n * n * (n-1) distinct ones
-  (4 860 at n = 5).  When a run's first block holds at least
-  ``GROUP_REPEATS`` replications per possible draw, every block of the run
-  only counts its draws by code; the run adds the counts up in index order
-  and tallies each distinct draw once, weighted by its count, as fixed
-  profiles do with orders.
+  ``SymmetricInstance.of``.  One ``_placement`` table per run places the
+  two winners the same way for every mechanism and n1, and gives the rank
+  at which an agent receives the other top good.  A block draws a (reps x
+  n) array of slots and the two winner draws; every replication's value
+  total is the same constant, so its welfare follows from its rho total.
+  A replication's outcome depends only on its draws, at most
+  (n-2)**n * n * (n-1) distinct ones (4 860 at n = 5).  When a run's first
+  block holds at least ``GROUP_REPEATS`` replications per possible draw,
+  every block of the run only counts its draws by code; the run adds the
+  counts up in index order and tallies each distinct draw once, weighted by
+  its count, as fixed profiles do with orders.
 
 Randomness is consumed in fixed-size blocks, one Philox substream
 ``(seed, block_index)`` per block, and blocks are merged in index order, so
 the report is byte-identical for any worker count.  A block's draws are made
-whole; the work after them (engine runs, gathers, sums, CSV lines) runs a
-chunk of at most ``CHUNK_CELLS`` cells (rows x n) at a time into exact
-integer sums, so its temporaries stay small and are reused from the heap
-across chunks and blocks instead of being returned to the kernel and
-faulted back.  Only for the CSV lines does a block keep a cell per agent
-of each distinct row, agent * n + good.  ``concurrent.futures`` is imported
-only by a run that uses more than one worker.
+whole; the work after them (engine runs, gathers, tallies, CSV lines) runs
+a chunk of at most ``CHUNK_CELLS`` cells (rows x n) at a time, so its
+temporaries stay small and are reused from the heap across chunks and
+blocks instead of being returned to the kernel and faulted back.  Only for
+the CSV lines does a block keep the cells of each distinct row, agent * n +
+rank - 1.  ``concurrent.futures`` is imported only by a run that uses more
+than one worker.
 """
 from __future__ import annotations
 
@@ -59,7 +64,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import prng
-from .core import MarketInstance, RankList
+from .core import RankList
 from .equilibrium import SymmetricInstance, _lottery_window
 from .batch import batch_mechanism
 from .mechanisms import MechanismKind, TieBreakOrder, run_mechanism
@@ -145,30 +150,22 @@ class SimReport:
 
 @dataclass
 class _Acc:
-    """Sums over the replications of a chunk, a block or a whole run, merged
-    in index order.  Money sums are exact Python ints, so the report does
-    not depend on the block or chunk count."""
+    """The record of a block's or a whole run's replications, merged in index
+    order: ``tally[i, r]`` (int64, n x n) counts the replications that gave
+    agent i its rank r + 1, and the two sums of squares, of the welfare and
+    of the rho totals, are what a tally cannot give.  They are exact Python
+    ints, so the report does not depend on the block or chunk count."""
 
     reps: int
-    w_sum: int
     w_sumsq: int
-    r_sum: int
     r_sumsq: int
-    hist: np.ndarray  # int64 counts of received ranks 1..n
-    agent_u: list[int]
-
-    @staticmethod
-    def zero(n: int) -> "_Acc":
-        return _Acc(0, 0, 0, 0, 0, np.zeros(n, dtype=np.int64), [0] * n)
+    tally: np.ndarray
 
     def add(self, other: "_Acc") -> None:
         self.reps += other.reps
-        self.w_sum += other.w_sum
         self.w_sumsq += other.w_sumsq
-        self.r_sum += other.r_sum
         self.r_sumsq += other.r_sumsq
-        self.hist += other.hist
-        self.agent_u = [a + u for a, u in zip(self.agent_u, other.agent_u)]
+        self.tally += other.tally
 
 
 def _mean_se(total: int, total_sq: int, count: int) -> tuple[float, float]:
@@ -212,29 +209,17 @@ def _tally(cells: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _chunk_sums(ranks: np.ndarray, utils: np.ndarray, rho_got: np.ndarray,
-                counts: np.ndarray) -> _Acc:
-    """One chunk's sums from (rows x n) received ranks, utilities and the rho
-    part of each utility, row i standing for ``counts[i]`` replications."""
-    welfare = utils.sum(axis=1)
-    rho_tot = rho_got.sum(axis=1)
-    return _Acc(int(counts.sum()), int(counts @ welfare), int(counts @ (welfare * welfare)),
-                int(counts @ rho_tot), int(counts @ (rho_tot * rho_tot)),
-                _tally(ranks - 1, counts, ranks.shape[1]), [int(u) for u in counts @ utils])
-
-
-def _fixed_block(kind: MechanismKind, market: MarketInstance,
-                 reports: Sequence[RankList], pref: np.ndarray,
-                 reps: int, seed: int, block: int,
-                 write: Callable[[str], object] | None = None) -> _Acc:
-    """Draw one block of tie-break orders, stream (seed, block), and sum their
-    outcomes.  The batch engine runs once per distinct order of the block, a
-    chunk of distinct orders at a time, and each chunk's sums weight an
-    order's outcome by the number of times it was drawn.  With ``write``, the
-    per-replication CSV lines are passed to it a chunk of replications at a
-    time, each chunk as one string, numbered from the block's first
-    replication."""
-    n = market.n
+def _fixed_block(kind: MechanismKind, reports: Sequence[RankList], pref: np.ndarray,
+                 utils: list[list[int]], rho: Sequence[int], reps: int, seed: int, block: int,
+                 write: Callable[[int, np.ndarray], object] | None = None) -> _Acc:
+    """Draw one block of tie-break orders, stream (seed, block), and tally
+    their outcomes.  The batch engine runs once per distinct order of the
+    block, a chunk of distinct orders at a time, and each order's (agent,
+    rank) cells count as often as it was drawn; ``utils`` are the run's
+    (agent, rank) utility rows.  With ``write``, it is called once per chunk
+    of replications, in order, with the number of the chunk's first
+    replication and the chunk's (rows x n) cells."""
+    n = len(utils)
     gen = prng.generator(seed, block)
     orders = np.tile(np.arange(n), (reps, 1))
     gen.permuted(orders, axis=1, out=orders)
@@ -252,19 +237,22 @@ def _fixed_block(kind: MechanismKind, market: MarketInstance,
         code = uniq = np.arange(reps)
         counts = np.ones(reps, dtype=np.int64)
         distinct = orders
-    rows, rho = market.values.rows, market.rho.values
-    bound = n * (max(max(r) for r in rows) + max(abs(v) for v in rho))
-    # one distinct order may stand for every replication of the block
-    dtype = _sum_dtype(bound, reps)
-    rho_arr, value_arr = np.asarray(rho, dtype=dtype), np.asarray(rows, dtype=dtype)
-    agents = np.arange(n)
+    # a replication's welfare and rho totals are at most n times the largest
+    # utility or rho in size, and one distinct order may stand for every
+    # replication of the block
+    dtype = _sum_dtype(n * max(abs(v) for row in (rho, *utils) for v in row), reps)
+    # utility and rho of each (agent, rank) cell agent * n + rank - 1
+    util_of = np.asarray(utils, dtype=dtype).ravel()
+    rho_of = np.tile(np.asarray(rho, dtype=dtype), n)
+    codes = np.arange(-1, n * n - 1, n)
     # distinct row of each replication the scalar engine checks
     check = np.searchsorted(uniq, code[:REFERENCE_CHECK_REPS])
-    # agent * n + good of every agent in the distinct rows, for the CSV lines
+    # the cells of every distinct row, for the CSV lines
     kept = None if write is None else np.empty((len(uniq), n), dtype=np.int64)
-    acc = _Acc.zero(n)
+    w_sumsq = r_sumsq = 0
+    tally = np.zeros(n * n, dtype=np.int64)
     for lo, hi in _chunks(len(uniq), n):
-        goods, ranks = batch_mechanism(kind, pref, distinct[lo:hi])
+        goods, cells = batch_mechanism(kind, pref, distinct[lo:hi])
         for rep in np.flatnonzero((check >= lo) & (check < hi)).tolist():
             order, got = orders[rep].tolist(), goods[check[rep] - lo].tolist()
             expected = run_mechanism(kind, reports, TieBreakOrder(order)).assignment
@@ -272,31 +260,27 @@ def _fixed_block(kind: MechanismKind, market: MarketInstance,
                 raise RuntimeError(f"{kind.value} batch engine gave {got} for order {order} "
                                    f"(block {block}, rep {rep}); the reference engine "
                                    f"gives {list(expected)}")
-        rho_got = rho_arr[ranks - 1]
-        utils = value_arr[agents, goods] + rho_got
-        acc.add(_chunk_sums(ranks, utils, rho_got, counts[lo:hi]))
+        cells += codes  # the received ranks become (agent, rank) cells
+        c = counts[lo:hi]
+        w, r = util_of[cells].sum(axis=1), rho_of[cells].sum(axis=1)
+        w_sumsq += int(c @ (w * w))
+        r_sumsq += int(c @ (r * r))
+        tally += _tally(cells, c, n * n)
         if kept is not None:
-            kept[lo:hi] = goods + agents * n
+            kept[lo:hi] = cells
     if write is not None:
-        # an agent's good fixes its rank and utility, so every line after its
-        # rep number is one of n * n tails, made from the market's ints
-        tails = np.empty(n * n, dtype=object)
-        for i, (report, values) in enumerate(zip(reports, rows)):
-            for r, good in enumerate(report.order):
-                tails[i * n + good] = f",{i},{good},{r + 1},{values[good] + rho[r]}\r\n"
         for lo, hi in _chunks(reps, n):
-            first = block * BLOCK_SIZE + lo
-            numbers = np.array([str(r) for r in range(first, first + hi - lo)], dtype=object)
-            cells = kept[np.searchsorted(uniq, code[lo:hi])]
-            write("".join((numbers[:, None] + tails[cells]).ravel().tolist()))
-    return acc
+            write(block * BLOCK_SIZE + lo, kept[np.searchsorted(uniq, code[lo:hi])])
+    return _Acc(reps, w_sumsq, r_sumsq, tally.reshape(n, n))
 
 
 def _placement(kind: MechanismKind, n: int,
-               tops: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """A structured profile's placement table: the lowest slot rank, and for
-    winner draws a and b the first winner ``first[a]``, the second winner
-    ``second[a, b]`` and that winner's rank ``second_rank[a, b]``.
+               tops: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, int]:
+    """A structured profile's placement table, built once per run: the lowest
+    slot rank; for winner draws a and b the first winner ``first[a]``, the
+    second winner ``second[a, b]`` and that winner's rank ``second_rank[a,
+    b]``; and ``other``, the rank at which an agent receives the top good it
+    does not rank first.
 
     Losers draw uniform slots of ``_lottery_window``, RSD's at the all-x1
     corner.  In Boston's interior round 1 gives x1 to a of the x1-first
@@ -318,16 +302,29 @@ def _placement(kind: MechanismKind, n: int,
     # at the one rank above 1 that no slot takes: 2 or n
     other = 2 if low == 3 else n
     second_rank = np.where(tops_arr[second] != tops_arr[first][:, None], 1, other)
-    return low, first, second, second_rank
+    return low, first, second, second_rank, other
 
 
-def _grouped(kind: MechanismKind, n: int, tops: tuple[int, ...], replications: int) -> bool:
+def _structured_utils(inst: SymmetricInstance, tops: tuple[int, ...],
+                      table) -> list[list[int]]:
+    """The (agent, rank) utility rows of a structured profile: rank 1 is an
+    agent's own top good, rank ``other`` of the ``_placement`` table the
+    other top good (in Boston's interior no agent receives it) and every
+    other rank a tail good worth vbar."""
+    other, rows = table[4], []
+    for top in tops:
+        own, alt = (inst.v1, inst.v2) if top == 1 else (inst.v2, inst.v1)
+        values = [own] + [alt if r == other else inst.vbar for r in range(2, inst.n + 1)]
+        rows.append([v + p for v, p in zip(values, inst.rho.values)])
+    return rows
+
+
+def _grouped(table, n: int, replications: int) -> bool:
     """Whether a structured run counts its draws by code: when its first
     block holds at least ``GROUP_REPEATS`` replications per possible draw.
     A replication's outcome depends only on its draws, at most
     (n-2)**n * n * (n-1) distinct ones (4 860 at n = 5)."""
-    draws = (n - 2) ** n * _placement(kind, n, tops)[2].size
-    return GROUP_REPEATS * draws <= min(BLOCK_SIZE, replications)
+    return GROUP_REPEATS * (n - 2) ** n * table[2].size <= min(BLOCK_SIZE, replications)
 
 
 def _structured_draws(table, n: int, reps: int, seed: int, block: int, group: bool):
@@ -336,7 +333,7 @@ def _structured_draws(table, n: int, reps: int, seed: int, block: int, group: bo
     are drawn as digits 0..n-3 of a code, in int32 (the values int64 draws
     give, less the lowest rank); else as int64 ranks, which index fastest
     when rows are tallied one by one."""
-    low, _, second, _ = table
+    low, second = table[0], table[2]
     gen = prng.generator(seed, block)
     start, dtype = (0, np.int32) if group else (low, np.int64)
     slots = gen.integers(start, start + n - 2, size=(reps, n), dtype=dtype)
@@ -344,21 +341,16 @@ def _structured_draws(table, n: int, reps: int, seed: int, block: int, group: bo
             gen.integers(0, second.shape[1], size=reps, dtype=dtype))
 
 
-def _structured_block(kind: MechanismKind, inst: SymmetricInstance,
-                      tops: tuple[int, ...], reps: int, seed: int, block: int) -> _Acc:
-    """One block's sums, each replication tallied on its own."""
-    table = _placement(kind, inst.n, tops)
+def _structured_block(table, inst: SymmetricInstance, reps: int, seed: int, block: int) -> _Acc:
+    """One block's record, each replication tallied on its own."""
     ranks, a, b = _structured_draws(table, inst.n, reps, seed, block, False)
-    return _structured_tally(table, inst, tops, ranks, a, b, np.ones(reps, dtype=np.int64), reps)
+    return _structured_tally(table, inst, ranks, a, b, np.ones(reps, dtype=np.int64), reps)
 
 
-def _structured_codes(kind: MechanismKind, inst: SymmetricInstance,
-                      tops: tuple[int, ...], reps: int, seed: int, block: int) -> np.ndarray:
+def _structured_codes(table, n: int, reps: int, seed: int, block: int) -> np.ndarray:
     """How often one block draws each possible draw: the count of each code
     (b * span_a + a) * (n - 2)**n + (slots in base n - 2), span_a and span_b
     being the shape of the ``_placement`` table's ``second``."""
-    n = inst.n
-    table = _placement(kind, n, tops)
     span_a, span_b = table[2].shape
     slots, a, code = _structured_draws(table, n, reps, seed, block, True)
     # the codes are below (n - 2)**n * span_a * span_b <= BLOCK_SIZE and are
@@ -369,16 +361,14 @@ def _structured_codes(kind: MechanismKind, inst: SymmetricInstance,
     return np.bincount(code, minlength=(n - 2) ** n * span_a * span_b)
 
 
-def _structured_grouped(kind: MechanismKind, inst: SymmetricInstance,
-                        tops: tuple[int, ...], counts: np.ndarray, reps: int) -> _Acc:
-    """The sums of ``reps`` replications from the count of each draw code:
+def _structured_grouped(table, inst: SymmetricInstance, counts: np.ndarray, reps: int) -> _Acc:
+    """The record of ``reps`` replications from the count of each draw code:
     each distinct draw is placed and tallied once, weighted by its count."""
-    n = inst.n
-    table = low, first, _, _ = _placement(kind, n, tops)
+    n, low, first = inst.n, table[0], table[1]
     code = np.flatnonzero(counts)
     ranks = code[:, None] // (n - 2) ** np.arange(n) % (n - 2) + low
     b, a = np.divmod(code // (n - 2) ** n, len(first))
-    return _structured_tally(table, inst, tops, ranks, a, b, counts[code], reps)
+    return _structured_tally(table, inst, ranks, a, b, counts[code], reps)
 
 
 def _summed(counts: Iterator[np.ndarray]) -> np.ndarray:
@@ -390,30 +380,28 @@ def _summed(counts: Iterator[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _structured_tally(table, inst: SymmetricInstance, tops: tuple[int, ...],
-                      ranks: np.ndarray, a_all: np.ndarray, b_all: np.ndarray,
-                      counts: np.ndarray, reps: int) -> _Acc:
-    """The sums of ``reps`` replications from the received ranks of their
+def _structured_tally(table, inst: SymmetricInstance, ranks: np.ndarray, a_all: np.ndarray,
+                      b_all: np.ndarray, counts: np.ndarray, reps: int) -> _Acc:
+    """The record of ``reps`` replications from the received ranks of their
     draws: (rows x n) slot ranks and the two winner draws of each row, row i
     standing for ``counts[i]`` replications, placed by the ``_placement``
     table.
 
     Every replication gives x1 to one agent, x2 to another and a tail good
     to the rest, so its value total is the constant ``C`` and its welfare is
-    ``C`` plus its rho total; per-agent sums come from an (agent, rank)
-    tally.  Placing and tallying run a chunk of rows at a time.
+    ``C`` plus its rho total.  Placing and tallying run a chunk of rows at a
+    time.
     """
     n = inst.n
-    low, first, second, second_rank = table
+    first, second, second_rank = table[1:4]
     # winners are placed through a flat view of the ranks, which is faster
     # than indexing (row, agent) pairs
     ranks = np.ascontiguousarray(ranks)
-    cells = ranks.reshape(-1)
+    flat = ranks.reshape(-1)
     rho = inst.rho.values
-    # rho_of[rank] for 1-based ranks; each replication's rho total by column
-    # adds; one distinct draw may stand for every replication
-    rho_of = np.asarray((0,) + rho, dtype=_sum_dtype(n * max(abs(v) for v in rho), reps))
-    # (agent, rank) codes agent * n + rank - 1, written over ranks
+    # the rho of each (agent, rank) cell agent * n + rank - 1; one distinct
+    # draw may stand for every replication
+    rho_of = np.tile(np.asarray(rho, dtype=_sum_dtype(n * max(abs(v) for v in rho), reps)), n)
     codes = np.arange(-1, n * n - 1, n)
     r_sum = r_sumsq = 0
     tally = np.zeros(n * n, dtype=np.int64)
@@ -421,30 +409,18 @@ def _structured_tally(table, inst: SymmetricInstance, tops: tuple[int, ...],
         rk, a, c = ranks[lo:hi], a_all[lo:hi], counts[lo:hi]
         row = np.arange(lo * n, hi * n, n)  # each row's first cell
         ab = a * second.shape[1] + b_all[lo:hi]  # flat (a, b) in the table
-        cells[row + first.take(a)] = 1
-        cells[row + second.take(ab)] = second_rank.take(ab)
+        flat[row + first.take(a)] = 1
+        flat[row + second.take(ab)] = second_rank.take(ab)
+        rk += codes  # (agent, rank) cells, written over the ranks
         got = rho_of[rk]
         r = got[:, 0] + got[:, 1]
         for j in range(2, n):
             r += got[:, j]
         r_sum += int(c @ r)
         r_sumsq += int(c @ (r * r))
-        rk += codes
         tally += _tally(rk, c, n * n)
-    tally = tally.reshape(n, n)
-    # rank 1 is always an agent's own top good, and the other top good comes
-    # at the rank no slot takes, as in ``_placement`` (in Boston's interior
-    # no agent receives it)
-    other = 1 if low == 3 else n - 1
-    agent_u = []
-    for top, by_rank in zip(tops, tally.tolist()):
-        own, alt = (inst.v1, inst.v2) if top == 1 else (inst.v2, inst.v1)
-        agent_u.append(by_rank[0] * own + by_rank[other] * alt
-                       + (reps - by_rank[0] - by_rank[other]) * inst.vbar
-                       + sum(c * v for c, v in zip(by_rank, rho)))
     C = inst.v1 + inst.v2 + (n - 2) * inst.vbar
-    return _Acc(reps, reps * C + r_sum, reps * C * C + 2 * C * r_sum + r_sumsq,
-                r_sum, r_sumsq, tally.sum(axis=0), agent_u)
+    return _Acc(reps, reps * C * C + 2 * C * r_sum + r_sumsq, r_sumsq, tally.reshape(n, n))
 
 
 def _block_sizes(replications: int) -> Iterator[int]:
@@ -467,23 +443,34 @@ def _in_index_order(pool, block_fn: Callable, sizes: Iterator[int], ahead: int) 
         yield pending.popleft().result()
 
 
-def _fixed_setup(market, profile: StrategyProfile) -> tuple[MarketInstance, np.ndarray]:
-    """The market and the (n x n) report array of a fixed-report profile."""
+def _fixed_setup(market, profile: StrategyProfile) -> tuple[np.ndarray, list, tuple]:
+    """The (n x n) report array of a fixed-report profile, its (agent, rank)
+    utility rows and the market's rho schedule."""
     mkt = market.market() if isinstance(market, SymmetricInstance) else market
     if len(profile.fixed) != mkt.n or any(len(r) != mkt.n for r in profile.fixed):
         raise ValueError("profile size must match market size")
-    return mkt, np.array([r.order for r in profile.fixed], dtype=np.int64)
+    rho = mkt.rho.values
+    utils = [[values[good] + p for good, p in zip(report.order, rho)]
+             for report, values in zip(profile.fixed, mkt.values.rows)]
+    return np.array([r.order for r in profile.fixed], dtype=np.int64), utils, rho
 
 
-def _report(kind: MechanismKind, replications: int, seed: int, n: int,
-            profile: StrategyProfile, results) -> SimReport:
-    """Merge block sums, in block-index order, into a report."""
-    acc = _Acc.zero(n)
+def _report(kind: MechanismKind, replications: int, seed: int, profile: StrategyProfile,
+            utils: list[list[int]], rho: Sequence[int], results) -> SimReport:
+    """Merge block records, in block-index order, into a report, pricing the
+    run's tally once with its (agent, rank) utility rows ``utils``: the
+    histogram, the per-agent sums and the welfare and rho totals are exact
+    integers."""
+    n = len(utils)
+    acc = _Acc(0, 0, 0, np.zeros((n, n), dtype=np.int64))
     for res in results:
         acc.add(res)
-    w_mean, w_se = _mean_se(acc.w_sum, acc.w_sumsq, acc.reps)
-    r_mean, r_se = _mean_se(acc.r_sum, acc.r_sumsq, acc.reps)
-    agent_eu = tuple(u / acc.reps for u in acc.agent_u)
+    tally = acc.tally.tolist()
+    hist = [sum(col) for col in zip(*tally)]
+    agent_u = [sum(c * u for c, u in zip(counts, row)) for counts, row in zip(tally, utils)]
+    w_mean, w_se = _mean_se(sum(agent_u), acc.w_sumsq, acc.reps)
+    r_mean, r_se = _mean_se(sum(h * p for h, p in zip(hist, rho)), acc.r_sumsq, acc.reps)
+    agent_eu = tuple(u / acc.reps for u in agent_u)
 
     group_eu = None
     if profile.tops is not None:
@@ -492,7 +479,7 @@ def _report(kind: MechanismKind, replications: int, seed: int, n: int,
             members = [i for i in range(n) if profile.tops[i] == top]
             if members:
                 group_eu[name] = float(np.mean([agent_eu[i] for i in members]))
-    return SimReport(kind, replications, seed, tuple(int(c) for c in acc.hist),
+    return SimReport(kind, replications, seed, tuple(hist),
                      w_mean, w_se, r_mean, r_se, agent_eu, group_eu)
 
 
@@ -510,20 +497,21 @@ def simulate(kind: MechanismKind, market, profile: StrategyProfile,
     finish: Callable = lambda results: results
     if profile.tops is not None:
         inst = SymmetricInstance.of(market)
-        n, tops = inst.n, profile.tops
+        n, tops, rho = inst.n, profile.tops, inst.rho.values
         if len(tops) != n:
             raise ValueError("profile size must match market size")
-        if _grouped(kind, n, tops, replications):
+        table = _placement(kind, n, tops)
+        utils = _structured_utils(inst, tops, table)
+        if _grouped(table, n, replications):
             # blocks count their draws by code, and the run tallies the sum once
-            block_fn: Callable = lambda reps, b: _structured_codes(kind, inst, tops, reps, seed, b)
-            finish = lambda counts: [_structured_grouped(kind, inst, tops, _summed(counts),
+            block_fn: Callable = lambda reps, b: _structured_codes(table, n, reps, seed, b)
+            finish = lambda counts: [_structured_grouped(table, inst, _summed(counts),
                                                          replications)]
         else:
-            block_fn = lambda reps, b: _structured_block(kind, inst, tops, reps, seed, b)
+            block_fn = lambda reps, b: _structured_block(table, inst, reps, seed, b)
     else:
-        mkt, pref = _fixed_setup(market, profile)
-        n = mkt.n
-        block_fn = lambda reps, b: _fixed_block(kind, mkt, profile.fixed, pref,
+        pref, utils, rho = _fixed_setup(market, profile)
+        block_fn = lambda reps, b: _fixed_block(kind, profile.fixed, pref, utils, rho,
                                                 reps, seed, b)
 
     workers = min(threads, os.cpu_count() or 1, -(-replications // BLOCK_SIZE))
@@ -532,9 +520,9 @@ def simulate(kind: MechanismKind, market, profile: StrategyProfile,
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # two blocks per worker: one running, one queued while the caller merges
-            return _report(kind, replications, seed, n, profile,
+            return _report(kind, replications, seed, profile, utils, rho,
                            finish(_in_index_order(pool, block_fn, sizes, 2 * workers)))
-    return _report(kind, replications, seed, n, profile,
+    return _report(kind, replications, seed, profile, utils, rho,
                    finish(block_fn(size, b) for b, size in enumerate(sizes)))
 
 
@@ -555,9 +543,18 @@ def write_replication_csv(kind: MechanismKind, market, profile: StrategyProfile,
     if profile.fixed is None:
         raise ValueError("per-replication CSV supports fixed-report profiles only")
     sizes = _block_sizes(replications)
-    mkt, pref = _fixed_setup(market, profile)
+    pref, utils, rho = _fixed_setup(market, profile)
+    # an agent's rank fixes its good and utility, so every line after its rep
+    # number is one of n * n tails, indexed by the tally's (agent, rank) cell
+    tails = np.array([f",{i},{good},{r + 1},{u}\r\n"
+                      for i, (report, row) in enumerate(zip(profile.fixed, utils))
+                      for r, (good, u) in enumerate(zip(report.order, row))], dtype=object)
     with open(path, "w", newline="") as fh:
+        def write(first: int, cells: np.ndarray) -> None:
+            numbers = np.array([str(r) for r in range(first, first + len(cells))], dtype=object)
+            fh.write("".join((numbers[:, None] + tails[cells]).ravel().tolist()))
+
         fh.write("rep,agent,good,rank,utility_cents\r\n")
-        return _report(kind, replications, seed, mkt.n, profile,
-                       (_fixed_block(kind, mkt, profile.fixed, pref, size, seed, block, fh.write)
-                        for block, size in enumerate(sizes)))
+        return _report(kind, replications, seed, profile, utils, rho,
+                       (_fixed_block(kind, profile.fixed, pref, utils, rho, size, seed, block,
+                                     write) for block, size in enumerate(sizes)))

@@ -231,18 +231,17 @@ def test_pool_bounds_blocks_in_flight(monkeypatch):
     lock = threading.Lock()
     started, merged, in_flight = [0], [], []
 
-    def block(kind, inst, tops, reps, seed, b):
+    def block(table, inst, reps, seed, b):
         with lock:
             started[0] += 1
             in_flight.append(started[0] - len(merged))
-        return simulation._Acc(reps, b, b * b, 0, 0, np.zeros(inst.n, dtype=np.int64),
-                               [0] * inst.n)
+        return simulation._Acc(reps, b, b * b, np.zeros((inst.n, inst.n), dtype=np.int64))
 
     add = simulation._Acc.add
 
     def merge(acc, other):
         with lock:
-            merged.append(other.w_sum)
+            merged.append(other.w_sumsq)
         add(acc, other)
     monkeypatch.setattr(simulation, "_structured_block", block)
     monkeypatch.setattr(simulation._Acc, "add", merge)
@@ -571,16 +570,21 @@ def _structured_instances(n):
 def _one_block(kind, inst, tops, reps, seed, block):
     """The sums of block ``block`` of ``reps`` replications as a run of
     ``reps`` replications makes them: counted by draw code and tallied once
-    when the run groups its draws, else tallied row by row."""
-    if simulation._grouped(kind, inst.n, tops, reps):
-        counts = simulation._structured_codes(kind, inst, tops, reps, seed, block)
-        return simulation._structured_grouped(kind, inst, tops, counts, reps)
-    return simulation._structured_block(kind, inst, tops, reps, seed, block)
-
-
-def _block_result(res):
-    return (res.reps, res.w_sum, res.w_sumsq, res.r_sum, res.r_sumsq,
-            [int(c) for c in res.hist], list(res.agent_u))
+    when the run groups its draws, else tallied row by row; the first
+    moments are the block's (agent, rank) tally priced with the profile's
+    utility rows."""
+    table = simulation._placement(kind, inst.n, tops)
+    if simulation._grouped(table, inst.n, reps):
+        counts = simulation._structured_codes(table, inst.n, reps, seed, block)
+        res = simulation._structured_grouped(table, inst, counts, reps)
+    else:
+        res = simulation._structured_block(table, inst, reps, seed, block)
+    tally = res.tally.tolist()
+    hist = [sum(col) for col in zip(*tally)]
+    agent_u = [sum(c * u for c, u in zip(by_rank, row))
+               for by_rank, row in zip(tally, simulation._structured_utils(inst, tops, table))]
+    r_sum = sum(h * p for h, p in zip(hist, inst.rho.values))
+    return (res.reps, sum(agent_u), res.w_sumsq, r_sum, res.r_sumsq, hist, agent_u)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -611,7 +615,7 @@ def _check_structured_block(monkeypatch, n, chunk_rows):
                         seed = rng.randrange(2**32)
                         got = _one_block(kind, inst, t, reps, seed, 3)
                         want = reference_structured_block(kind, inst, t, reps, seed, 3)
-                        assert _block_result(got) == want, (inst, t, kind, reps)
+                        assert got == want, (inst, t, kind, reps)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -630,7 +634,7 @@ def test_structured_block_grouped_matches_reference(monkeypatch, n):
         for t in (tops, tuple(rng.sample(tops, n))):
             for kind in MechanismKind:
                 seed = rng.randrange(2**32)
-                got = _block_result(_one_block(kind, inst, t, reps, seed, 0))
+                got = _one_block(kind, inst, t, reps, seed, 0)
                 assert got == reference_structured_block(kind, inst, t, reps, seed, 0), (t, kind)
                 assert (block_rows.pop() < reps) == (n <= 5)
                 if n <= 5:
@@ -638,7 +642,7 @@ def test_structured_block_grouped_matches_reference(monkeypatch, n):
                         m.setattr(simulation, "GROUP_REPEATS", math.inf)
                         per_row = _one_block(kind, inst, t, reps, seed, 0)
                     assert block_rows.pop() == reps
-                    assert _block_result(per_row) == got, (t, kind)
+                    assert per_row == got, (t, kind)
 
 
 def test_grouped_run_counts_its_short_last_block(monkeypatch):
@@ -648,7 +652,7 @@ def test_grouped_run_counts_its_short_last_block(monkeypatch):
     sizes = []
     codes = simulation._structured_codes
     monkeypatch.setattr(simulation, "_structured_codes",
-                        lambda *args: sizes.append(args[3]) or codes(*args))
+                        lambda *args: sizes.append(args[2]) or codes(*args))
     reps = simulation.BLOCK_SIZE + 1_000
     for n1 in (0, 3, 5):
         profile = StrategyProfile.structured_n1(E1.n, n1)
@@ -664,6 +668,22 @@ def test_grouped_run_counts_its_short_last_block(monkeypatch):
                 assert grouped == per_row, (kind, n1, threads)
 
 
+def test_placement_built_once_per_run(monkeypatch):
+    # grouped (n = 5) and per-row (n = 6) runs of two blocks, on one and two
+    # threads, read one placement table
+    calls = []
+    placement = simulation._placement
+    monkeypatch.setattr(simulation, "_placement",
+                        lambda *args: calls.append(args) or placement(*args))
+    for n in (5, 6):
+        inst = _structured_instances(n)[0]
+        for threads in (1, 2):
+            simulate(MechanismKind.BOSTON, inst, StrategyProfile.structured_n1(n, 2),
+                     simulation.BLOCK_SIZE + 9, seed=n, threads=threads)
+            assert len(calls) == 1, (n, threads)
+            calls.clear()
+
+
 def test_grouped_counts_fit_one_block():
     # however long the run, it groups only where a full block holds
     # GROUP_REPEATS replications per possible draw, so its summed counts
@@ -673,8 +693,9 @@ def test_grouped_counts_fit_one_block():
         for n1 in range(n + 1):
             tops = StrategyProfile.structured_n1(n, n1).tops
             for kind in MechanismKind:
-                if simulation._grouped(kind, n, tops, 10**12):
-                    bins = simulation._structured_codes(kind, inst, tops, 1, 0, 0)
+                table = simulation._placement(kind, n, tops)
+                if simulation._grouped(table, n, 10**12):
+                    bins = simulation._structured_codes(table, n, 1, 0, 0)
                     assert len(bins) <= simulation.BLOCK_SIZE // simulation.GROUP_REPEATS
 
 
