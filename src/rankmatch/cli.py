@@ -356,6 +356,8 @@ def cmd_selftest(args) -> int:
     checks.append(("jt exact p = 1/30", abs(p - 1 / 30) < 1e-12))
     stat, p = stats.wilcoxon_ranksum([1, 2], [3, 4])
     checks.append(("wilcoxon exact p = 1/3", abs(p - 1 / 3) < 1e-12))
+    stat, p = stats.wilcoxon_ranksum([1, 1, 2], [2, 3, 3])
+    checks.append(("wilcoxon tied exact p = 1/5", stat == 6.5 and abs(p - 1 / 5) < 1e-12))
 
     ok = all(passed for _, passed in checks)
     for name, passed in checks:

@@ -9,7 +9,11 @@ at most EXACT_MAX_N observations.
 Rank-sum is JT on two groups, so both tests run through one routine
 (``_rank_test``): one method dispatch, the permutation null of the JT
 statistic counted over tie blocks instead of enumerated, and JT's
-tie-corrected null moments for the normal approximation.
+tie-corrected null moments for the normal approximation.  The count
+(``_exact_p``) keys each state by one int, moves a block of one value in
+one step, deals a tied block's last share with the group before it, and
+packs the counts of each state into one int, at half width when no values
+tie.
 
 Each test reads everything from one tie table (``_tie_table``): how many
 of each group's values fall in each block of tied pooled values, in value
@@ -165,49 +169,93 @@ def _exact_p(table: np.ndarray, hit: Callable[[int], bool]) -> float:
     The null spreads the pooled values over the groups in every one of the
     n!/prod(size_i!) ways.  Rather than walk them, count them one tie block
     at a time, smallest value first (Harding 1984; Streitberg & Roehmel
-    1986): the state is how many values each group holds so far.  A block
-    of t tied values is dealt one group at a time, partial deals keyed by
-    (held, left): giving d of the ``left`` values to group g stands for
-    C(left, d) of those ways and adds d * sum_{i<g} (2*h_i + d_i) to the
-    doubled statistic (h_i held before the block, d_i taken from it).  A
-    group takes no fewer than the later groups' room leaves over.  Counts
-    are exact integers, so the p-value is the same ratio an enumeration
-    would give.
+    1986): the state is how many values h_g each group holds so far, keyed
+    by the int sum_g h_g * R_g with R_g = prod_{i>g} (size_i + 1), so giving
+    d values to group g adds d * R_g to the key; ``held_of`` maps each key,
+    as its state appears, to the h_g.  Giving d of a block's values to
+    group g adds d * sum_{i<g} (2*h_i + d_i) to the doubled statistic (h_i
+    held before the block, d_i taken from it).
 
-    A state's counts are packed into one int: the count of statistic s sits
-    in bits s*W .. (s+1)*W - 1, W the bit length of the n!/prod(size_i!)
-    total.  No count exceeds that total (each partial deal extends to a full
-    one), so no field carries into the next, and adding ``add`` to every
-    statistic is a shift by add*W."""
+    A block of one value goes to each group with room in one step, adding
+    2 * sum_{i<g} h_i.  A block of t >= 2 values is dealt to groups 0..k-2
+    one at a time, partial deals kept by how many values are left: giving d
+    of the ``left`` values to group g stands for C(left, d) ways, and a
+    group takes no fewer than the later groups' room leaves over.  The last
+    group takes the rest in the same step.  Counts are exact integers, so
+    the p-value is the same ratio an enumeration would give.
+
+    A state's counts are packed into one int: field j, bits j*W ..
+    (j+1)*W - 1 with W the bit length of the n!/prod(size_i!) total, counts
+    the deals whose doubled statistic is j, or 2j when every block holds one
+    value (then every add, and so every statistic, is even).  No count
+    exceeds that total (each partial deal extends to a full one), so no
+    field carries into the next, and adding to the statistic is a left
+    shift."""
     sizes = table.sum(axis=0).tolist()
-    total = math.factorial(sum(sizes)) // math.prod(math.factorial(k) for k in sizes)
+    blocks = table.sum(axis=1).tolist()
+    k = len(sizes)
+    total = math.factorial(sum(sizes)) // math.prod(math.factorial(m) for m in sizes)
     width = total.bit_length()
-    later = [sum(sizes[g + 1:]) for g in range(len(sizes))]
-    # held per group -> packed counts of the doubled statistic so far
-    dist: dict[tuple[int, ...], int] = {(0,) * len(sizes): 1}
-    for t in table.sum(axis=1).tolist():
-        deals = {(held, t): packed for held, packed in dist.items()}
-        dist = {}  # deals that placed the whole block
-        for g, size in enumerate(sizes):
-            nxt: dict[tuple[tuple[int, ...], int], int] = {}
-            for (held, left), packed in deals.items():
-                below = 2 * sum(held[:g]) - (t - left)
-                room = later[g] - sum(held[g + 1:])
-                for d in range(max(0, left - room), min(left, size - held[g]) + 1):
-                    key, add = held, packed  # a big int: skip the * 1 and << 0 copies
-                    if d:
-                        key = held[:g] + (held[g] + d,) + held[g + 1:]
-                        if d < left:
+    half = max(blocks) == 1
+    step = (1 if half else 2) * width  # bits per value an earlier group holds
+    radix = [math.prod(m + 1 for m in sizes[g + 1:]) for g in range(k)]
+    later = [sum(sizes[g + 1:]) for g in range(k)]
+    columns = list(zip(range(k), sizes, radix))
+    held_of = {0: (0,) * k}
+    dist = {0: 1}  # state key -> packed counts of the statistic so far
+    for t in blocks:
+        nxt: dict[int, int] = {}
+        if t == 1:
+            for code, packed in dist.items():
+                held = held_of[code]
+                shift = 0
+                for g, size, r in columns:
+                    h = held[g]
+                    if h < size:
+                        key = code + r
+                        add = packed << shift if shift else packed
+                        if key in nxt:
+                            nxt[key] += add
+                        else:
+                            nxt[key] = add
+                            held_of[key] = held[:g] + (h + 1,) + held[g + 1:]
+                    shift += step * h
+            dist = nxt
+            continue
+        deals = [{}] * t + [dist]  # values of the block left -> state key -> packed
+        for g in range(k - 1):
+            last = g == k - 2
+            outs = [nxt] * (t + 1) if last else [{} for _ in range(t + 1)]
+            for left, part in enumerate(deals):
+                for code, packed in part.items():
+                    held = held_of[code]
+                    h = held[g]
+                    below = 2 * sum(held[:g]) - (t - left)
+                    room = later[g] - sum(held[g + 1:])
+                    for d in range(max(0, left - room), min(left, sizes[g] - h) + 1):
+                        key, add, rest = code + d * radix[g], packed, left - d
+                        shift = d * below
+                        if d and rest:  # a big int: skip the * 1 and << 0 copies
                             add *= math.comb(left, d)
-                        if below:
-                            add <<= d * below * width
-                    out, key = (dist, key) if d == left else (nxt, (key, left - d))
-                    out[key] = out[key] + add if key in out else add
-            deals = nxt
+                        if last and rest:
+                            key += rest * radix[g + 1]
+                            shift += rest * (below + 2 * h + d)
+                        if shift:
+                            add <<= shift * width
+                        out = outs[rest]
+                        if key in out:
+                            out[key] += add
+                        else:
+                            out[key] = add
+                            if key not in held_of:
+                                held_of[key] = (held[:g] + (h + d, held[g + 1] + rest) if last
+                                                else held[:g] + (h + d,) + held[g + 1:])
+            deals = outs
+        dist = nxt
     (packed,) = dist.values()
     mask = (1 << width) - 1
-    hits = sum((packed >> s * width) & mask
-               for s in range(packed.bit_length() // width + 1) if hit(s))
+    hits = sum((packed >> j * width) & mask
+               for j in range(packed.bit_length() // width + 1) if hit(2 * j if half else j))
     return hits / total
 
 

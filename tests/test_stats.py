@@ -125,6 +125,19 @@ def _oracle_designs():
         n = sum(sizes)
         pooled = rng.sample(range(100), n) if i % 2 else [rng.randint(0, 3) for _ in range(n)]
         yield [pooled[sum(sizes[:g]):sum(sizes[:g + 1])] for g in range(k)]
+    # mostly distinct values with a tie or two, five groups, a group of one value
+    for i in range(24):
+        kind = i % 3
+        k = 5 if kind == 1 else 2 + i // 3 % 3
+        sizes = [1] * k
+        for _ in range(rng.randint(k, 8) - k):
+            sizes[rng.randrange(k)] += 1
+        if kind == 2:
+            sizes[i // 3 % k] = 1
+        n = sum(sizes)
+        top = 3 if kind == 1 and i % 2 else 3 * n
+        pooled = [rng.randint(0, top) for _ in range(n)]
+        yield [pooled[sum(sizes[:g]):sum(sizes[:g + 1])] for g in range(k)]
 
 
 def test_exact_p_values_equal_enumeration():
@@ -189,6 +202,16 @@ def test_exact_p_values_past_64_bit_counts(sizes):
         p = sum(c for s, c in enumerate(null) if abs(2 * s - na * nb) >= dev) / total
         assert wilcoxon_ranksum(*groups, method="exact") == (
             na * (na + 1) / 2 + na * nb - jt, p)
+
+def test_exact_null_fields_sum_to_the_total():
+    # a field that carried into the next would change the sum of all fields
+    designs = list(_oracle_designs())
+    for sizes in [(35, 35), (16, 16, 16)]:
+        pooled = random.Random(sum(sizes)).sample(range(1000), sum(sizes))
+        designs.append([pooled[sum(sizes[:g]):sum(sizes[:g + 1])] for g in range(len(sizes))])
+    for groups in designs:
+        assert _exact_p(_tie_table(groups), lambda s: True) == 1.0, groups
+
 
 @pytest.mark.scipy_oracle
 def test_approx_p_values_match_oracles():
