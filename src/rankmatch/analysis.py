@@ -363,7 +363,10 @@ def _plain_table(data: bytes) -> SessionTable | None:
         subject_id += _text_cells(block, start[:, 0], end[:, 0]).tolist()
         group_id += _text_cells(block, start[:, 2], end[:, 2]).tolist()
         at = to
-    return SessionTable(tuple(subject_id), tuple(group_id), boston, values, order, *scalars)
+    # each list is dropped as soon as its tuple is made
+    subject_id = tuple(subject_id)
+    group_id = tuple(group_id)
+    return SessionTable(subject_id, group_id, boston, values, order, *scalars)
 
 
 def _text_cells(a: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:

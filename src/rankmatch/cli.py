@@ -6,10 +6,10 @@ optional CSV side files), byte-identical for identical inputs and seed.
 Exit codes: 0 success, 1 data error, 2 usage error.
 
 Each ``cmd_*`` imports the modules it runs, so ``mechanism`` and
-``elicit-decode`` start without numpy.  ``_emit`` writes every report with
-``_write_json``, which gives the text of ``json.dumps(doc, indent=2,
-sort_keys=True, allow_nan=False)`` without json's generator-based indent
-path.
+``elicit-decode`` start without numpy.  ``_emit`` writes every report as
+``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)`` does: one of
+plain values through ``_write_json``, which skips json's generator-based
+indent path, and any other through json.dumps itself.
 """
 from __future__ import annotations
 
@@ -31,45 +31,21 @@ if TYPE_CHECKING:
 DEFAULT_SEED = 20240901
 
 
-_JSON_TYPES = frozenset((str, float, int, dict, list, tuple, bool, type(None)))
 _quote = json.encoder.encode_basestring_ascii
-
-
-def _json_float(x: float) -> str:
-    if -math.inf < x < math.inf:
-        return float.__repr__(x)
-    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-
-
-def _json_key(key) -> str:
-    """A dict key as json.dumps coerces it, before quoting."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is None or key is True or key is False:
-        return "null" if key is None else "true" if key else "false"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _write_json(obj, pad: str, out: list) -> None:
     """Append ``obj`` to ``out`` as ``json.dumps(obj, indent=2,
     sort_keys=True, allow_nan=False)`` writes it at indentation ``pad``.
-    Exact types are tested first; a subclass (np.float64, IntEnum, a str
-    enum) is written as the base json.dumps' isinstance order finds.
-    Reports are trees, so there is no circular-reference check."""
+    Takes the plain types reports hold: str, int, finite float, bool,
+    None, list, tuple and dict with str keys; raises TypeError on anything
+    else, subclasses included.  Reports are trees, so there is no
+    circular-reference check."""
     kind = type(obj)
-    if kind not in _JSON_TYPES:
-        kind = next((base for base in (str, int, float, list, tuple, dict)
-                     if isinstance(obj, base)), None)
-        if kind is None:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if kind is str:
         out.append(_quote(obj))
-    elif kind is float:
-        out.append(_json_float(obj))
+    elif kind is float and -math.inf < obj < math.inf:
+        out.append(float.__repr__(obj))
     elif kind is int:
         out.append(int.__repr__(obj))
     elif kind is dict:
@@ -78,7 +54,9 @@ def _write_json(obj, pad: str, out: list) -> None:
             return
         inner, sep = pad + "  ", "{"
         for key, value in sorted(obj.items()):
-            out.append(f"{sep}\n{inner}{_quote(key if type(key) is str else _json_key(key))}: ")
+            if type(key) is not str:
+                raise TypeError(f"key {key!r} is not a str")
+            out.append(f"{sep}\n{inner}{_quote(key)}: ")
             _write_json(value, inner, out)
             sep = ","
         out.append(f"\n{pad}}}")
@@ -92,18 +70,23 @@ def _write_json(obj, pad: str, out: list) -> None:
             _write_json(value, inner, out)
             sep = ","
         out.append(f"\n{pad}]")
-    else:
+    elif obj is None or obj is True or obj is False:
         out.append("null" if obj is None else "true" if obj else "false")
+    else:
+        raise TypeError(f"{kind.__name__} is not a plain JSON type")
 
 
 def _emit(doc: dict, out=None) -> None:
     pieces: list[str] = []
     try:
         _write_json(doc, "", pieces)
-    except ValueError as exc:  # NaN or infinity has no JSON form
-        raise DataFormatError(f"cannot write the report as JSON: {exc}") from exc
-    pieces.append("\n")
-    text = "".join(pieces)
+        text = "".join(pieces)
+    except TypeError:
+        try:
+            text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:  # NaN or infinity has no JSON form
+            raise DataFormatError(f"cannot write the report as JSON: {exc}") from exc
+    text += "\n"
     if out is not None:
         with open(out, "w") as fh:
             fh.write(text)

@@ -33,32 +33,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 EXACT_MAX_N = 12
-# from 2**53 on, not every int converts to float64 exactly
-_FLOAT_EXACT_INTS = 2.0 ** 53
 
 
 def _pooled(groups: Sequence[Sequence[float]]) -> np.ndarray:
     """The groups' values end to end, as one array whose sort orders and
     ties them as Python's comparisons do.
 
-    int64 when numpy reads the values as integers that fit it (bools
-    included); float64 when it reads them as floats and every value
-    converts exactly (ints from 2**53 on are checked one by one); otherwise
-    the values themselves as Python objects: ints past int64, ints that a
-    float64 cannot hold beside floats, ``Fraction``, ``Decimal``.  Raises
+    int64 when numpy reads every value as an integer that fits it (bools
+    and numpy ints included), the values themselves as Python objects
+    otherwise: floats, ints past int64, ``Fraction``, ``Decimal``.  Raises
     on NaN, which compares false with everything, so ranks and counts
     would be silently wrong."""
     values = [v for g in groups for v in g]
     x = np.array(values)
     if np.can_cast(x.dtype, np.int64):
         return x.astype(np.int64, copy=False)
-    if x.dtype.kind == "f" and x.dtype.itemsize <= 8:
-        x = x.astype(np.float64, copy=False)
-        if np.isnan(x).any():
-            raise ValueError("samples contain NaN")
-        big = np.flatnonzero(np.abs(x) >= _FLOAT_EXACT_INTS)
-        if all(values[i] == v for i, v in zip(big.tolist(), x[big].tolist())):
-            return x
     if any(v != v for v in values):
         raise ValueError("samples contain NaN")
     x = np.empty(len(values), dtype=object)

@@ -914,9 +914,11 @@ def _json_dumps_or_error(doc):
 
 
 def test_emit_writes_json_dumps_text(tmp_path, capsys):
-    """_emit's own writer gives json.dumps' indented, sorted, strict text,
-    or an error of the type json.dumps raises (a ValueError as a data
-    error that writes no file)."""
+    """_emit gives json.dumps' indented, sorted, strict text, from its own
+    writer for plain values and from json.dumps for the rest (subclasses,
+    non-str keys, NaN and infinity, unserializable values), or an error of
+    the type json.dumps raises (a ValueError as a data error that writes
+    no file)."""
     rng = random.Random(29)
     docs = [{"doc": _random_document(rng)} for _ in range(2000)]
     docs += [{"k": {1.5: [float("nan")]}}, {"k": (1, -math.inf)}, {math.inf: 1},
@@ -1041,6 +1043,41 @@ def test_parser_shared_by_threads(appd_files, tmp_path):
     for got in results:
         assert got == {(r, name): (0, serial[name])
                        for r in range(rounds) for name in argvs}
+
+
+def test_reports_take_the_plain_writer(appd_files, tmp_path, monkeypatch):
+    """Every report holds plain values only, so ``_write_json`` writes it:
+    with json.dumps made to raise, each subcommand still exits 0 and writes
+    the same bytes, side files included, as an unpatched run."""
+    rp, mp = appd_files
+    argvs = _one_of_each(tmp_path, appd_files)
+    argvs["expect boston"] = ["expect", "--kind", "boston", "--reports", str(rp),
+                              "--market", str(mp)]
+    argvs["simulate fixed --csv"] = ["simulate", "--kind", "boston", "--market", str(mp),
+                                     "--profile-reports", str(rp), "--reps", "300",
+                                     "--seed", "5", "--csv"]
+    argvs["analyze --tables"] = argvs["analyze"] + ["--tables"]
+
+    def run_all(tag):
+        outputs = {}
+        for name, argv in argvs.items():
+            out, side = tmp_path / f"{tag}-{name}.json", tmp_path / f"{tag}-{name}-side"
+            extra = [str(side)] if argv[-1] in ("--csv", "--tables") else []
+            assert main(argv + extra + ["--out", str(out)]) == 0, argv
+            outputs[name] = out.read_bytes()
+            if side.is_dir():
+                outputs[name, "side"] = {p.name: p.read_bytes() for p in side.iterdir()}
+            elif extra:
+                outputs[name, "side"] = side.read_bytes()
+        return outputs
+
+    expected = run_all("plain")
+
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("json.dumps was called")
+
+    monkeypatch.setattr(json, "dumps", no_dumps)
+    assert run_all("patched") == expected
 
 
 FUZZ_CASES = 3000

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from rankmatch.stats import (_exact_p, _jt_moments, _jt_statistic, _norm_cdf, _norm_sf,
-                             _stars, _t_two_sided, _tie_table, jonckheere_terpstra, ols_fit,
-                             wilcoxon_ranksum)
+                             _pooled, _stars, _t_two_sided, _tie_table, jonckheere_terpstra,
+                             ols_fit, wilcoxon_ranksum)
 
 
 def test_jt_exact_fixture():
@@ -394,6 +394,26 @@ def test_rank_tests_take_ints_past_float_range():
     for alternative in ("decreasing", "increasing"):
         assert jonckheere_terpstra([[10 ** 400, 5]] + groups[1:], alternative, "approx") == (
             jonckheere_terpstra(groups, alternative, "approx"))
+
+
+def test_pooled_is_int64_or_the_values_themselves():
+    # int64 when numpy reads every value as an integer that fits it
+    for values in ([3, -2, 0], [True, False, 2], [True, False],
+                   [np.int64(5), np.int32(-1), np.uint8(7), 1], [2 ** 63 - 1, -2 ** 63]):
+        x = _pooled([values[:1], values[1:]])
+        assert x.dtype == np.int64 and x.tolist() == [int(v) for v in values], values
+    # otherwise an object array of the very values given
+    for values in ([0.5, 1.0, -2.0], [0.5, 2 ** 53 + 1], [2 ** 63], [2 ** 63, 2 ** 63 + 1],
+                   [2 ** 63, 1], [-2 ** 63 - 1], [-2 ** 63 - 1, 1],
+                   [Fraction(1, 3), Fraction(-7, 2)], [Fraction(1, 3), 2, 0.5],
+                   [np.float64(0.5), np.float32(0.75), 1]):
+        x = _pooled([values[:1], values[1:]])
+        assert x.dtype == object and len(x) == len(values), values
+        assert all(got is given for got, given in zip(x, values)), values
+    for nan in (math.nan, np.nan):
+        for values in ([1, nan], [0.5, nan], [Fraction(1, 3), nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                _pooled([values[:1], values[1:]])
 
 
 @pytest.mark.parametrize("call", [
